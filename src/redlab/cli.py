@@ -18,6 +18,7 @@ from .experiments import (
     run_sweep,
 )
 from .presets import build_denoiser
+from .solvers import SOLVER_NAMES
 from .svgplot import plot_residual_curves
 from .traceio import read_aggregate_csv
 
@@ -89,9 +90,9 @@ def _parse_list(text, convert, what):
 def _cmd_sweep(args):
     cfg = _apply_overrides(load_config(args.config), args)
     taus = _parse_list(args.tau or "1,0.1,0.01", float, "tau")
-    solvers = _parse_list(args.solver or "red,red_bls,mred", str, "solver")
+    solvers = _parse_list(args.solver or ",".join(SOLVER_NAMES), str, "solver")
     for name in solvers:
-        if name not in ("red", "red_bls", "mred"):
+        if name not in SOLVER_NAMES:
             raise ConfigError(f"unknown solver {name!r} in sweep list")
     out_root = args.out if args.out is not None else cfg.out
     summary = run_sweep(cfg, taus, solvers, out_root, parallel=args.parallel)
@@ -104,7 +105,7 @@ def _cmd_sweep(args):
     for agg in summary["aggregates"]:
         print(f"aggregate {agg}")
     for failure in summary["failures"]:
-        print(f"FAILED {failure['run']}: {failure['error']}")
+        print(f"FAILED {failure['run']}: {failure['type']}: {failure['error']}")
     print(
         f"sweep complete: {len(summary['runs'])} runs, "
         f"{len(summary['failures'])} failures"
@@ -174,7 +175,7 @@ def build_parser():
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--tau", type=float)
-    p_run.add_argument("--solver", choices=("red", "red_bls", "mred"))
+    p_run.add_argument("--solver", choices=SOLVER_NAMES)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out")
     p_run.set_defaults(func=_cmd_run)

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 from .images import TEST_IMAGE_NAMES
 from .presets import resolve_denoiser_spec
+from .solvers import SOLVER_NAMES
 
 _PROBLEMS = ("deblur", "cs")
-_SOLVERS = ("red", "red_bls", "mred")
 
 _TOP_KEYS = {
     "problem",
@@ -211,8 +211,8 @@ def from_dict(raw, base_dir="."):
     _check_keys(sol_raw, set(_SOLVER_DEFAULTS), "config.solver")
     solver = dict(_SOLVER_DEFAULTS)
     name = sol_raw.get("name", solver["name"])
-    if name not in _SOLVERS:
-        _fail("config.solver.name", f"expected one of {_SOLVERS}, got {name!r}")
+    if name not in SOLVER_NAMES:
+        _fail("config.solver.name", f"expected one of {SOLVER_NAMES}, got {name!r}")
     solver["name"] = name
     solver["gamma"] = _number(
         sol_raw, "gamma", "config.solver", default=None, allow_none=True

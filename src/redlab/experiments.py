@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, from_dict, to_dict
-from .denoisers import estimate_lipschitz
+from .denoisers import LipschitzEstimate, estimate_lipschitz
 from .fidelity import LeastSquaresFidelity, NoiseSpec, add_noise_at_snr
 from .images import (
     ImageGrid,
@@ -33,8 +33,9 @@ from .rng import RngState, gaussian_samples
 from .solvers import SolverConfig, default_gamma, run_solver
 from .traceio import write_aggregate_csv, write_sidecar, write_trace_csv
 
-# Reduced effort for the per-run sidecar certification; the dedicated CLI
-# command uses the estimator defaults instead.
+# Reduced effort for the per-run sidecar certification of denoisers without
+# a closed-form constant; the dedicated CLI command uses the estimator
+# defaults instead.
 _RUN_LIPSCHITZ_PROBES = 4
 _RUN_LIPSCHITZ_ITERS = 120
 
@@ -81,10 +82,15 @@ def _build_operator(cfg):
     return build_cs_operator(m, n, cfg.operator["seed"])
 
 
-def build_experiment(cfg):
-    """Construct operator, measurements, denoiser, problem, and solver setup."""
+def build_experiment(cfg, op=None):
+    """Construct operator, measurements, denoiser, problem, and solver setup.
+
+    `op`, when given, is used instead of building the operator `cfg`
+    describes; a sweep passes the one it built for all of its runs.
+    """
     x_true = _load_true_image(cfg)
-    op = _build_operator(cfg)
+    if op is None:
+        op = _build_operator(cfg)
     snr = cfg.noise["input_snr_db"]
     spec = NoiseSpec(math.inf if snr is None else snr, cfg.noise["seed"])
     y, _e = add_noise_at_snr(op, x_true, spec)
@@ -126,12 +132,26 @@ def _metrics(result):
     }
 
 
-def run_experiment(cfg, out_dir=None):
+def _certify(denoiser):
+    """The denoiser's Lipschitz certificate for the sidecar.
+
+    A declared closed-form constant is exact; otherwise a reduced-effort
+    Jacobian power iteration.
+    """
+    if denoiser.nominal_lipschitz is not None:
+        return LipschitzEstimate(denoiser.nominal_lipschitz, "analytic", 0, True)
+    return estimate_lipschitz(
+        denoiser, probes=_RUN_LIPSCHITZ_PROBES, iters=_RUN_LIPSCHITZ_ITERS
+    )
+
+
+def run_experiment(cfg, out_dir=None, op=None):
     """Run one experiment; optionally persist trace, sidecar, reconstruction.
 
-    Returns (SolveResult, BuiltExperiment, metrics dict).
+    `op` is passed on to `build_experiment`.  Returns (SolveResult,
+    BuiltExperiment, metrics dict).
     """
-    built = build_experiment(cfg)
+    built = build_experiment(cfg, op)
     result = run_solver(
         built.solver_name, built.problem, built.x0, built.solver_config,
         psnr_ref=built.x_true,
@@ -140,11 +160,7 @@ def run_experiment(cfg, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_trace_csv(os.path.join(out_dir, "trace.csv"), result)
-        lip = estimate_lipschitz(
-            built.denoiser,
-            probes=_RUN_LIPSCHITZ_PROBES,
-            iters=_RUN_LIPSCHITZ_ITERS,
-        )
+        lip = _certify(built.denoiser)
         psnr = metrics["final_psnr_db"]
         sidecar = {
             "library_version": __version__,
@@ -189,11 +205,11 @@ def run_dir_name(solver, tau, image_name):
     return f"{solver}_tau{_tau_token(tau)}_{image_name}"
 
 
-def _sweep_child(payload):
+def _sweep_child(payload, op=None):
     """Worker for one sweep run; module-level so it pickles for process pools."""
     raw, out_dir = payload
     cfg = from_dict(raw)
-    result, _built, metrics = run_experiment(cfg, out_dir)
+    result, _built, metrics = run_experiment(cfg, out_dir, op)
     curve = [(rec.k, rec.normalized_residual) for rec in result.trace]
     return metrics, curve
 
@@ -208,8 +224,11 @@ def _pad_to(curve, length):
 def run_sweep(cfg, taus, solvers, out_root, parallel=False):
     """Cartesian product of taus x solvers x the six synthetic images.
 
-    Returns {"runs": [...], "failures": [...], "aggregates": [...]}; child
-    failures are recorded and do not stop the sweep.
+    The runs differ only in image, tau and solver, so the serial path
+    builds the operator once and shares it; a process pool builds one per
+    job.  Returns {"runs": [...], "failures": [...], "aggregates": [...]}.
+    Failures, including a failed operator build (recorded once per run),
+    do not stop the sweep.
     """
     if not taus or not solvers:
         raise ValueError("sweep needs at least one tau and one solver")
@@ -228,21 +247,31 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
                 jobs.append(((tau, solver, image_name), (to_dict(child), out_dir)))
     outcomes = {}
     failures = []
+
+    def fail(key, exc):
+        failures.append({"run": key, "type": type(exc).__name__, "error": str(exc)})
+
     if parallel:
         with ProcessPoolExecutor() as pool:
             futures = [(key, pool.submit(_sweep_child, payload)) for key, payload in jobs]
             for key, fut in futures:
                 exc = fut.exception()
                 if exc is not None:
-                    failures.append({"run": key, "error": str(exc)})
+                    fail(key, exc)
                 else:
                     outcomes[key] = fut.result()
     else:
-        for key, payload in jobs:
-            try:
-                outcomes[key] = _sweep_child(payload)
-            except Exception as exc:
-                failures.append({"run": key, "error": str(exc)})
+        try:
+            op = _build_operator(cfg)
+        except Exception as exc:
+            for key, _payload in jobs:
+                fail(key, exc)
+        else:
+            for key, payload in jobs:
+                try:
+                    outcomes[key] = _sweep_child(payload, op)
+                except Exception as exc:
+                    fail(key, exc)
     runs = []
     for key, _payload in jobs:
         if key in outcomes:

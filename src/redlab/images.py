@@ -156,6 +156,13 @@ class CyclicConvolver:
     def apply_adjoint(self, arr):
         return np.fft.irfft2(np.fft.rfft2(arr) * np.conj(self._khat), s=self.shape)
 
+    def max_gain(self):
+        """Largest |khat|, the spectral norm of the convolution.
+
+        The half spectrum suffices: a real kernel's DFT is conjugate symmetric.
+        """
+        return float(np.max(np.abs(self._khat)))
+
 
 def convolve2d_periodic(img, kernel):
     """Circular convolution of an image with a centered kernel."""

@@ -33,6 +33,10 @@ class LinearOperator:
         """A^T A v; the Hessian map of the least-squares fidelity."""
         return self.adjoint(self.forward(v))
 
+    def exact_spectral_norm_sq(self):
+        """lambda_max(A^T A) in closed form, or None where the structure gives none."""
+        return None
+
     def _check_domain(self, x):
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n:
@@ -94,6 +98,10 @@ class DeblurOperator(LinearOperator):
         u = self._check_range(u)
         return self._conv.apply_adjoint(u.reshape(self.shape)).reshape(-1)
 
+    def exact_spectral_norm_sq(self):
+        # A^T A is circulant; its eigenvalues are |khat|^2 over the DFT grid.
+        return self._conv.max_gain() ** 2
+
 
 class CompressiveSensingOperator(LinearOperator):
     """Dense random projection with orthonormal rows (so A A^T == I_m)."""
@@ -136,7 +144,7 @@ def build_cs_operator(m, n, seed):
 
 @dataclass
 class SpectralEstimate:
-    """Power-iteration estimate of the largest eigenvalue of A^T A."""
+    """Largest eigenvalue of A^T A: exact (iterations == 0) or by power iteration."""
 
     value: float
     iterations: int
@@ -144,14 +152,18 @@ class SpectralEstimate:
 
 
 def spectral_norm_sq(op, iters=200, tol=1e-9, rng=None):
-    """Estimate lambda_max(A^T A) by power iteration with Rayleigh quotients.
+    """lambda_max(A^T A), exact where the operator knows it in closed form.
 
-    Stops when the relative change of the estimate drops below `tol`;
-    otherwise runs `iters` rounds and reports the result as unconverged.
-    The estimate is monotone non-decreasing across iterations.
+    Otherwise power iteration with Rayleigh quotients: it stops when the
+    relative change of the estimate drops below `tol`, or runs `iters`
+    rounds and reports the result as unconverged.  The estimate is monotone
+    non-decreasing across iterations.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
+    exact = op.exact_spectral_norm_sq()
+    if exact is not None:
+        return SpectralEstimate(exact, 0, True)
     if rng is None:
         rng = RngState(0)
     v = gaussian_samples(rng, op.n)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .red import EvalCounters
 
-_SOLVER_NAMES = ("red", "red_bls", "mred")
+SOLVER_NAMES = ("red", "red_bls", "mred")
 
 
 @dataclass
@@ -317,4 +317,4 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
         return red_bls(p, x0, cfg, psnr_ref)
     if name == "mred":
         return mred(p, x0, cfg, psnr_ref)
-    raise ValueError(f"unknown solver {name!r}; valid: {_SOLVER_NAMES}")
+    raise ValueError(f"unknown solver {name!r}; valid: {SOLVER_NAMES}")

@@ -18,6 +18,7 @@ from redlab import (
     idct2_orthonormal,
 )
 from redlab.images import dct2_vals
+from redlab.presets import DENOISER_NAMES, build_denoiser
 
 
 def dense_residual_jacobian(d, x, h=1e-6):
@@ -320,6 +321,22 @@ def test_lipschitz_certification_boundary():
     ]
     for d in expansive:
         assert estimate_lipschitz(d).value >= 1.2
+
+
+SHIPPED_NOMINAL = [
+    name
+    for name in DENOISER_NAMES
+    if build_denoiser({"name": name}, (64, 64)).nominal_lipschitz is not None
+]
+
+
+@pytest.mark.parametrize("name", SHIPPED_NOMINAL)
+def test_nominal_lipschitz_matches_estimate(name):
+    # The sidecar certifies a declared constant without estimating it; the
+    # estimator may only fall short of it, and by little.
+    d = build_denoiser({"name": name}, (64, 64))
+    est = estimate_lipschitz(d)
+    assert d.nominal_lipschitz - 1e-3 <= est.value <= d.nominal_lipschitz + 1e-9
 
 
 def test_lipschitz_method_validation():

@@ -37,6 +37,7 @@ from redlab.presets import EXPERIMENT_PRESETS, experiment_preset
 from redlab.svgplot import plot_residual_curves
 from redlab.traceio import (
     read_aggregate_csv,
+    read_sidecar,
     read_trace_csv,
     write_aggregate_csv,
     write_trace_csv,
@@ -322,6 +323,25 @@ def test_run_experiment_artifacts(tmp_path):
     assert np.max(np.abs(recon.values - np.clip(result.x_star, 0, 1))) <= 0.5 / 65535
 
 
+def test_run_sidecar_certificates(tmp_path):
+    # Deblur L and a declared denoiser constant are exact; the convnet
+    # declares none, so its certificate is still estimated.
+    out = os.path.join(str(tmp_path), "smoother")
+    run_experiment(from_dict(copy.deepcopy(SMALL)), out)
+    sidecar = read_sidecar(os.path.join(out, "sidecar.json"))
+    assert sidecar["L"]["iterations"] == 0
+    assert sidecar["L"]["converged"] is True
+    assert sidecar["lipschitz"]["converged"] is True
+    assert sidecar["lipschitz"]["method"] == "analytic"
+    raw = copy.deepcopy(SMALL)
+    raw["denoiser"] = {"name": "convnet"}
+    raw["solver"]["t"] = 2
+    out = os.path.join(str(tmp_path), "convnet")
+    run_experiment(from_dict(raw), out)
+    sidecar = read_sidecar(os.path.join(out, "sidecar.json"))
+    assert sidecar["lipschitz"]["method"] == "jacobian_power_iteration"
+
+
 def test_run_experiment_rewrites_identically(tmp_path):
     cfg = from_dict(copy.deepcopy(SMALL))
     out_a = os.path.join(str(tmp_path), "a")
@@ -391,6 +411,7 @@ def test_sweep_records_failures(tmp_path):
     assert not summary["aggregates"]
     for failure in summary["failures"]:
         assert "kernel" in failure["error"]
+        assert failure["type"] == "ValueError"
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -127,10 +127,21 @@ def test_spectral_deblur_matches_dft_oracle():
                     )
             mags[p, q] = abs(acc)
     op = DeblurOperator((h, w), k)
-    est = spectral_norm_sq(op, iters=2000, tol=1e-13)
-    assert abs(est.value - float(mags.max() ** 2)) < 1e-6
+    est = spectral_norm_sq(op)
+    assert est.iterations == 0 and est.converged
+    assert abs(est.value - float(mags.max() ** 2)) < 1e-12
     # And for a normalized non-negative kernel the max sits at DC and is 1.
-    assert abs(est.value - 1.0) < 1e-6
+    assert abs(est.value - 1.0) < 1e-12
+
+
+def test_spectral_deblur_exact_equals_power_iteration():
+    # Power iteration on the dense matrix of the same operator reaches the
+    # closed-form value taken from the kernel DFT.
+    op = DeblurOperator((12, 10), gaussian_kernel(5, 1.1))
+    dense = np.column_stack([op.forward(e) for e in np.eye(op.n)])
+    power = spectral_norm_sq(MatrixOperator(dense), iters=5000, tol=1e-14)
+    assert power.converged and power.iterations > 1
+    assert abs(power.value - spectral_norm_sq(op).value) < 1e-10
 
 
 def test_spectral_rayleigh_monotone():
