@@ -44,7 +44,7 @@ from .denoisers import (
     ScaledDenoiser,
     estimate_lipschitz,
 )
-from .red import EvalCounters, REDProblem, normalized_residual
+from .red import EvalCounters, REDProblem
 from .solvers import (
     IterationRecord,
     SolveResult,
@@ -90,7 +90,6 @@ __all__ = [
     "estimate_lipschitz",
     "EvalCounters",
     "REDProblem",
-    "normalized_residual",
     "SolverConfig",
     "IterationRecord",
     "SolveResult",

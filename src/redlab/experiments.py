@@ -10,7 +10,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -183,13 +183,7 @@ def run_experiment(cfg, out_dir=None, op=None):
             "final_phi": metrics["final_phi"],
             "final_norm_resid": metrics["final_norm_resid"],
             "final_psnr_db": None if psnr is None or math.isinf(psnr) else psnr,
-            "counters": {
-                "denoiser_applies": result.counters.denoiser_applies,
-                "vjp_evals": result.counters.vjp_evals,
-                "operator_forwards": result.counters.operator_forwards,
-                "operator_adjoints": result.counters.operator_adjoints,
-                "grad_phi_evals": result.counters.grad_phi_evals,
-            },
+            "counters": asdict(result.counters),
         }
         write_sidecar(os.path.join(out_dir, "sidecar.json"), sidecar)
         recon = ImageGrid(cfg.shape[0], cfg.shape[1], result.x_star)

@@ -51,7 +51,7 @@ class LinearOperator:
 
 
 class MatrixOperator(LinearOperator):
-    """Dense matrix wrapped as an operator; mainly for tests and tiny cases."""
+    """Dense matrix wrapped as an operator."""
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -103,24 +103,15 @@ class DeblurOperator(LinearOperator):
         return self._conv.max_gain() ** 2
 
 
-class CompressiveSensingOperator(LinearOperator):
+class CompressiveSensingOperator(MatrixOperator):
     """Dense random projection with orthonormal rows (so A A^T == I_m)."""
 
     def __init__(self, matrix, seed):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] >= matrix.shape[1]:
             raise ValueError("expected an m x n matrix with m < n")
-        matrix = matrix.copy()
-        matrix.flags.writeable = False
-        self.matrix = matrix
+        super().__init__(matrix)
         self.seed = int(seed)
-        self.m, self.n = matrix.shape
-
-    def forward(self, x):
-        return self.matrix @ self._check_domain(x)
-
-    def adjoint(self, u):
-        return self.matrix.T @ self._check_range(u)
 
 
 def build_cs_operator(m, n, seed):

@@ -55,16 +55,34 @@ class REDProblem:
     def n(self):
         return self.denoiser.n
 
-    def operator_g(self, x, counters=None):
-        """G(x); costs one denoiser apply, one forward, one adjoint."""
+    def fidelity_gradient(self, x, counters=None):
+        """grad g(x) = A^T (A x - y); costs one forward, one adjoint."""
+        if counters is not None:
+            counters.operator_forwards += 1
+            counters.operator_adjoints += 1
+        return self.fidelity.gradient(x)
+
+    def fidelity_hessian_vp(self, v, counters=None):
+        """A^T A v; costs one forward, one adjoint."""
+        if counters is not None:
+            counters.operator_forwards += 1
+            counters.operator_adjoints += 1
+        return self.fidelity.hessian_vp(v)
+
+    def operator_g(self, x, counters=None, grad_g=None):
+        """G(x); costs one denoiser apply.
+
+        The fidelity gradient costs one forward and one adjoint more, unless
+        the caller already holds it and passes it as `grad_g`.
+        """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n:
             raise ValueError(f"expected dimension {self.n}, got {x.size}")
-        gx = self.fidelity.gradient(x) + self.tau * (x - self.denoiser.apply(x))
+        if grad_g is None:
+            grad_g = self.fidelity_gradient(x, counters)
+        gx = grad_g + self.tau * (x - self.denoiser.apply(x))
         if counters is not None:
             counters.denoiser_applies += 1
-            counters.operator_forwards += 1
-            counters.operator_adjoints += 1
         return gx
 
     def phi(self, x, counters=None):
@@ -72,24 +90,26 @@ class REDProblem:
         g = self.operator_g(x, counters)
         return 0.5 * float(g @ g)
 
-    def eval_state(self, x, counters=None):
-        """(phi(x), grad phi(x), G(x)) from a single G evaluation.
+    def eval_state(self, x, counters=None, g=None):
+        """(phi(x), grad phi(x), G(x), A^T A G(x)) from at most one G evaluation.
 
-        grad phi = fidelity Hessian applied to G plus tau times the residual
-        VJP at x in the direction G.
+        G is evaluated unless the caller passes it as `g`.  grad phi is the
+        fidelity Hessian applied to G plus tau times the residual VJP at x
+        in the direction G; the Hessian product is returned as well, since
+        it also moves the fidelity gradient along a step in the direction G.
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
-        g = self.operator_g(x, counters)
-        grad = self.fidelity.hessian_vp(g) + self.tau * self.denoiser.residual_vjp(x, g)
+        if g is None:
+            g = self.operator_g(x, counters)
+        hg = self.fidelity_hessian_vp(g, counters)
+        grad = hg + self.tau * self.denoiser.residual_vjp(x, g)
         if counters is not None:
-            counters.operator_forwards += 1
-            counters.operator_adjoints += 1
             counters.vjp_evals += 1
             counters.grad_phi_evals += 1
-        return 0.5 * float(g @ g), grad, g
+        return 0.5 * float(g @ g), grad, g, hg
 
     def phi_and_grad(self, x, counters=None):
-        phi, grad, _ = self.eval_state(x, counters)
+        phi, grad, _g, _hg = self.eval_state(x, counters)
         return phi, grad
 
     def grad_phi(self, x, counters=None):
@@ -106,10 +126,3 @@ class REDProblem:
         if counters is not None:
             counters.denoiser_applies += 1
         return 0.5 * self.tau * float(x @ r)
-
-
-def normalized_residual(g_norm_sq, g0_norm_sq):
-    """||G(x)||^2 / ||G(x0)||^2; undefined when the start is already a zero."""
-    if g0_norm_sq <= 0.0:
-        raise ValueError("start point is already a zero of G; residual undefined")
-    return g_norm_sq / g0_norm_sq

@@ -103,7 +103,13 @@ def _psnr_of(x, ref):
 
 
 class _RunState:
-    """Bookkeeping shared by the three solver loops."""
+    """Bookkeeping shared by the three solver loops.
+
+    Carries the current point x, its fidelity gradient grad g(x), and G(x).
+    grad g is evaluated exactly only at x0.  Every later point is x - s*d
+    for a direction d whose A^T A d the loop already holds, and since g is
+    quadratic, grad g(x - s*d) = grad g(x) - s * A^T A d.
+    """
 
     def __init__(self, solver, p, x0, cfg, psnr_ref):
         x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
@@ -118,6 +124,20 @@ class _RunState:
         self.counters = EvalCounters()
         self.trace = []
         self.x = x0.copy()
+        self.grad_g = p.fidelity_gradient(self.x, self.counters)
+        self.g = p.operator_g(self.x, self.counters, self.grad_g)
+        self.g_sq = float(self.g @ self.g)
+
+    def evaluate(self, x_new, step, hd):
+        """(grad g, G) at x_new = x - step*d, given hd = A^T A d.
+
+        Costs one denoiser apply and no operator call.
+        """
+        grad_g = self.grad_g - step * hd
+        return grad_g, self.p.operator_g(x_new, self.counters, grad_g)
+
+    def accept(self, x, grad_g, g, g_sq):
+        self.x, self.grad_g, self.g, self.g_sq = x, grad_g, g, g_sq
 
     def residual_of(self, g_sq):
         # Convention: a start already in zer(G) reports residual 0 instead of
@@ -126,29 +146,18 @@ class _RunState:
             return 0.0
         return g_sq / self.g0_sq
 
-    def record_initial(self, g_sq):
-        self.g0_sq = g_sq
-        self.trace.append(
-            IterationRecord(
-                k=0,
-                phi=0.5 * g_sq,
-                g_norm=math.sqrt(g_sq),
-                normalized_residual=1.0 if g_sq > 0.0 else 0.0,
-                mode="init",
-                backtracks=0,
-                step_used=0.0,
-                psnr_db=_psnr_of(self.x, self.psnr_ref),
-                counters=self.counters.snapshot(),
-            )
-        )
+    def record_initial(self):
+        self.g0_sq = self.g_sq
+        self.record(0, "init", 0, 0.0)
 
-    def record(self, k, g_sq, mode, backtracks, step_used):
+    def record(self, k, mode, backtracks, step_used):
+        """Append the current point as iterate k."""
         self.trace.append(
             IterationRecord(
                 k=k,
-                phi=0.5 * g_sq,
-                g_norm=math.sqrt(g_sq),
-                normalized_residual=self.residual_of(g_sq),
+                phi=0.5 * self.g_sq,
+                g_norm=math.sqrt(self.g_sq),
+                normalized_residual=self.residual_of(self.g_sq),
                 mode=mode,
                 backtracks=backtracks,
                 step_used=step_used,
@@ -180,23 +189,20 @@ class _RunState:
 def red_sd_fixed(p, x0, cfg, psnr_ref=None):
     """Fixed-step iteration x <- x - gamma * G(x)."""
     st = _RunState("red", p, x0, cfg, psnr_ref)
-    g = p.operator_g(st.x, st.counters)
-    g_sq = float(g @ g)
-    st.record_initial(g_sq)
+    st.record_initial()
     termination = "max_iters"
     for k in range(1, cfg.t + 1):
-        x_new = st.x - cfg.gamma * g
+        x_new = st.x - cfg.gamma * st.g
         if not np.all(np.isfinite(x_new)):
             termination = "diverged"
             break
-        g_new = p.operator_g(x_new, st.counters)
+        grad_g, g_new = st.evaluate(x_new, cfg.gamma, p.fidelity_hessian_vp(st.g, st.counters))
         g_new_sq = float(g_new @ g_new)
         if not math.isfinite(g_new_sq):
             termination = "diverged"
             break
-        st.x = x_new
-        g = g_new
-        st.record(k, g_new_sq, "red_step", 0, cfg.gamma)
+        st.accept(x_new, grad_g, g_new, g_new_sq)
+        st.record(k, "red_step", 0, cfg.gamma)
         stop = st.should_stop()
         if stop:
             termination = stop
@@ -212,27 +218,25 @@ def red_bls(p, x0, cfg, psnr_ref=None):
     previous iterate with termination `step_floor`.
     """
     st = _RunState("red_bls", p, x0, cfg, psnr_ref)
-    g = p.operator_g(st.x, st.counters)
-    g_sq = float(g @ g)
-    st.record_initial(g_sq)
+    st.record_initial()
     gamma = cfg.gamma
     termination = "max_iters"
     for k in range(1, cfg.t + 1):
+        # Every candidate steps along G(x): one Hessian product serves all.
+        hg = p.fidelity_hessian_vp(st.g, st.counters)
         backtracks = 0
         while True:
-            x_new = st.x - gamma * g
-            g_new = p.operator_g(x_new, st.counters)
+            x_new = st.x - gamma * st.g
+            grad_g, g_new = st.evaluate(x_new, gamma, hg)
             g_new_sq = float(g_new @ g_new)
-            if math.isfinite(g_new_sq) and g_new_sq <= g_sq:
+            if math.isfinite(g_new_sq) and g_new_sq <= st.g_sq:
                 break
             gamma = cfg.beta * gamma
             backtracks += 1
             if gamma < cfg.epsilon:
                 return st.result("step_floor")
-        st.x = x_new
-        g = g_new
-        g_sq = g_new_sq
-        st.record(k, g_new_sq, "red_step", backtracks, gamma)
+        st.accept(x_new, grad_g, g_new, g_new_sq)
+        st.record(k, "red_step", backtracks, gamma)
         stop = st.should_stop()
         if stop:
             termination = stop
@@ -254,12 +258,12 @@ def mred(p, x0, cfg, psnr_ref=None):
     changes.
     """
     st = _RunState("mred", p, x0, cfg, psnr_ref)
-    phi_prev, grad, g_prev = p.eval_state(st.x, st.counters)
-    st.record_initial(2.0 * phi_prev)
+    phi_prev, grad, _g, hg = p.eval_state(st.x, st.counters, st.g)
+    st.record_initial()
     termination = "max_iters"
     for k in range(1, cfg.t + 1):
         if k > 1:
-            phi_prev, grad, g_prev = p.eval_state(st.x, st.counters)
+            phi_prev, grad, _g, hg = p.eval_state(st.x, st.counters, st.g)
         if not (math.isfinite(phi_prev) and np.all(np.isfinite(grad))):
             termination = "diverged"
             break
@@ -268,10 +272,15 @@ def mred(p, x0, cfg, psnr_ref=None):
         mode = "red_step"
         backtracks = 0
         step_used = cfg.gamma
-        x_new = st.x - cfg.gamma * g_prev
+        d, hd = st.g, hg
         floored = False
         while True:
-            phi_new = p.phi(x_new, st.counters) if np.all(np.isfinite(x_new)) else math.inf
+            x_new = st.x - step_used * d
+            phi_new = math.inf
+            if np.all(np.isfinite(x_new)):
+                grad_g, g_new = st.evaluate(x_new, step_used, hd)
+                g_new_sq = float(g_new @ g_new)
+                phi_new = 0.5 * g_new_sq
             if math.isfinite(phi_new) and phi_new <= phi_prev - alpha * cfg.theta * gp_sq:
                 break
             if gp_sq == 0.0:
@@ -279,29 +288,25 @@ def mred(p, x0, cfg, psnr_ref=None):
                 # direction remains.
                 floored = True
                 break
-            if cfg.conventional_armijo:
-                if mode == "gradient_step":
-                    alpha = cfg.beta * alpha
-                    if alpha < cfg.epsilon:
-                        floored = True
-                        break
-                x_new = st.x - alpha * grad
-                step_used = alpha
-                mode = "gradient_step"
-                backtracks += 1
-            else:
-                x_new = st.x - alpha * grad
-                step_used = alpha
-                mode = "gradient_step"
-                backtracks += 1
+            if mode == "red_step":
+                # The gradient candidates share one Hessian product.
+                mode, d, hd = "gradient_step", grad, p.fidelity_hessian_vp(grad, st.counters)
+            elif cfg.conventional_armijo:
+                alpha = cfg.beta * alpha
+                if alpha < cfg.epsilon:
+                    floored = True
+                    break
+            step_used = alpha
+            backtracks += 1
+            if not cfg.conventional_armijo:
                 alpha = cfg.beta * alpha
                 if alpha < cfg.epsilon:
                     floored = True
                     break
         if floored:
             return st.result("step_floor")
-        st.x = x_new
-        st.record(k, 2.0 * phi_new, mode, backtracks, step_used)
+        st.accept(x_new, grad_g, g_new, g_new_sq)
+        st.record(k, mode, backtracks, step_used)
         stop = st.should_stop()
         if stop:
             termination = stop

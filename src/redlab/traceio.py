@@ -9,9 +9,16 @@ experiment (resolved config, seeds, spectral constants, library version).
 import json
 import math
 
-TRACE_HEADER = (
-    "k,phi,g_norm,norm_resid,mode,backtracks,step_used,psnr_db,"
-    "denoiser_applies,vjp_evals"
+# The EvalCounters fields, cumulative, after the eight per-iterate columns.
+COUNTER_COLUMNS = (
+    "denoiser_applies",
+    "vjp_evals",
+    "operator_forwards",
+    "operator_adjoints",
+    "grad_phi_evals",
+)
+TRACE_HEADER = "k,phi,g_norm,norm_resid,mode,backtracks,step_used,psnr_db," + ",".join(
+    COUNTER_COLUMNS
 )
 
 
@@ -34,8 +41,7 @@ def write_trace_csv(path, result):
                     str(rec.backtracks),
                     _fmt(rec.step_used),
                     psnr,
-                    str(rec.counters.denoiser_applies),
-                    str(rec.counters.vjp_evals),
+                    *(str(getattr(rec.counters, f)) for f in COUNTER_COLUMNS),
                 ]
             )
         )
@@ -52,7 +58,7 @@ def read_trace_csv(path):
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 10:
+        if len(parts) != 8 + len(COUNTER_COLUMNS):
             raise ValueError(f"{path}: malformed row {ln!r}")
         rows.append(
             {
@@ -64,8 +70,7 @@ def read_trace_csv(path):
                 "backtracks": int(parts[5]),
                 "step_used": float(parts[6]),
                 "psnr_db": None if parts[7] == "" else float(parts[7]),
-                "denoiser_applies": int(parts[8]),
-                "vjp_evals": int(parts[9]),
+                **{f: int(v) for f, v in zip(COUNTER_COLUMNS, parts[8:])},
             }
         )
     return rows

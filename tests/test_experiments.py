@@ -20,6 +20,7 @@ from redlab import (
     mred,
     named_test_image,
     red_sd_fixed,
+    run_solver,
 )
 from redlab.cli import main
 from redlab.config import ConfigError, ExperimentConfig, from_dict, load_config, to_dict
@@ -188,6 +189,15 @@ def test_load_config(tmp_path):
 # ------------------------------------------------------------------ trace io
 
 
+COUNTER_FIELDS = (
+    "denoiser_applies",
+    "vjp_evals",
+    "operator_forwards",
+    "operator_adjoints",
+    "grad_phi_evals",
+)
+
+
 def small_result(t=5, psnr_ref=None):
     f = LeastSquaresFidelity(MatrixOperator(np.eye(4)), np.ones(4))
     p = REDProblem(f, IdentityDenoiser(4), tau=0.2)
@@ -209,8 +219,9 @@ def test_trace_csv_round_trip(tmp_path):
         assert row["backtracks"] == rec.backtracks
         assert row["step_used"] == rec.step_used
         assert row["psnr_db"] == rec.psnr_db
-        assert row["denoiser_applies"] == rec.counters.denoiser_applies
-        assert row["vjp_evals"] == rec.counters.vjp_evals
+        for field in COUNTER_FIELDS:
+            assert row[field] == getattr(rec.counters, field)
+    assert set(COUNTER_FIELDS) == set(vars(res.counters))
 
 
 def test_trace_csv_none_psnr(tmp_path):
@@ -340,6 +351,19 @@ def test_run_sidecar_certificates(tmp_path):
     run_experiment(from_dict(raw), out)
     sidecar = read_sidecar(os.path.join(out, "sidecar.json"))
     assert sidecar["lipschitz"]["method"] == "jacobian_power_iteration"
+
+
+@pytest.mark.parametrize("preset", ["deblur_expansive", "cs_nonexpansive", "cs_expansive"])
+def test_carried_gradient_keeps_the_residual_exact(preset):
+    # The solvers update grad g by linearity after x0; after a full run the
+    # traced residual must still be what an exact evaluation of G gives.
+    built = build_experiment(from_dict(experiment_preset(preset)))
+    p = built.problem
+    res = run_solver(built.solver_name, p, built.x0, built.solver_config)
+    g0 = p.operator_g(built.x0)
+    g_star = p.operator_g(res.x_star)
+    exact = float(g_star @ g_star) / float(g0 @ g0)
+    assert abs(exact - res.final_normalized_residual) <= 1e-12
 
 
 def test_run_experiment_rewrites_identically(tmp_path):

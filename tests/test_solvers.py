@@ -221,8 +221,33 @@ def test_mred_matches_red_when_trial_always_accepted():
         assert rb.backtracks == 0
     assert all(r.mode == "red_step" for r in b.trace[1:])
     assert np.max(np.abs(a.x_star - b.x_star)) <= 1e-12
+    # Both carry grad g with the same Hessian product of G: bit-equal runs.
+    assert phis(a) == phis(b)
+    assert np.array_equal(a.x_star, b.x_star)
     # One phi/grad evaluation per outer iteration, never more.
     assert b.counters.grad_phi_evals == len(b.trace) - 1
+    # One evaluation at x0 plus, per iteration, one denoiser apply and one
+    # Hessian product of G, which also moves grad g along the trial step.
+    c = b.counters
+    assert c.operator_forwards == c.operator_adjoints == c.denoiser_applies == len(b.trace)
+
+
+def test_mred_cost_per_iteration_on_expansive():
+    p, y, _ = expansive_problem()
+    cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=100)
+    res = mred(p, y.copy(), cfg)
+    assert res.termination == "max_iters"
+    steps = res.trace[1:]
+    c = res.counters
+    # One denoiser apply at x0, then one per candidate: the trial and each
+    # backtracked gradient step.
+    assert c.denoiser_applies == 1 + sum(1 + r.backtracks for r in steps)
+    # The exact grad g at x0, the Hessian product of G per iteration, and one
+    # more of grad phi per fallback, shared by all its candidates.
+    fallbacks = sum(r.mode == "gradient_step" for r in steps)
+    assert fallbacks > 0
+    assert c.operator_forwards == c.operator_adjoints == 1 + len(steps) + fallbacks
+    assert c.operator_forwards <= 1 + 2 * len(steps)
 
 
 def test_mred_tiny_theta_matches_norm_backtracking():
