@@ -222,7 +222,8 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
     builds the operator once and shares it; a process pool builds one per
     job.  Returns {"runs": [...], "failures": [...], "aggregates": [...]}.
     Failures, including a failed operator build (recorded once per run),
-    do not stop the sweep.
+    do not stop the sweep.  `out_root/summary.json` holds the runs and the
+    failures, with sorted keys and no timing, so reruns write the same bytes.
     """
     if not taus or not solvers:
         raise ValueError("sweep needs at least one tau and one solver")
@@ -292,6 +293,9 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
             )
             write_aggregate_csv(path, tau, solver, rows, len(curves))
             aggregates.append(path)
+    write_sidecar(
+        os.path.join(out_root, "summary.json"), {"runs": runs, "failures": failures}
+    )
     return {"runs": runs, "failures": failures, "aggregates": aggregates}
 
 

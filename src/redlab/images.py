@@ -9,7 +9,7 @@ remain representable.
 import math
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn, idctn, irfft2, rfft2
 from scipy.signal import convolve2d
 
 from .rng import RngState, gaussian_samples
@@ -131,7 +131,8 @@ class CyclicConvolver:
 
     Embeds the centered kernel on the image grid once; each apply is two
     real FFTs.  The adjoint multiplies by the conjugate spectrum, which
-    equals convolution with the 180-degree rotated kernel.  Matches
+    equals convolution with the 180-degree rotated kernel, and the adjoint
+    of the apply is one round trip through the real gain |khat|^2.  Matches
     conv2d_wrap to roundoff; used on hot paths where the kernel is large.
     """
 
@@ -148,20 +149,26 @@ class CyclicConvolver:
         for dy in range(-r, r + 1):
             for dx in range(-r, r + 1):
                 embed[dy % h, dx % w] += k2[r + dy, r + dx]
-        self._khat = np.fft.rfft2(embed)
+        self._khat = rfft2(embed)
+        self._khat_conj = np.conj(self._khat)
+        self._gain_sq = np.abs(self._khat) ** 2
 
     def apply(self, arr):
-        return np.fft.irfft2(np.fft.rfft2(arr) * self._khat, s=self.shape)
+        return irfft2(rfft2(arr) * self._khat, s=self.shape)
 
     def apply_adjoint(self, arr):
-        return np.fft.irfft2(np.fft.rfft2(arr) * np.conj(self._khat), s=self.shape)
+        return irfft2(rfft2(arr) * self._khat_conj, s=self.shape)
 
-    def max_gain(self):
-        """Largest |khat|, the spectral norm of the convolution.
+    def apply_gram(self, arr):
+        """apply_adjoint(apply(arr)) in one FFT round trip."""
+        return irfft2(rfft2(arr) * self._gain_sq, s=self.shape)
+
+    def max_gain_sq(self):
+        """Largest |khat|^2, the squared spectral norm of the convolution.
 
         The half spectrum suffices: a real kernel's DFT is conjugate symmetric.
         """
-        return float(np.max(np.abs(self._khat)))
+        return float(np.max(self._gain_sq))
 
 
 def convolve2d_periodic(img, kernel):

@@ -18,9 +18,10 @@ import numpy as np
 class EvalCounters:
     """Evaluation counts accumulated over one solver run.
 
-    Hessian products of the quadratic fidelity are realized as one operator
-    forward plus one adjoint, so they show up in those two counters rather
-    than in a counter of their own.
+    Hessian products of the quadratic fidelity are charged as one operator
+    forward plus one adjoint, even where the operator computes them in one
+    pass, so they show up in those two counters rather than in a counter of
+    their own.
     """
 
     denoiser_applies: int = 0

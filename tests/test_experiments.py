@@ -16,6 +16,7 @@ from redlab import (
     REDProblem,
     RngState,
     SolverConfig,
+    TEST_IMAGE_NAMES,
     gaussian_kernel,
     mred,
     named_test_image,
@@ -436,6 +437,12 @@ def test_sweep_records_failures(tmp_path):
     for failure in summary["failures"]:
         assert "kernel" in failure["error"]
         assert failure["type"] == "ValueError"
+    written = read_sidecar(os.path.join(str(tmp_path), "s", "summary.json"))
+    assert written["runs"] == []
+    assert [f["run"] for f in written["failures"]] == [
+        [0.1, "mred", name] for name in TEST_IMAGE_NAMES
+    ]
+    assert all(f["type"] == "ValueError" for f in written["failures"])
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -450,6 +457,12 @@ def test_sweep_parallel_matches_serial(tmp_path):
     with open(b["aggregates"][0], "rb") as fh:
         blob_b = fh.read()
     assert blob_a == blob_b
+    # summary.json is the returned runs and failures, and carries no timing.
+    with open(os.path.join(out_a, "summary.json"), "rb") as fh:
+        summary_a = fh.read()
+    with open(os.path.join(out_b, "summary.json"), "rb") as fh:
+        assert fh.read() == summary_a
+    assert json.loads(summary_a) == {"runs": a["runs"], "failures": []}
 
 
 def test_sweep_needs_work():

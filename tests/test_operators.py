@@ -1,8 +1,13 @@
 """Measurement operators: adjoint consistency, oracles, spectral estimation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from redlab import operators
 from redlab import (
     DeblurOperator,
     ImageGrid,
@@ -55,6 +60,64 @@ def test_deblur_matches_convolution():
     via_adj = op.adjoint(x)
     via_rot = convolve2d_periodic(ImageGrid(8, 9, x), k.rotated_180()).values
     assert np.max(np.abs(via_adj - via_rot)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [
+        (50, 4096),  # two full row blocks and a short one
+        (10, 4096),  # fewer rows than one block
+        (1, 4096),
+        (2000, 64),  # tall: m > n, two blocks
+    ],
+)
+def test_matrix_gram_matches_adjoint_of_forward(m, n, monkeypatch):
+    # Row blocks are used when BLAS runs on one thread.
+    monkeypatch.setattr(operators, "_blas_threads", lambda: 1)
+    mat = gaussian_samples(RngState(m), m * n).reshape(m, n)
+    op = MatrixOperator(mat)
+    assert sum(b.shape[0] for b in op._blocks) == m
+    assert all(np.shares_memory(b, op.matrix) for b in op._blocks)
+    rng = RngState(n)
+    for _ in range(3):
+        v = gaussian_samples(rng, n)
+        ref = op.adjoint(op.forward(v))
+        assert np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_blas_thread_probe_selects_row_blocks():
+    # numpy reads OPENBLAS_NUM_THREADS when it loads, so ask a new process.
+    if operators._blas_threads() is None:
+        pytest.skip("numpy here does not bundle OpenBLAS")
+    code = (
+        "import numpy as np; from redlab import MatrixOperator; "
+        "print(len(MatrixOperator(np.zeros((50, 4096)))._blocks))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(operators.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "3"
+
+
+@pytest.mark.parametrize("threads", [2, None])
+def test_matrix_gram_is_one_block_unless_blas_is_single_threaded(threads, monkeypatch):
+    monkeypatch.setattr(operators, "_blas_threads", lambda: threads)
+    op = MatrixOperator(gaussian_samples(RngState(3), 50 * 4096).reshape(50, 4096))
+    assert len(op._blocks) == 1 and op._blocks[0].shape == op.matrix.shape
+    v = gaussian_samples(RngState(4), op.n)
+    assert np.array_equal(op.gram(v), op.adjoint(op.forward(v)))
+
+
+@pytest.mark.parametrize("shape, ksize", [((8, 9), 5), ((64, 64), 17)])
+def test_deblur_gram_matches_adjoint_of_forward(shape, ksize):
+    op = DeblurOperator(shape, gaussian_kernel(ksize, 2.0))
+    rng = RngState(ksize)
+    for _ in range(3):
+        v = gaussian_samples(rng, op.n)
+        ref = op.adjoint(op.forward(v))
+        assert np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_deblur_validation():
