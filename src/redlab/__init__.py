@@ -15,9 +15,6 @@ from .images import (
     ImageGrid,
     Kernel2D,
     TEST_IMAGE_NAMES,
-    convolve2d_periodic,
-    dct2_orthonormal,
-    idct2_orthonormal,
     gaussian_kernel,
     make_test_images,
     psnr,
@@ -62,9 +59,6 @@ __all__ = [
     "ImageGrid",
     "Kernel2D",
     "TEST_IMAGE_NAMES",
-    "convolve2d_periodic",
-    "dct2_orthonormal",
-    "idct2_orthonormal",
     "gaussian_kernel",
     "make_test_images",
     "psnr",

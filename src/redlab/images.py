@@ -18,8 +18,8 @@ from .rng import RngState, gaussian_samples
 class ImageGrid:
     """A real-valued image: flat row-major vector plus (height, width).
 
-    The value buffer is frozen after construction; operations return new
-    instances.  All values must be finite.
+    The value buffer is frozen after construction.  All values must be
+    finite.
     """
 
     def __init__(self, height, width, values):
@@ -58,10 +58,6 @@ class ImageGrid:
         """Read-only (height, width) view of the values."""
         return self.values.reshape(self.height, self.width)
 
-    def with_values(self, values):
-        """New image of the same shape with different values."""
-        return ImageGrid(self.height, self.width, values)
-
     def __repr__(self):
         return f"ImageGrid({self.height}x{self.width})"
 
@@ -81,13 +77,6 @@ class Kernel2D:
         weights.flags.writeable = False
         self.size = size
         self.weights = weights
-
-    @classmethod
-    def from_2d(cls, arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("kernel array must be square")
-        return cls(arr.shape[0], arr.reshape(-1))
 
     def as_2d(self):
         return self.weights.reshape(self.size, self.size)
@@ -169,26 +158,6 @@ class CyclicConvolver:
         The half spectrum suffices: a real kernel's DFT is conjugate symmetric.
         """
         return float(np.max(self._gain_sq))
-
-
-def convolve2d_periodic(img, kernel):
-    """Circular convolution of an image with a centered kernel."""
-    if kernel.size > min(img.height, img.width):
-        raise ValueError(
-            f"kernel size {kernel.size} exceeds image extent {img.height}x{img.width}"
-        )
-    out = conv2d_wrap(img.as_2d(), kernel.as_2d())
-    return img.with_values(out.reshape(-1))
-
-
-def dct2_orthonormal(img):
-    """Orthonormal (type-II) 2D DCT of an image; energy preserving."""
-    return img.with_values(dctn(img.as_2d(), type=2, norm="ortho").reshape(-1))
-
-
-def idct2_orthonormal(coeffs):
-    """Inverse of :func:`dct2_orthonormal`."""
-    return coeffs.with_values(idctn(coeffs.as_2d(), type=2, norm="ortho").reshape(-1))
 
 
 def dct2_vals(arr):

@@ -4,7 +4,8 @@ Operators map flat row-major vectors; imaging operators reshape internally.
 Every operator exposes `forward`, `adjoint`, and the composition `gram`
 (adjoint of forward), and is immutable after construction.  The circulant
 operator overrides `gram` to read its data once per product, and so does
-the dense one when BLAS runs on one thread.
+the dense one when BLAS runs on one thread or when it is given a stack of
+vectors.
 """
 
 import ctypes
@@ -52,6 +53,8 @@ class LinearOperator:
 
     n = 0
     m = 0
+    # True where A A^T = I, so that A^T A is an orthogonal projection.
+    gram_is_projection = False
 
     def forward(self, x):
         raise NotImplementedError
@@ -87,7 +90,10 @@ class MatrixOperator(LinearOperator):
     sums B_k^T (B_k v); forward then adjoint would stream it twice.  That
     holds for one core.  A threaded BLAS reads the whole matrix from every
     core faster than one core reads it once, and does not thread products
-    as small as a block, so then the matrix is a single block.
+    as small as a block, so then a single vector sees the matrix as one
+    block.  A (k, n) stack V always walks the row blocks, as the sum of
+    (V B_k^T) B_k: every block serves all k rows while it is in cache,
+    which beats k threaded products at any thread count.
     """
 
     def __init__(self, matrix):
@@ -100,10 +106,9 @@ class MatrixOperator(LinearOperator):
         matrix.flags.writeable = False
         self.matrix = matrix
         self.m, self.n = matrix.shape
-        rows = max(self.m, 1)
-        if _blas_threads() == 1:
-            rows = max(1, _GRAM_BLOCK_BYTES // (matrix.itemsize * max(self.n, 1)))
-        self._blocks = [matrix[i : i + rows] for i in range(0, self.m, rows)]
+        rows = max(1, _GRAM_BLOCK_BYTES // (matrix.itemsize * max(self.n, 1)))
+        self._row_blocks = [matrix[i : i + rows] for i in range(0, self.m, rows)]
+        self._blocks = self._row_blocks if _blas_threads() == 1 else [matrix]
 
     def forward(self, x):
         return self.matrix @ self._check_domain(x)
@@ -112,6 +117,15 @@ class MatrixOperator(LinearOperator):
         return self.matrix.T @ self._check_range(u)
 
     def gram(self, v):
+        """A^T A v for a vector v, or row by row for a (k, n) stack."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim == 2:
+            if v.shape[1] != self.n:
+                raise ValueError(f"expected rows of dimension {self.n}, got {v.shape[1]}")
+            out = np.zeros(v.shape)
+            for block in self._row_blocks:
+                out += (v @ block.T) @ block
+            return out
         v = self._check_domain(v)
         out = np.zeros(self.n)
         for block in self._blocks:
@@ -156,33 +170,43 @@ class DeblurOperator(LinearOperator):
 
 
 class CompressiveSensingOperator(MatrixOperator):
-    """Dense random projection with orthonormal rows (so A A^T == I_m)."""
+    """Dense random projection with orthonormal rows (so A A^T == I_m).
+
+    The rows of the given m x n matrix (1 <= m < n) are orthonormalized on
+    construction: a reduced QR of the transpose, with the sign of each
+    column fixed so the factor is unique.  For an input of full row rank
+    the result spans the same row space; A^T A is always the orthogonal
+    projection onto the row space of the result.
+    """
+
+    gram_is_projection = True
 
     def __init__(self, matrix, seed):
         matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] >= matrix.shape[1]:
-            raise ValueError("expected an m x n matrix with m < n")
-        super().__init__(matrix)
+        if matrix.ndim != 2 or not 1 <= matrix.shape[0] < matrix.shape[1]:
+            raise ValueError("expected an m x n matrix with 1 <= m < n")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("matrix entries must be finite")
+        q, r = np.linalg.qr(matrix.T, mode="reduced")
+        signs = np.sign(np.diag(r))
+        signs[signs == 0.0] = 1.0
+        super().__init__((q * signs).T)
         self.seed = int(seed)
+
+    def exact_spectral_norm_sq(self):
+        # A projection has eigenvalues 0 and 1.
+        return 1.0
 
 
 def build_cs_operator(m, n, seed):
-    """Seeded Gaussian sensing matrix, variance 1/m, rows orthonormalized.
-
-    Orthonormalization is a reduced QR of the transpose with the sign of
-    each column fixed so the factor is unique; the rows of the result span
-    the same subspace as the sampled rows.
-    """
+    """Seeded Gaussian sensing matrix, variance 1/m, rows orthonormalized."""
     m = int(m)
     n = int(n)
     if m < 1 or m >= n:
         raise ValueError("need 1 <= m < n for an undersampled operator")
     rng = RngState(seed)
     raw = gaussian_samples(rng, m * n).reshape(m, n) / np.sqrt(m)
-    q, r = np.linalg.qr(raw.T, mode="reduced")
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return CompressiveSensingOperator((q * signs).T, seed)
+    return CompressiveSensingOperator(raw, seed)
 
 
 @dataclass

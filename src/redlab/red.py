@@ -18,10 +18,11 @@ import numpy as np
 class EvalCounters:
     """Evaluation counts accumulated over one solver run.
 
-    Hessian products of the quadratic fidelity are charged as one operator
-    forward plus one adjoint, even where the operator computes them in one
-    pass, so they show up in those two counters rather than in a counter of
-    their own.
+    A Hessian product of the quadratic fidelity is charged as one operator
+    forward plus one adjoint, even where the operator computes it in one
+    pass, and so is a product of a whole stack of vectors taken in one
+    call.  The two operator counters thus count passes over the operator's
+    data, not vectors.
     """
 
     denoiser_applies: int = 0
@@ -64,7 +65,10 @@ class REDProblem:
         return self.fidelity.gradient(x)
 
     def fidelity_hessian_vp(self, v, counters=None):
-        """A^T A v; costs one forward, one adjoint."""
+        """A^T A v, row by row for a stack where the operator takes one.
+
+        Costs one forward, one adjoint.
+        """
         if counters is not None:
             counters.operator_forwards += 1
             counters.operator_adjoints += 1
@@ -91,26 +95,36 @@ class REDProblem:
         g = self.operator_g(x, counters)
         return 0.5 * float(g @ g)
 
-    def eval_state(self, x, counters=None, g=None):
-        """(phi(x), grad phi(x), G(x), A^T A G(x)) from at most one G evaluation.
+    def eval_state(self, x, counters=None, g=None, want_hgrad=False):
+        """(phi, grad phi, G, A^T A G, A^T A grad phi) from at most one G evaluation.
 
         G is evaluated unless the caller passes it as `g`.  grad phi is the
-        fidelity Hessian applied to G plus tau times the residual VJP at x
+        fidelity Hessian applied to G plus tau times the residual VJP r at x
         in the direction G; the Hessian product is returned as well, since
         it also moves the fidelity gradient along a step in the direction G.
+
+        The last entry is None unless `want_hgrad` is set and A^T A is a
+        projection P.  Then P grad phi = P G + tau * P r, so one Hessian
+        product of the stack [G, r] gives both, in one pass over A.
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if g is None:
             g = self.operator_g(x, counters)
-        hg = self.fidelity_hessian_vp(g, counters)
-        grad = hg + self.tau * self.denoiser.residual_vjp(x, g)
+        r = self.denoiser.residual_vjp(x, g)
+        hgrad = None
+        if want_hgrad and self.fidelity.op.gram_is_projection:
+            hg, hr = self.fidelity_hessian_vp(np.stack((g, r)), counters)
+            hgrad = hg + self.tau * hr
+        else:
+            hg = self.fidelity_hessian_vp(g, counters)
+        grad = hg + self.tau * r
         if counters is not None:
             counters.vjp_evals += 1
             counters.grad_phi_evals += 1
-        return 0.5 * float(g @ g), grad, g, hg
+        return 0.5 * float(g @ g), grad, g, hg, hgrad
 
     def phi_and_grad(self, x, counters=None):
-        phi, grad, _g, _hg = self.eval_state(x, counters)
+        phi, grad = self.eval_state(x, counters)[:2]
         return phi, grad
 
     def grad_phi(self, x, counters=None):

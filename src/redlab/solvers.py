@@ -258,12 +258,16 @@ def mred(p, x0, cfg, psnr_ref=None):
     changes.
     """
     st = _RunState("mred", p, x0, cfg, psnr_ref)
-    phi_prev, grad, _g, hg = p.eval_state(st.x, st.counters, st.g)
+    phi_prev, grad, _g, hg, hgrad = p.eval_state(st.x, st.counters, st.g)
     st.record_initial()
     termination = "max_iters"
     for k in range(1, cfg.t + 1):
         if k > 1:
-            phi_prev, grad, _g, hg = p.eval_state(st.x, st.counters, st.g)
+            # A fallback tends to follow a fallback; then A^T A grad phi
+            # comes with the same pass over A where the operator allows it.
+            phi_prev, grad, _g, hg, hgrad = p.eval_state(
+                st.x, st.counters, st.g, want_hgrad=mode == "gradient_step"
+            )
         if not (math.isfinite(phi_prev) and np.all(np.isfinite(grad))):
             termination = "diverged"
             break
@@ -290,7 +294,9 @@ def mred(p, x0, cfg, psnr_ref=None):
                 break
             if mode == "red_step":
                 # The gradient candidates share one Hessian product.
-                mode, d, hd = "gradient_step", grad, p.fidelity_hessian_vp(grad, st.counters)
+                if hgrad is None:
+                    hgrad = p.fidelity_hessian_vp(grad, st.counters)
+                mode, d, hd = "gradient_step", grad, hgrad
             elif cfg.conventional_armijo:
                 alpha = cfg.beta * alpha
                 if alpha < cfg.epsilon:

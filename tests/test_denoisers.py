@@ -3,21 +3,20 @@ estimation, and the nonexpansive/expansive certification boundary."""
 
 import numpy as np
 import pytest
+from scipy.fft import idctn
 
 from redlab import (
     DctSoftThresholdDenoiser,
     FdJacobianWrapper,
     IdentityDenoiser,
-    ImageGrid,
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
     RngState,
     ScaledDenoiser,
     estimate_lipschitz,
     gaussian_samples,
-    idct2_orthonormal,
 )
-from redlab.images import dct2_vals
+from redlab.images import conv2d_wrap, dct2_vals
 from redlab.presets import DENOISER_NAMES, build_denoiser
 
 
@@ -62,11 +61,9 @@ def test_smoother_preserves_constants():
 
 def test_smoother_vjp_is_i_minus_w():
     # (I - W)v with W v computed by an explicit independent convolution.
-    from redlab import convolve2d_periodic
-
     d = LinearSmoothingDenoiser((16, 16), 1.0)
     v = gaussian_samples(RngState(3), 256)
-    wv = convolve2d_periodic(ImageGrid(16, 16, v), d.kernel).values
+    wv = conv2d_wrap(v.reshape(16, 16), d.kernel.as_2d()).reshape(-1)
     got = d.residual_vjp(probe(4, 256), v)
     assert np.max(np.abs(got - (v - wv))) < 1e-12
 
@@ -100,7 +97,7 @@ def test_smoother_kernel_size_guard():
 
 
 def coeff_image(shape, coeffs):
-    return idct2_orthonormal(ImageGrid(shape[0], shape[1], coeffs)).values
+    return idctn(np.reshape(coeffs, shape), type=2, norm="ortho").reshape(-1)
 
 
 def test_soft_threshold_shrinks_coefficient():

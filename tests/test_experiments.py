@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from redlab import (
+    CompressiveSensingOperator,
     IdentityDenoiser,
     ImageGrid,
     LeastSquaresFidelity,
@@ -365,6 +366,39 @@ def test_carried_gradient_keeps_the_residual_exact(preset):
     g_star = p.operator_g(res.x_star)
     exact = float(g_star @ g_star) / float(g0 @ g0)
     assert abs(exact - res.final_normalized_residual) <= 1e-12
+
+
+@pytest.mark.parametrize("preset", ["cs_nonexpansive", "cs_expansive"])
+def test_mred_takes_the_projection_identity_on_cs(preset, monkeypatch):
+    # After a fallback, eval_state hands back A^T A grad phi from the same
+    # pass over A as A^T A G; the run must be the one without that shortcut.
+    raw = experiment_preset(preset)
+    raw["solver"]["t"] = 300
+    built = build_experiment(from_dict(raw))
+    args = (built.problem, built.x0, built.solver_config)
+    new = mred(*args)
+    with monkeypatch.context() as mp:
+        mp.setattr(CompressiveSensingOperator, "gram_is_projection", False)
+        old = mred(*args)
+    assert new.termination == old.termination
+    assert [r.mode for r in new.trace] == [r.mode for r in old.trace]
+    assert [r.backtracks for r in new.trace] == [r.backtracks for r in old.trace]
+    for a, b in zip(new.trace, old.trace):
+        assert abs(a.phi - b.phi) <= 1e-12 * abs(b.phi)
+    # One pass for grad g at x0 and one per iteration; a fallback adds one
+    # only where the iteration before it was not a fallback.
+    modes = [r.mode for r in new.trace]
+    first_fallbacks = sum(
+        m == "gradient_step" and prev != "gradient_step" for prev, m in zip(modes, modes[1:])
+    )
+    c = new.counters
+    assert c.operator_forwards == c.operator_adjoints == len(modes) + first_fallbacks
+    if preset == "cs_nonexpansive":
+        # No fallback, so no stack: the run keeps its bits.
+        assert "gradient_step" not in modes
+        assert [r.phi for r in new.trace] == [r.phi for r in old.trace]
+    else:
+        assert modes.count("gradient_step") > first_fallbacks
 
 
 def test_run_experiment_rewrites_identically(tmp_path):

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from redlab import operators
+from redlab.images import conv2d_wrap
 from redlab import (
+    CompressiveSensingOperator,
     DeblurOperator,
-    ImageGrid,
-    Kernel2D,
     MatrixOperator,
     RngState,
     build_cs_operator,
-    convolve2d_periodic,
     gaussian_kernel,
     gaussian_samples,
     spectral_norm_sq,
@@ -48,17 +47,17 @@ def test_matrix_operator_adjoint():
 
 
 def test_deblur_matches_convolution():
-    # The operator and the image-level convolution must agree exactly on
-    # the same inputs (spec ties them together).
+    # The operator and the direct spatial convolution must agree on the
+    # same inputs (spec ties them together).
     k = gaussian_kernel(5, 1.2)
     op = DeblurOperator((8, 9), k)
     x = gaussian_samples(RngState(2), 72)
     via_op = op.forward(x)
-    via_conv = convolve2d_periodic(ImageGrid(8, 9, x), k).values
+    via_conv = conv2d_wrap(x.reshape(8, 9), k.as_2d()).reshape(-1)
     assert np.max(np.abs(via_op - via_conv)) < 1e-12
     # Adjoint is convolution with the rotated kernel.
     via_adj = op.adjoint(x)
-    via_rot = convolve2d_periodic(ImageGrid(8, 9, x), k.rotated_180()).values
+    via_rot = conv2d_wrap(x.reshape(8, 9), k.rotated_180().as_2d()).reshape(-1)
     assert np.max(np.abs(via_adj - via_rot)) < 1e-12
 
 
@@ -72,17 +71,32 @@ def test_deblur_matches_convolution():
     ],
 )
 def test_matrix_gram_matches_adjoint_of_forward(m, n, monkeypatch):
-    # Row blocks are used when BLAS runs on one thread.
-    monkeypatch.setattr(operators, "_blas_threads", lambda: 1)
     mat = gaussian_samples(RngState(m), m * n).reshape(m, n)
-    op = MatrixOperator(mat)
-    assert sum(b.shape[0] for b in op._blocks) == m
-    assert all(np.shares_memory(b, op.matrix) for b in op._blocks)
     rng = RngState(n)
-    for _ in range(3):
-        v = gaussian_samples(rng, n)
-        ref = op.adjoint(op.forward(v))
-        assert np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    vs = [gaussian_samples(rng, n) for _ in range(3)]
+    # A vector takes the row blocks when BLAS runs on one thread; a stack
+    # takes them always.
+    for threads in (1, 2):
+        monkeypatch.setattr(operators, "_blas_threads", lambda: threads)
+        op = MatrixOperator(mat)
+        assert sum(b.shape[0] for b in op._row_blocks) == m
+        assert all(np.shares_memory(b, op.matrix) for b in op._row_blocks)
+        blocks = op._row_blocks if threads == 1 else [op.matrix]
+        for v in vs:
+            ref = op.adjoint(op.forward(v))
+            assert np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(op.gram(v), sum(b.T @ (b @ v) for b in blocks))
+        for k in (1, 2, 3):
+            got = op.gram(np.stack(vs[:k]))
+            assert got.shape == (k, n)
+            for row, v in zip(got, vs):
+                # Bound by the rounding scale |A|^T |A| |v| of any summation
+                # order; max |ref| is no such scale where a row's dot product
+                # cancels, as the single row of m = 1 does to 1e-3 of |a| |v|.
+                scale = np.max(np.abs(mat).T @ (np.abs(mat) @ np.abs(v)))
+                assert np.max(np.abs(row - op.gram(v))) <= 1e-15 * scale
+        with pytest.raises(ValueError):
+            op.gram(np.zeros((2, n + 1)))
 
 
 def test_blas_thread_probe_selects_row_blocks():
@@ -141,6 +155,21 @@ def test_cs_rows_orthonormal():
     assert np.max(np.abs(aat - np.eye(41))) < 1e-10
 
 
+def test_cs_operator_orthonormalizes_its_input():
+    # Any m < n input comes out with orthonormal rows spanning the same space.
+    raw = gaussian_samples(RngState(9), 30 * 200).reshape(30, 200)
+    op = CompressiveSensingOperator(raw, seed=9)
+    assert op.gram_is_projection
+    assert np.max(np.abs(op.matrix @ op.matrix.T - np.eye(30))) <= 1e-12
+    assert np.max(np.abs(raw - (raw @ op.matrix.T) @ op.matrix)) <= 1e-12 * np.max(np.abs(raw))
+    assert np.linalg.matrix_rank(raw) == 30
+    assert not MatrixOperator(raw).gram_is_projection
+    with pytest.raises(ValueError):
+        CompressiveSensingOperator(raw.T, seed=9)
+    with pytest.raises(ValueError):
+        CompressiveSensingOperator(np.full((2, 8), np.nan), seed=9)
+
+
 def test_cs_determinism_and_shape():
     a = build_cs_operator(5, 30, seed=123)
     b = build_cs_operator(5, 30, seed=123)
@@ -160,11 +189,14 @@ def test_cs_rejects_oversampling():
 
 
 def test_spectral_cs_is_one():
-    # Orthonormal rows: lambda_max(A^T A) is exactly 1.
+    # Orthonormal rows: A^T A is a projection, so lambda_max is exactly 1.
     op = build_cs_operator(26, 256, seed=77)
     est = spectral_norm_sq(op)
-    assert est.converged
-    assert abs(est.value - 1.0) < 1e-6
+    assert (est.value, est.iterations, est.converged) == (1.0, 0, True)
+    # Power iteration on the same matrix, without the declaration, agrees.
+    power = spectral_norm_sq(MatrixOperator(op.matrix))
+    assert power.converged and power.iterations > 1
+    assert abs(power.value - 1.0) < 1e-6
 
 
 def test_spectral_diagonal_matrix():

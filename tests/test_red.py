@@ -18,6 +18,7 @@ from redlab import (
     REDProblem,
     RngState,
     ScaledDenoiser,
+    build_cs_operator,
     gaussian_kernel,
     gaussian_samples,
 )
@@ -265,6 +266,28 @@ def test_counter_accounting():
     p.phi(x, c)
     assert snap.denoiser_applies == 4  # snapshot is decoupled
     assert c.denoiser_applies == 5
+
+
+def test_eval_state_projection_identity():
+    # With orthonormal rows, one Hessian product of [G, r] also gives
+    # A^T A grad phi; other operators return None and keep their cost.
+    shape = (16, 16)
+    op = build_cs_operator(40, 256, seed=3)
+    x_true = RngState(30).uniform(256)
+    p = REDProblem(
+        LeastSquaresFidelity(op, op.forward(x_true)), LinearSmoothingDenoiser(shape, 1.0), tau=0.5
+    )
+    x = RngState(31).uniform(256)
+    c = EvalCounters()
+    phi, grad, g, hg, hgrad = p.eval_state(x, c, want_hgrad=True)
+    assert (c.operator_forwards, c.operator_adjoints, c.denoiser_applies) == (2, 2, 1)
+    ref = p.fidelity_hessian_vp(grad)
+    assert np.max(np.abs(hgrad - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(hg - p.fidelity_hessian_vp(g))) <= 1e-14 * np.max(np.abs(hg))
+    assert p.eval_state(x, c)[4] is None
+    assert c.operator_forwards == 4
+    deblur, _m, _b, _y = smoother_instance(seed=32)
+    assert deblur.eval_state(RngState(33).uniform(64), want_hgrad=True)[4] is None
 
 
 def test_counters_optional():
