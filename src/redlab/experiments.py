@@ -82,15 +82,10 @@ def _build_operator(cfg):
     return build_cs_operator(m, n, cfg.operator["seed"])
 
 
-def build_experiment(cfg, op=None):
-    """Construct operator, measurements, denoiser, problem, and solver setup.
-
-    `op`, when given, is used instead of building the operator `cfg`
-    describes; a sweep passes the one it built for all of its runs.
-    """
+def build_experiment(cfg):
+    """Construct operator, measurements, denoiser, problem, and solver setup."""
     x_true = _load_true_image(cfg)
-    if op is None:
-        op = _build_operator(cfg)
+    op = _build_operator(cfg)
     snr = cfg.noise["input_snr_db"]
     spec = NoiseSpec(math.inf if snr is None else snr, cfg.noise["seed"])
     y, _e = add_noise_at_snr(op, x_true, spec)
@@ -145,13 +140,12 @@ def _certify(denoiser):
     )
 
 
-def run_experiment(cfg, out_dir=None, op=None):
+def run_experiment(cfg, out_dir=None):
     """Run one experiment; optionally persist trace, sidecar, reconstruction.
 
-    `op` is passed on to `build_experiment`.  Returns (SolveResult,
-    BuiltExperiment, metrics dict).
+    Returns (SolveResult, BuiltExperiment, metrics dict).
     """
-    built = build_experiment(cfg, op)
+    built = build_experiment(cfg)
     result = run_solver(
         built.solver_name, built.problem, built.x0, built.solver_config,
         psnr_ref=built.x_true,
@@ -199,11 +193,11 @@ def run_dir_name(solver, tau, image_name):
     return f"{solver}_tau{_tau_token(tau)}_{image_name}"
 
 
-def _sweep_child(payload, op=None):
+def _sweep_child(payload):
     """Worker for one sweep run; module-level so it pickles for process pools."""
     raw, out_dir = payload
     cfg = from_dict(raw)
-    result, _built, metrics = run_experiment(cfg, out_dir, op)
+    result, _built, metrics = run_experiment(cfg, out_dir)
     curve = [(rec.k, rec.normalized_residual) for rec in result.trace]
     return metrics, curve
 
@@ -218,9 +212,7 @@ def _pad_to(curve, length):
 def run_sweep(cfg, taus, solvers, out_root, parallel=False):
     """Cartesian product of taus x solvers x the six synthetic images.
 
-    The runs differ only in image, tau and solver, so the serial path
-    builds the operator once and shares it; a process pool builds one per
-    job.  Returns {"runs": [...], "failures": [...], "aggregates": [...]}.
+    Returns {"runs": [...], "failures": [...], "aggregates": [...]}.
     Failures, including a failed operator build (recorded once per run),
     do not stop the sweep.  `out_root/summary.json` holds the runs and the
     failures, with sorted keys and no timing, so reruns write the same bytes.
@@ -256,17 +248,11 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
                 else:
                     outcomes[key] = fut.result()
     else:
-        try:
-            op = _build_operator(cfg)
-        except Exception as exc:
-            for key, _payload in jobs:
+        for key, payload in jobs:
+            try:
+                outcomes[key] = _sweep_child(payload)
+            except Exception as exc:
                 fail(key, exc)
-        else:
-            for key, payload in jobs:
-                try:
-                    outcomes[key] = _sweep_child(payload, op)
-                except Exception as exc:
-                    fail(key, exc)
     runs = []
     for key, _payload in jobs:
         if key in outcomes:

@@ -249,30 +249,48 @@ def _blocks(h, w, rng):
     return img
 
 
+# Builders by name, each called as (h, w, rng); only texture and blocks draw.
+_TEST_IMAGE_BUILDERS = {
+    "phantom": lambda h, w, _rng: _phantom(h, w),
+    "ramp": lambda h, w, _rng: _ramp(h, w),
+    "sinusoid": lambda h, w, _rng: _sinusoid(h, w),
+    "checkerboard": lambda h, w, _rng: _checkerboard(h, w),
+    "texture": _texture,
+    "blocks": _blocks,
+}
+
+
+def _test_image_shape(shape):
+    h, w = int(shape[0]), int(shape[1])
+    if h < 32 or w < 32:
+        raise ValueError("test image shape must be at least 32x32")
+    return h, w
+
+
 def make_test_images(rng, shape):
     """Build the six deterministic synthetic test images for a shape.
 
     Returns [phantom, ramp, sinusoid, checkerboard, texture, blocks], all
     with values in [0, 1].  The texture and block images consume samples
-    from `rng`; the rest are seed-independent.
+    from `rng`, in that order; the rest are seed-independent.
     """
-    h, w = int(shape[0]), int(shape[1])
-    if h < 32 or w < 32:
-        raise ValueError("test image shape must be at least 32x32")
-    arrays = [
-        _phantom(h, w),
-        _ramp(h, w),
-        _sinusoid(h, w),
-        _checkerboard(h, w),
-        _texture(h, w, rng),
-        _blocks(h, w, rng),
+    h, w = _test_image_shape(shape)
+    return [
+        ImageGrid.from_2d(_TEST_IMAGE_BUILDERS[name](h, w, rng)) for name in TEST_IMAGE_NAMES
     ]
-    return [ImageGrid.from_2d(a) for a in arrays]
 
 
 def named_test_image(name, seed, shape):
-    """Single named test image; see TEST_IMAGE_NAMES for valid names."""
+    """Single named test image, equal to its entry of `make_test_images`.
+
+    See TEST_IMAGE_NAMES for valid names.
+    """
     if name not in TEST_IMAGE_NAMES:
         raise ValueError(f"unknown test image {name!r}; valid: {TEST_IMAGE_NAMES}")
-    imgs = make_test_images(RngState(seed), shape)
-    return imgs[TEST_IMAGE_NAMES.index(name)]
+    h, w = _test_image_shape(shape)
+    rng = RngState(seed)
+    if name == "blocks":
+        # Skip the uniforms the texture's Gaussian draw takes first: two per
+        # pair of samples.
+        rng.uniform(2 * ((h * w + 1) // 2))
+    return ImageGrid.from_2d(_TEST_IMAGE_BUILDERS[name](h, w, rng))

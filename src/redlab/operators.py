@@ -9,6 +9,7 @@ vectors.
 """
 
 import ctypes
+import functools
 import glob
 import os
 from dataclasses import dataclass
@@ -107,8 +108,8 @@ class MatrixOperator(LinearOperator):
         self.matrix = matrix
         self.m, self.n = matrix.shape
         rows = max(1, _GRAM_BLOCK_BYTES // (matrix.itemsize * max(self.n, 1)))
-        self._row_blocks = [matrix[i : i + rows] for i in range(0, self.m, rows)]
-        self._blocks = self._row_blocks if _blas_threads() == 1 else [matrix]
+        self._row_blocks = tuple(matrix[i : i + rows] for i in range(0, self.m, rows))
+        self._blocks = self._row_blocks if _blas_threads() == 1 else (matrix,)
 
     def forward(self, x):
         return self.matrix @ self._check_domain(x)
@@ -199,13 +200,24 @@ class CompressiveSensingOperator(MatrixOperator):
 
 
 def build_cs_operator(m, n, seed):
-    """Seeded Gaussian sensing matrix, variance 1/m, rows orthonormalized."""
+    """Seeded Gaussian sensing matrix, variance 1/m, rows orthonormalized.
+
+    Returns one shared, immutable instance per (m, n, seed) at the current
+    BLAS thread count; only the most recently built one is kept.
+    """
     m = int(m)
     n = int(n)
     if m < 1 or m >= n:
         raise ValueError("need 1 <= m < n for an undersampled operator")
-    rng = RngState(seed)
-    raw = gaussian_samples(rng, m * n).reshape(m, n) / np.sqrt(m)
+    return _cs_operator(m, n, int(seed), _blas_threads())
+
+
+# One entry: the matrix grows with n^2 (13.4 MB at 64x64, ratio 0.1), and
+# every caller uses one matrix at a time.  The thread count is part of the
+# key because MatrixOperator fixes its gram blocking when it is built.
+@functools.lru_cache(maxsize=1)
+def _cs_operator(m, n, seed, _threads):
+    raw = gaussian_samples(RngState(seed), m * n).reshape(m, n) / np.sqrt(m)
     return CompressiveSensingOperator(raw, seed)
 
 

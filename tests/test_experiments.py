@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from redlab import operators
 from redlab import (
     CompressiveSensingOperator,
     IdentityDenoiser,
@@ -62,6 +63,16 @@ EXPANSIVE_SMALL = {
     "denoiser": {"name": "scaled_identity", "scale": 1.6},
     "tau": 1.0,
     "solver": {"name": "red", "t": 200},
+}
+
+
+CS_SMALL = {
+    "problem": "cs",
+    "shape": [32, 32],
+    "operator": {"ratio": 0.1, "seed": 5},
+    "denoiser": {"name": "smoother", "sigma": 1.5},
+    "tau": 0.1,
+    "solver": {"name": "mred", "t": 20},
 }
 
 
@@ -497,6 +508,39 @@ def test_sweep_parallel_matches_serial(tmp_path):
     with open(os.path.join(out_b, "summary.json"), "rb") as fh:
         assert fh.read() == summary_a
     assert json.loads(summary_a) == {"runs": a["runs"], "failures": []}
+
+
+def _tree_bytes(root):
+    out = {}
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def test_cs_runs_share_one_operator_build(tmp_path, monkeypatch):
+    cfg = from_dict(copy.deepcopy(CS_SMALL))
+    cache = operators._cs_operator
+
+    def run_all(root):
+        run_sweep(cfg, [0.1], ["mred"], os.path.join(root, "a"))
+        run_sweep(cfg, [1.0], ["red"], os.path.join(root, "b"))
+        run_experiment(cfg, os.path.join(root, "one"))
+        return _tree_bytes(root)
+
+    cache.cache_clear()
+    shared = run_all(str(tmp_path / "shared"))
+    info = cache.cache_info()
+    assert (info.misses, info.hits) == (1, 12)
+    # The same runs with a cleared cache and a fresh matrix for every run.
+    cache.cache_clear()
+    monkeypatch.setattr(operators, "_cs_operator", cache.__wrapped__)
+    fresh = run_all(str(tmp_path / "fresh"))
+    assert cache.cache_info().misses == 0
+    assert len(shared) == 2 * (6 * 3 + 2) + 3
+    assert shared == fresh
 
 
 def test_sweep_needs_work():

@@ -253,6 +253,16 @@ def test_make_test_images_deterministic():
         assert np.array_equal(x.values, z.values)
 
 
+@pytest.mark.parametrize("seed", [0, 1234])
+@pytest.mark.parametrize("shape", [(32, 32), (64, 48), (33, 35)])  # odd h*w too
+def test_named_test_image_matches_the_full_set(seed, shape):
+    full = make_test_images(RngState(seed), shape)
+    for name, img in zip(TEST_IMAGE_NAMES, full):
+        one = named_test_image(name, seed, shape)
+        assert one.shape == img.shape
+        assert np.array_equal(one.values, img.values)
+
+
 def test_phantom_has_gray_levels():
     ph = named_test_image("phantom", 0, (64, 64))
     assert len(np.unique(ph.values)) >= 3

@@ -171,21 +171,67 @@ def test_cs_operator_orthonormalizes_its_input():
 
 
 def test_cs_determinism_and_shape():
+    # Two independent builds: without the clear the second is a cache hit.
     a = build_cs_operator(5, 30, seed=123)
+    operators._cs_operator.cache_clear()
     b = build_cs_operator(5, 30, seed=123)
+    assert a is not b
     assert np.array_equal(a.matrix, b.matrix)
     c = build_cs_operator(5, 30, seed=124)
     assert not np.array_equal(a.matrix, c.matrix)
     assert a.m == 5 and a.n == 30
 
 
+def test_cs_operator_is_shared_per_arguments():
+    operators._cs_operator.cache_clear()
+    a = build_cs_operator(5, 30, seed=123)
+    assert build_cs_operator(5, 30, 123) is a
+    assert build_cs_operator(np.int64(5), np.int32(30), seed=np.uint64(123)) is a
+    info = operators._cs_operator.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    c = build_cs_operator(5, 30, seed=124)
+    assert c is not a
+    # Only the most recent operator is kept.
+    again = build_cs_operator(5, 30, seed=123)
+    assert again is not a and np.array_equal(again.matrix, a.matrix)
+
+
+def test_cs_operator_cache_keys_on_blas_threads(monkeypatch):
+    # The gram blocking is fixed at construction, so a shared operator must
+    # be the one a fresh build would give at the current thread count.
+    built = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(operators, "_blas_threads", lambda: threads)
+        built[threads] = build_cs_operator(50, 4096, seed=5)
+        assert build_cs_operator(50, 4096, seed=5) is built[threads]
+    one, two = built[1], built[2]
+    assert one is not two
+    assert np.array_equal(one.matrix, two.matrix)
+    assert one._blocks == one._row_blocks and len(one._blocks) == 3
+    assert len(two._blocks) == 1 and two._blocks[0] is two.matrix
+
+
+def test_cs_operator_is_immutable():
+    op = build_cs_operator(50, 4096, seed=5)
+    assert set(vars(op)) == {"matrix", "m", "n", "_row_blocks", "_blocks", "seed"}
+    assert isinstance(op._row_blocks, tuple) and isinstance(op._blocks, tuple)
+    for arr in (op.matrix, *op._row_blocks, *op._blocks):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
 def test_cs_rejects_oversampling():
-    with pytest.raises(ValueError):
-        build_cs_operator(8, 8, seed=0)
-    with pytest.raises(ValueError):
-        build_cs_operator(9, 8, seed=0)
-    with pytest.raises(ValueError):
-        build_cs_operator(0, 8, seed=0)
+    # Errors are never cached: every call raises again.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_cs_operator(8, 8, seed=0)
+        with pytest.raises(ValueError):
+            build_cs_operator(9, 8, seed=0)
+        with pytest.raises(ValueError):
+            build_cs_operator(0, 8, seed=0)
+        with pytest.raises(ValueError):
+            build_cs_operator(5, 30, seed=-1)
 
 
 def test_spectral_cs_is_one():
