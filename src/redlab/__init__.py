@@ -17,7 +17,6 @@ from .images import (
     TEST_IMAGE_NAMES,
     gaussian_kernel,
     make_test_images,
-    psnr,
     named_test_image,
 )
 from .operators import (
@@ -61,7 +60,6 @@ __all__ = [
     "TEST_IMAGE_NAMES",
     "gaussian_kernel",
     "make_test_images",
-    "psnr",
     "named_test_image",
     "LinearOperator",
     "MatrixOperator",

@@ -1,12 +1,10 @@
-"""Image containers, periodic convolution, orthonormal DCT, and metrics.
+"""Image containers, periodic convolution, orthonormal DCT, and test images.
 
 Images are stored as flat row-major float64 vectors with explicit 2D shape
 metadata.  Pixel values are nominally in [0, 1] but are never clipped here;
 clipping happens only at image export so that diverging solver iterates
 remain representable.
 """
-
-import math
 
 import numpy as np
 from scipy.fft import dctn, idctn, irfft2, rfft2
@@ -167,19 +165,6 @@ def dct2_vals(arr):
 
 def idct2_vals(arr):
     return idctn(arr, type=2, norm="ortho")
-
-
-def psnr(ref, test, peak=1.0):
-    """Peak signal-to-noise ratio in dB; +inf when the images are equal."""
-    if ref.shape != test.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
-    diff = ref.values - test.values
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
 
 
 TEST_IMAGE_NAMES = ("phantom", "ramp", "sinusoid", "checkerboard", "texture", "blocks")

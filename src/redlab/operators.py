@@ -25,7 +25,16 @@ _GRAM_BLOCK_BYTES = 768 * 1024
 
 
 def _blas_threads():
-    """Threads of the OpenBLAS bundled with numpy, or None where not found."""
+    """Threads of the OpenBLAS bundled with numpy, or None where not found.
+
+    The library is looked up once per process and asked every time, so a
+    thread count changed at run time still reaches the CS operator cache key.
+    """
+    return _blas_thread_getter()()
+
+
+@functools.cache
+def _blas_thread_getter():
     libs = os.path.dirname(os.path.dirname(np.__file__))
     for path in glob.glob(os.path.join(libs, "numpy.libs", "*openblas*")):
         try:
@@ -41,8 +50,8 @@ def _blas_threads():
                 fn = getattr(lib, name)
                 fn.argtypes = []
                 fn.restype = ctypes.c_int
-                return fn()
-    return None
+                return fn
+    return lambda: None
 
 
 class LinearOperator:

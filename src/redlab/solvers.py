@@ -1,14 +1,20 @@
-"""Three solvers for zer(G): fixed step, norm backtracking, and monotone hybrid.
+"""Three solvers for zer(G): one iteration with three acceptance rules.
 
-All three iterate from x0 for at most t outer iterations, record every
-accepted iterate, and terminate early on divergence (normalized residual
-above a cap), on an optional residual tolerance, or when a line search
-shrinks its step below the floor epsilon.
+Each of at most t outer iterations tests the fixed-step trial x - gamma*G(x)
+and further candidates against the solver's bound, then records the first
+that passes.  A run stops early on divergence (normalized residual above a
+cap), on an optional residual tolerance, or when a line search shrinks its
+step below the floor epsilon.
 
-The monotone solver first tries the plain fixed-step update and accepts it
-whenever it passes a sufficient-decrease test on phi = 0.5*||G||^2; otherwise
-it backtracks gradient steps on phi, which guarantees the recorded phi
-sequence never increases.
+- red: any finite candidate passes; a non-finite one is divergence.
+- red_bls: ||G|| must not grow; a rejection shrinks gamma for good.
+- mred: phi = 0.5*||G||^2 must decrease sufficiently; a rejection backtracks
+  a gradient step on phi, so the recorded phi never increases.  When every
+  trial passes, the run is red's.
+
+An iteration costs one Hessian product A^T A G and one denoiser apply per
+candidate.  mred adds one residual VJP for grad phi, and a fallback one
+Hessian product of grad phi, unless eval_state took it with A^T A G.
 """
 
 import math
@@ -102,112 +108,118 @@ def _psnr_of(x, ref):
     return 10.0 * math.log10(1.0 / mse)
 
 
-class _RunState:
-    """Bookkeeping shared by the three solver loops.
+def _solve(solver, p, x0, cfg, psnr_ref):
+    """The iteration the three solvers share; `solver` names the rule.
 
-    Carries the current point x, its fidelity gradient grad g(x), and G(x).
-    grad g is evaluated exactly only at x0.  Every later point is x - s*d
-    for a direction d whose A^T A d the loop already holds, and since g is
-    quadratic, grad g(x - s*d) = grad g(x) - s * A^T A d.
+    The loop carries the current point x, its fidelity gradient grad g(x),
+    and G(x).  grad g is evaluated exactly only at x0.  Every later point is
+    x - s*d for a direction d whose A^T A d the loop already holds, and since
+    g is quadratic, grad g(x - s*d) = grad g(x) - s * A^T A d.  A candidate
+    thus costs one denoiser apply and no operator call.
     """
+    x = np.array(x0, dtype=np.float64).reshape(-1)
+    if x.size != p.n:
+        raise ValueError(f"x0 has dimension {x.size}, problem is {p.n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    counters = EvalCounters()
+    trace = []
+    grad_g = p.fidelity_gradient(x, counters)
+    g = p.operator_g(x, counters, grad_g)
+    g_sq = g0_sq = float(g @ g)
 
-    def __init__(self, solver, p, x0, cfg, psnr_ref):
-        x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-        if x0.size != p.n:
-            raise ValueError(f"x0 has dimension {x0.size}, problem is {p.n}")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 must be finite")
-        self.solver = solver
-        self.p = p
-        self.cfg = cfg
-        self.psnr_ref = psnr_ref
-        self.counters = EvalCounters()
-        self.trace = []
-        self.x = x0.copy()
-        self.grad_g = p.fidelity_gradient(self.x, self.counters)
-        self.g = p.operator_g(self.x, self.counters, self.grad_g)
-        self.g_sq = float(self.g @ self.g)
-
-    def evaluate(self, x_new, step, hd):
-        """(grad g, G) at x_new = x - step*d, given hd = A^T A d.
-
-        Costs one denoiser apply and no operator call.
-        """
-        grad_g = self.grad_g - step * hd
-        return grad_g, self.p.operator_g(x_new, self.counters, grad_g)
-
-    def accept(self, x, grad_g, g, g_sq):
-        self.x, self.grad_g, self.g, self.g_sq = x, grad_g, g, g_sq
-
-    def residual_of(self, g_sq):
-        # Convention: a start already in zer(G) reports residual 0 instead of
-        # 0/0, so such runs trace cleanly.
-        if self.g0_sq == 0.0:
-            return 0.0
-        return g_sq / self.g0_sq
-
-    def record_initial(self):
-        self.g0_sq = self.g_sq
-        self.record(0, "init", 0, 0.0)
-
-    def record(self, k, mode, backtracks, step_used):
-        """Append the current point as iterate k."""
-        self.trace.append(
+    def record(k, mode, backtracks, step_used):
+        trace.append(
             IterationRecord(
                 k=k,
-                phi=0.5 * self.g_sq,
-                g_norm=math.sqrt(self.g_sq),
-                normalized_residual=self.residual_of(self.g_sq),
+                phi=0.5 * g_sq,
+                g_norm=math.sqrt(g_sq),
+                # Convention: a start already in zer(G) reports residual 0
+                # instead of 0/0, so such runs trace cleanly.
+                normalized_residual=0.0 if g0_sq == 0.0 else g_sq / g0_sq,
                 mode=mode,
                 backtracks=backtracks,
                 step_used=step_used,
-                psnr_db=_psnr_of(self.x, self.psnr_ref),
-                counters=self.counters.snapshot(),
+                psnr_db=_psnr_of(x, psnr_ref),
+                counters=counters.snapshot(),
             )
         )
 
-    def should_stop(self):
-        """Cap / tolerance check on the last recorded residual."""
-        nr = self.trace[-1].normalized_residual
-        if nr > self.cfg.divergence_cap:
-            return "diverged"
-        if self.cfg.converge_tol > 0.0 and nr <= self.cfg.converge_tol:
-            return "converged_tol"
-        return None
+    def result(termination):
+        return SolveResult(x, trace, termination, solver, cfg, counters)
 
-    def result(self, termination):
-        return SolveResult(
-            x_star=self.x,
-            trace=self.trace,
-            termination=termination,
-            solver=self.solver,
-            config=self.cfg,
-            counters=self.counters,
-        )
+    if solver == "mred":
+        phi, grad, _g, hg, hgrad = p.eval_state(x, counters, g)
+    record(0, "init", 0, 0.0)
+    gamma = cfg.gamma
+    for k in range(1, cfg.t + 1):
+        if solver != "mred":
+            # Every candidate steps along G(x): one Hessian product serves all.
+            hg = p.fidelity_hessian_vp(g, counters)
+        elif k > 1:
+            # A fallback tends to follow a fallback; then A^T A grad phi
+            # comes with the same pass over A where the operator allows it.
+            phi, grad, _g, hg, hgrad = p.eval_state(
+                x, counters, g, want_hgrad=mode == "gradient_step"
+            )
+        if solver == "mred":
+            if not (math.isfinite(phi) and np.all(np.isfinite(grad))):
+                return result("diverged")
+            gp_sq = float(grad @ grad)
+        alpha = cfg.alpha0
+        mode, backtracks, step, d, hd = "red_step", 0, gamma, g, hg
+        while True:
+            x_new = x - step * d
+            g_new_sq = math.inf
+            if np.all(np.isfinite(x_new)):
+                grad_g_new = grad_g - step * hd
+                g_new = p.operator_g(x_new, counters, grad_g_new)
+                g_new_sq = float(g_new @ g_new)
+            if math.isfinite(g_new_sq) and (
+                solver == "red"
+                or solver == "red_bls" and g_new_sq <= g_sq
+                or solver == "mred" and 0.5 * g_new_sq <= phi - alpha * cfg.theta * gp_sq
+            ):
+                break
+            if solver == "red":
+                return result("diverged")
+            backtracks += 1
+            if solver == "red_bls":
+                gamma = step = cfg.beta * gamma
+                if gamma < cfg.epsilon:
+                    return result("step_floor")
+                continue
+            if gp_sq == 0.0:
+                # Stationary point of phi with a failing trial: no descent
+                # direction remains.
+                return result("step_floor")
+            if mode == "red_step":
+                # The gradient candidates share one Hessian product.
+                if hgrad is None:
+                    hgrad = p.fidelity_hessian_vp(grad, counters)
+                mode, d, hd = "gradient_step", grad, hgrad
+            elif cfg.conventional_armijo:
+                alpha = cfg.beta * alpha
+                if alpha < cfg.epsilon:
+                    return result("step_floor")
+            step = alpha
+            if not cfg.conventional_armijo:
+                alpha = cfg.beta * alpha
+                if alpha < cfg.epsilon:
+                    return result("step_floor")
+        x, grad_g, g, g_sq = x_new, grad_g_new, g_new, g_new_sq
+        record(k, mode, backtracks, step)
+        nr = trace[-1].normalized_residual
+        if nr > cfg.divergence_cap:
+            return result("diverged")
+        if cfg.converge_tol > 0.0 and nr <= cfg.converge_tol:
+            return result("converged_tol")
+    return result("max_iters")
 
 
 def red_sd_fixed(p, x0, cfg, psnr_ref=None):
-    """Fixed-step iteration x <- x - gamma * G(x)."""
-    st = _RunState("red", p, x0, cfg, psnr_ref)
-    st.record_initial()
-    termination = "max_iters"
-    for k in range(1, cfg.t + 1):
-        x_new = st.x - cfg.gamma * st.g
-        if not np.all(np.isfinite(x_new)):
-            termination = "diverged"
-            break
-        grad_g, g_new = st.evaluate(x_new, cfg.gamma, p.fidelity_hessian_vp(st.g, st.counters))
-        g_new_sq = float(g_new @ g_new)
-        if not math.isfinite(g_new_sq):
-            termination = "diverged"
-            break
-        st.accept(x_new, grad_g, g_new, g_new_sq)
-        st.record(k, "red_step", 0, cfg.gamma)
-        stop = st.should_stop()
-        if stop:
-            termination = stop
-            break
-    return st.result(termination)
+    """Fixed-step iteration x <- x - gamma * G(x); diverged on a non-finite step."""
+    return _solve("red", p, x0, cfg, psnr_ref)
 
 
 def red_bls(p, x0, cfg, psnr_ref=None):
@@ -217,31 +229,7 @@ def red_bls(p, x0, cfg, psnr_ref=None):
     so repeated growth drives it below epsilon and the solver returns the
     previous iterate with termination `step_floor`.
     """
-    st = _RunState("red_bls", p, x0, cfg, psnr_ref)
-    st.record_initial()
-    gamma = cfg.gamma
-    termination = "max_iters"
-    for k in range(1, cfg.t + 1):
-        # Every candidate steps along G(x): one Hessian product serves all.
-        hg = p.fidelity_hessian_vp(st.g, st.counters)
-        backtracks = 0
-        while True:
-            x_new = st.x - gamma * st.g
-            grad_g, g_new = st.evaluate(x_new, gamma, hg)
-            g_new_sq = float(g_new @ g_new)
-            if math.isfinite(g_new_sq) and g_new_sq <= st.g_sq:
-                break
-            gamma = cfg.beta * gamma
-            backtracks += 1
-            if gamma < cfg.epsilon:
-                return st.result("step_floor")
-        st.accept(x_new, grad_g, g_new, g_new_sq)
-        st.record(k, "red_step", backtracks, gamma)
-        stop = st.should_stop()
-        if stop:
-            termination = stop
-            break
-    return st.result(termination)
+    return _solve("red_bls", p, x0, cfg, psnr_ref)
 
 
 def mred(p, x0, cfg, psnr_ref=None):
@@ -257,67 +245,7 @@ def mred(p, x0, cfg, psnr_ref=None):
     alpha restarts from alpha0 at every outer iteration; gamma never
     changes.
     """
-    st = _RunState("mred", p, x0, cfg, psnr_ref)
-    phi_prev, grad, _g, hg, hgrad = p.eval_state(st.x, st.counters, st.g)
-    st.record_initial()
-    termination = "max_iters"
-    for k in range(1, cfg.t + 1):
-        if k > 1:
-            # A fallback tends to follow a fallback; then A^T A grad phi
-            # comes with the same pass over A where the operator allows it.
-            phi_prev, grad, _g, hg, hgrad = p.eval_state(
-                st.x, st.counters, st.g, want_hgrad=mode == "gradient_step"
-            )
-        if not (math.isfinite(phi_prev) and np.all(np.isfinite(grad))):
-            termination = "diverged"
-            break
-        gp_sq = float(grad @ grad)
-        alpha = cfg.alpha0
-        mode = "red_step"
-        backtracks = 0
-        step_used = cfg.gamma
-        d, hd = st.g, hg
-        floored = False
-        while True:
-            x_new = st.x - step_used * d
-            phi_new = math.inf
-            if np.all(np.isfinite(x_new)):
-                grad_g, g_new = st.evaluate(x_new, step_used, hd)
-                g_new_sq = float(g_new @ g_new)
-                phi_new = 0.5 * g_new_sq
-            if math.isfinite(phi_new) and phi_new <= phi_prev - alpha * cfg.theta * gp_sq:
-                break
-            if gp_sq == 0.0:
-                # Stationary point of phi with a failing trial: no descent
-                # direction remains.
-                floored = True
-                break
-            if mode == "red_step":
-                # The gradient candidates share one Hessian product.
-                if hgrad is None:
-                    hgrad = p.fidelity_hessian_vp(grad, st.counters)
-                mode, d, hd = "gradient_step", grad, hgrad
-            elif cfg.conventional_armijo:
-                alpha = cfg.beta * alpha
-                if alpha < cfg.epsilon:
-                    floored = True
-                    break
-            step_used = alpha
-            backtracks += 1
-            if not cfg.conventional_armijo:
-                alpha = cfg.beta * alpha
-                if alpha < cfg.epsilon:
-                    floored = True
-                    break
-        if floored:
-            return st.result("step_floor")
-        st.accept(x_new, grad_g, g_new, g_new_sq)
-        st.record(k, mode, backtracks, step_used)
-        stop = st.should_stop()
-        if stop:
-            termination = stop
-            break
-    return st.result(termination)
+    return _solve("mred", p, x0, cfg, psnr_ref)
 
 
 def run_solver(name, p, x0, cfg, psnr_ref=None):

@@ -1,4 +1,4 @@
-"""Image containers, periodic convolution, DCT, metrics, synthetic images.
+"""Image containers, periodic convolution, DCT, synthetic images.
 
 The convolution oracle is a direct O(n*k^2) double loop written here from
 the definition, independent of the production code path.
@@ -15,7 +15,6 @@ from redlab import (
     gaussian_kernel,
     gaussian_samples,
     make_test_images,
-    psnr,
     named_test_image,
 )
 from redlab.images import CyclicConvolver, conv2d_wrap, dct2_vals, idct2_vals
@@ -203,35 +202,6 @@ def test_dct_orthonormality_preserves_inner_products():
     lhs = float(np.sum(dct2_vals(x.as_2d()) * dct2_vals(z.as_2d())))
     rhs = float(x.values @ z.values)
     assert abs(lhs - rhs) < 1e-10
-
-
-# ---------------------------------------------------------------------- psnr
-
-
-def test_psnr_identical_is_inf():
-    img = rand_image(1, 8, 8)
-    assert psnr(img, img) == np.inf
-
-
-def test_psnr_known_value():
-    ref = ImageGrid(4, 4, np.zeros(16))
-    test = ImageGrid(4, 4, np.full(16, 0.1))
-    assert abs(psnr(ref, test) - 20.0) < 1e-12
-
-
-def test_psnr_matches_direct_formula():
-    a = rand_image(6, 8, 8)
-    b = rand_image(7, 8, 8)
-    mse = float(np.mean((a.values - b.values) ** 2))
-    assert abs(psnr(a, b) - 10.0 * np.log10(1.0 / mse)) < 1e-12
-    assert abs(psnr(a, b, peak=2.0) - 10.0 * np.log10(4.0 / mse)) < 1e-12
-
-
-def test_psnr_shape_mismatch():
-    with pytest.raises(ValueError):
-        psnr(rand_image(1, 4, 4), rand_image(1, 4, 5))
-    with pytest.raises(ValueError):
-        psnr(rand_image(1, 4, 4), rand_image(1, 4, 4), peak=0.0)
 
 
 # ------------------------------------------------------------ test image set

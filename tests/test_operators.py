@@ -1,5 +1,7 @@
 """Measurement operators: adjoint consistency, oracles, spectral estimation."""
 
+import ctypes
+import glob
 import os
 import subprocess
 import sys
@@ -113,6 +115,31 @@ def test_blas_thread_probe_selects_row_blocks():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "3"
+
+
+def test_blas_thread_probe_looks_up_its_library_once(monkeypatch):
+    operators._blas_thread_getter.cache_clear()
+    patterns = []
+    real_glob = glob.glob
+    monkeypatch.setattr(glob, "glob", lambda p: patterns.append(p) or real_glob(p))
+    first = operators._blas_threads()
+    assert operators._blas_threads() == first
+    assert len(patterns) == 1
+    if first is None or first < 2:
+        return
+    # The count itself is read anew on every call.
+    getter = operators._blas_thread_getter()
+    lib = ctypes.CDLL(real_glob(patterns[0])[0])
+    setter = getattr(lib, getter.__name__.replace("_get_", "_set_"))
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    try:
+        setter(1)
+        assert operators._blas_threads() == 1
+    finally:
+        setter(first)
+    assert operators._blas_threads() == first
+    assert len(patterns) == 1
 
 
 @pytest.mark.parametrize("threads", [2, None])

@@ -134,6 +134,10 @@ def test_red_trace_shape_and_modes():
     # PSNR column matches the usual peak-1 formula.
     mse = float(np.mean((res.x_star - x_true) ** 2))
     assert abs(res.trace[-1].psnr_db - 10.0 * math.log10(1.0 / mse)) < 1e-12
+    # A reference equal to the iterate has zero error: +inf dB.
+    at_x0 = red_sd_fixed(p, y.copy(), cfg, psnr_ref=y)
+    assert at_x0.trace[0].psnr_db == math.inf
+    assert math.isfinite(at_x0.trace[1].psnr_db)
 
 
 # ------------------------------------------------- start at the fixed point
@@ -165,6 +169,12 @@ def test_bls_matches_red_when_norm_never_grows():
         assert abs(ra.phi - rb.phi) <= 1e-12 * max(1.0, abs(ra.phi))
         assert rb.backtracks == 0
     assert np.max(np.abs(a.x_star - b.x_star)) <= 1e-12
+    # Neither takes grad phi.  One evaluation at x0 plus, per iteration, one
+    # Hessian product of G and one denoiser apply for the accepted trial.
+    for res in (a, b):
+        c = res.counters
+        assert c.vjp_evals == c.grad_phi_evals == 0
+        assert c.operator_forwards == c.operator_adjoints == c.denoiser_applies == len(res.trace)
 
 
 def test_bls_norm_never_increases():
@@ -184,6 +194,17 @@ def test_bls_expansive_hits_step_floor():
     # The returned point is the last accepted iterate, strictly better than
     # the start but far from a solution.
     assert 0.0 < res.final_normalized_residual < 1.0
+    # The floored iteration took its Hessian product of G too, and evaluated
+    # every candidate it tried: gamma shrinks from the last accepted step
+    # until it drops below epsilon.
+    gamma, floored = res.trace[-1].step_used, 0
+    while gamma >= cfg.epsilon:
+        gamma, floored = cfg.beta * gamma, floored + 1
+    c = res.counters
+    assert c.vjp_evals == c.grad_phi_evals == 0
+    assert c.operator_forwards == c.operator_adjoints == len(res.trace) + 1
+    steps = res.trace[1:]
+    assert c.denoiser_applies == 1 + sum(1 + r.backtracks for r in steps) + floored
 
 
 # ------------------------------------------------------------ monotone hybrid
@@ -286,16 +307,21 @@ def test_mred_conventional_armijo_also_monotone():
 
 def test_mred_gradient_step_sizes_follow_shrink_schedule():
     p, y, _ = expansive_problem()
-    cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=40)
-    res = mred(p, y.copy(), cfg)
-    for r in res.trace[1:]:
-        if r.mode == "gradient_step":
-            # Recorded step is alpha0 * beta^(backtracks - 1): the shrink
-            # happens after the step is formed.
-            assert r.backtracks >= 1
-            assert abs(r.step_used - cfg.alpha0 * cfg.beta ** (r.backtracks - 1)) < 1e-15
-        else:
-            assert r.step_used == cfg.gamma
+    for conventional in (False, True):
+        # At alpha0 = 16 the fallbacks backtrack up to three times.
+        cfg = SolverConfig(
+            gamma=default_gamma(1.0, 1.0), t=40, alpha0=16.0, conventional_armijo=conventional
+        )
+        res = mred(p, y.copy(), cfg)
+        assert any(r.backtracks >= 2 for r in res.trace)
+        for r in res.trace[1:]:
+            if r.mode == "gradient_step":
+                # Recorded step is alpha0 * beta^(backtracks - 1) in both
+                # orders: the first gradient step has length alpha0.
+                assert r.backtracks >= 1
+                assert abs(r.step_used - cfg.alpha0 * cfg.beta ** (r.backtracks - 1)) < 1e-15
+            else:
+                assert r.step_used == cfg.gamma
 
 
 # ----------------------------------------------------------------- divergence
@@ -308,6 +334,11 @@ def test_red_diverges_on_expansive():
     assert res.termination == "diverged"
     assert res.final_normalized_residual > cfg.divergence_cap
     assert len(res.trace) < 201
+    # One evaluation at x0, then one Hessian product of G and one denoiser
+    # apply per iteration, up to the one that crossed the cap.
+    c = res.counters
+    assert c.vjp_evals == c.grad_phi_evals == 0
+    assert c.operator_forwards == c.operator_adjoints == c.denoiser_applies == len(res.trace)
 
 
 def test_red_nonfinite_iterate_reported_as_divergence():
