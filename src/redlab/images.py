@@ -1,13 +1,19 @@
 """Image containers, periodic convolution, orthonormal DCT, and test images.
 
+Periodic convolution with a separable (rank-1) kernel is two small GEMMs
+with circulant matrices; any other kernel goes through real FFTs.
+
 Images are stored as flat row-major float64 vectors with explicit 2D shape
 metadata.  Pixel values are nominally in [0, 1] but are never clipped here;
 clipping happens only at image export so that diverging solver iterates
 remain representable.
 """
 
+import functools
+
 import numpy as np
 from scipy.fft import dctn, idctn, irfft2, rfft2
+from scipy.linalg import circulant
 from scipy.signal import convolve2d
 
 from .rng import RngState, gaussian_samples
@@ -79,14 +85,6 @@ class Kernel2D:
     def as_2d(self):
         return self.weights.reshape(self.size, self.size)
 
-    def rotated_180(self):
-        """Kernel flipped in both axes (the adjoint kernel for periodic convolution)."""
-        return Kernel2D(self.size, self.as_2d()[::-1, ::-1].reshape(-1))
-
-    def is_normalized(self, tol=1e-12):
-        """True for a blur kernel: non-negative weights summing to 1."""
-        return bool(np.all(self.weights >= 0.0) and abs(self.weights.sum() - 1.0) <= tol)
-
     def __repr__(self):
         return f"Kernel2D(size={self.size})"
 
@@ -113,14 +111,47 @@ def conv2d_wrap(arr, kern):
     return convolve2d(arr, kern, mode="same", boundary="wrap")
 
 
-class CyclicConvolver:
-    """Repeated periodic convolution with one kernel via cached DFT.
+# Two GEMMs with dense circulants cost 2 (h + w) flops per pixel and hold
+# h^2 + w^2 doubles; an FFT round trip costs a few log2(h w) flops per pixel.
+# On a 2-core Xeon VM with OpenBLAS on one thread, the GEMMs were faster
+# through 128x128 and at 32x224, about even at 160x160, and slower from
+# 192x192 on (on two threads, from 256x256 on).
+_MAX_CIRCULANT_EXTENT_SUM = 256
 
-    Embeds the centered kernel on the image grid once; each apply is two
-    real FFTs.  The adjoint multiplies by the conjugate spectrum, which
-    equals convolution with the 180-degree rotated kernel, and the adjoint
-    of the apply is one round trip through the real gain |khat|^2.  Matches
-    conv2d_wrap to roundoff; used on hot paths where the kernel is large.
+
+def _rank_one_factors(k2):
+    """(column, row) factors with k2 == outer(column, row), or None.
+
+    Rank is counted as np.linalg.matrix_rank does, with its default
+    tolerance, from the one SVD that also gives the factors.
+    """
+    u, s, vt = np.linalg.svd(k2)
+    if np.count_nonzero(s > s[0] * max(k2.shape) * np.finfo(k2.dtype).eps) != 1:
+        return None
+    return u[:, 0] * s[0], vt[0]
+
+
+def _circulant(factor, n):
+    """n x n matrix of periodic convolution with a centered odd 1-D kernel."""
+    r = factor.size // 2
+    col = np.zeros(n)
+    col[np.arange(-r, r + 1) % n] = factor
+    return circulant(col)
+
+
+class CyclicConvolver:
+    """Repeated periodic convolution with one kernel, set up once.
+
+    A kernel of numerical rank 1, such as every Gaussian blur, is an outer
+    product a b^T of two 1-D kernels, so convolving X with it is C_a X C_b^T
+    with the h x h and w x w circulant matrices of a and b: two small GEMMs
+    per apply.  Any other kernel, and an image too large for dense
+    circulants, goes through the cached DFT khat of the kernel embedded on
+    the image grid: two real FFTs per apply.  On either path the adjoint is
+    convolution with the 180-degree rotated kernel, and the gram
+    apply_adjoint(apply(.)) is one pass: (C_a^T C_a) X (C_b^T C_b), or one
+    round trip through the real gain |khat|^2.  Matches conv2d_wrap to
+    roundoff.
     """
 
     def __init__(self, shape, kernel):
@@ -130,32 +161,60 @@ class CyclicConvolver:
                 f"kernel size {kernel.size} exceeds image extent {h}x{w}"
             )
         self.shape = (h, w)
-        r = kernel.size // 2
-        k2 = kernel.as_2d()
+        self._kernel = kernel
+        factors = None
+        if h + w <= _MAX_CIRCULANT_EXTENT_SUM:
+            factors = _rank_one_factors(kernel.as_2d())
+        if factors is None:
+            self._circulants = None
+            self._khat = rfft2(self._embedded())
+            self._khat_conj = np.conj(self._khat)
+            self._gain_sq = np.abs(self._khat) ** 2
+        else:
+            self._circulants = (_circulant(factors[0], h), _circulant(factors[1], w))
+
+    def _embedded(self):
+        """The centered kernel wrapped onto the image grid."""
+        h, w = self.shape
+        r = self._kernel.size // 2
+        offsets = np.arange(-r, r + 1)
         embed = np.zeros((h, w))
-        for dy in range(-r, r + 1):
-            for dx in range(-r, r + 1):
-                embed[dy % h, dx % w] += k2[r + dy, r + dx]
-        self._khat = rfft2(embed)
-        self._khat_conj = np.conj(self._khat)
-        self._gain_sq = np.abs(self._khat) ** 2
+        np.add.at(embed, (offsets[:, None] % h, offsets % w), self._kernel.as_2d())
+        return embed
+
+    @functools.cached_property
+    def _gram_circulants(self):
+        # Built on first use: a denoiser never asks for its gram.
+        c_h, c_w = self._circulants
+        return c_h.T @ c_h, c_w.T @ c_w
 
     def apply(self, arr):
-        return irfft2(rfft2(arr) * self._khat, s=self.shape)
+        if self._circulants is None:
+            return irfft2(rfft2(arr) * self._khat, s=self.shape)
+        c_h, c_w = self._circulants
+        return c_h @ arr @ c_w.T
 
     def apply_adjoint(self, arr):
-        return irfft2(rfft2(arr) * self._khat_conj, s=self.shape)
+        if self._circulants is None:
+            return irfft2(rfft2(arr) * self._khat_conj, s=self.shape)
+        c_h, c_w = self._circulants
+        return c_h.T @ arr @ c_w
 
     def apply_gram(self, arr):
-        """apply_adjoint(apply(arr)) in one FFT round trip."""
-        return irfft2(rfft2(arr) * self._gain_sq, s=self.shape)
+        """apply_adjoint(apply(arr)) in one pass."""
+        if self._circulants is None:
+            return irfft2(rfft2(arr) * self._gain_sq, s=self.shape)
+        g_h, g_w = self._gram_circulants
+        return g_h @ arr @ g_w
 
     def max_gain_sq(self):
         """Largest |khat|^2, the squared spectral norm of the convolution.
 
-        The half spectrum suffices: a real kernel's DFT is conjugate symmetric.
+        Computed from the 2-D spectrum on either path, so the value does not
+        depend on the path.  The half spectrum suffices: a real kernel's DFT
+        is conjugate symmetric.
         """
-        return float(np.max(self._gain_sq))
+        return float(np.max(np.abs(rfft2(self._embedded())) ** 2))
 
 
 def dct2_vals(arr):

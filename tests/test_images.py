@@ -68,14 +68,14 @@ def test_kernel_validation():
     with pytest.raises(ValueError):
         Kernel2D(3, np.zeros(8))  # wrong count
     k = Kernel2D(3, np.arange(9.0))
-    flipped = k.rotated_180()
-    assert np.array_equal(flipped.as_2d(), k.as_2d()[::-1, ::-1])
+    assert np.array_equal(k.as_2d(), np.arange(9.0).reshape(3, 3))
 
 
 def test_gaussian_kernel_normalized():
     k = gaussian_kernel(17, 2.0)
     assert k.size == 17
-    assert k.is_normalized()
+    assert np.all(k.weights >= 0.0)
+    assert abs(k.weights.sum() - 1.0) <= 1e-12
     # Symmetric in both axes.
     k2 = k.as_2d()
     assert np.allclose(k2, k2[::-1, ::-1], atol=0)
@@ -130,13 +130,12 @@ def test_conv_linearity():
 def test_conv_adjoint_is_rotated_kernel():
     # <conv_k(x), u> == <x, conv_flip(k)(u)> for random pairs.
     rng = RngState(21)
-    k = Kernel2D(3, gaussian_samples(rng, 9))
-    kf = k.rotated_180()
+    k = Kernel2D(3, gaussian_samples(rng, 9)).as_2d()
     for _ in range(20):
         x = gaussian_samples(rng, 48).reshape(6, 8)
         u = gaussian_samples(rng, 48).reshape(6, 8)
-        lhs = float(np.sum(conv_oracle(x, k.as_2d()) * u))
-        rhs = float(np.sum(x * conv_oracle(u, kf.as_2d())))
+        lhs = float(np.sum(conv_oracle(x, k) * u))
+        rhs = float(np.sum(x * conv_oracle(u, k[::-1, ::-1])))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -146,17 +145,47 @@ def test_conv_kernel_too_large():
 
 
 def test_cyclic_convolver_matches_direct():
-    # The FFT fast path must agree with the spatial path to roundoff,
-    # including non-square shapes and kernels wider than half the image.
+    # Both paths must agree with the spatial path to roundoff, including
+    # non-square shapes and kernels as wide as the image.
     rng = RngState(40)
-    for h, w, ks in ((8, 8, 3), (6, 10, 5), (9, 9, 9), (16, 12, 7)):
-        kern = Kernel2D(ks, gaussian_samples(rng, ks * ks))
+    # Numerically rank 2: its second singular value, about 1e-8, is far
+    # above the rank tolerance, and dropping it would move a convolution by
+    # about 1e-8.
+    a = np.exp(-0.5 * np.linspace(-2.0, 2.0, 17) ** 2)
+    a /= a.sum()
+    b = np.cos(np.linspace(0.0, 3.0, 17))
+    rank_two = Kernel2D(17, np.outer(a, a) + 1e-9 * np.outer(b, b))
+    cases = [
+        # Random kernels take the FFT path.
+        (8, 8, Kernel2D(3, gaussian_samples(rng, 9)), False),
+        (6, 10, Kernel2D(5, gaussian_samples(rng, 25)), False),
+        (9, 9, Kernel2D(9, gaussian_samples(rng, 81)), False),
+        (16, 12, Kernel2D(7, gaussian_samples(rng, 49)), False),
+        # Gaussian kernels take the circulant path.
+        (8, 8, gaussian_kernel(3, 0.6), True),
+        (6, 10, gaussian_kernel(5, 1.2), True),
+        (9, 9, gaussian_kernel(9, 2.0), True),
+        (16, 12, gaussian_kernel(7, 1.5), True),
+        (64, 64, gaussian_kernel(17, 2.0), True),
+        # A separable kernel that is neither symmetric nor of equal factors.
+        (6, 10, Kernel2D(5, np.outer(gaussian_samples(rng, 5), gaussian_samples(rng, 5))), True),
+        (1, 5, gaussian_kernel(1, 1.0), True),
+        # Past the size limit of dense circulants, a Gaussian takes the FFT path.
+        (8, 250, gaussian_kernel(5, 1.0), False),
+        (17, 17, rank_two, False),
+    ]
+    for h, w, kern, separable in cases:
         conv = CyclicConvolver((h, w), kern)
-        arr = gaussian_samples(rng, h * w).reshape(h, w)
-        direct = conv2d_wrap(arr, kern.as_2d())
-        assert np.allclose(conv.apply(arr), direct, atol=1e-12)
-        adj_direct = conv2d_wrap(arr, kern.rotated_180().as_2d())
-        assert np.allclose(conv.apply_adjoint(arr), adj_direct, atol=1e-12)
+        assert (conv._circulants is not None) == separable
+        scale = np.sum(np.abs(kern.weights))
+        for _ in range(3):
+            arr = gaussian_samples(rng, h * w).reshape(h, w)
+            direct = conv2d_wrap(arr, kern.as_2d())
+            assert np.max(np.abs(conv.apply(arr) - direct)) <= 1e-12 * scale
+            adj_direct = conv2d_wrap(arr, kern.as_2d()[::-1, ::-1])
+            assert np.max(np.abs(conv.apply_adjoint(arr) - adj_direct)) <= 1e-12 * scale
+            gram = conv.apply_adjoint(conv.apply(arr))
+            assert np.max(np.abs(conv.apply_gram(arr) - gram)) <= 1e-12 * scale**2
 
 
 # ----------------------------------------------------------------------- DCT
