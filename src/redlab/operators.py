@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .images import CyclicConvolver, Kernel2D
 from .rng import RngState, gaussian_samples
@@ -112,7 +113,10 @@ class MatrixOperator(LinearOperator):
             raise ValueError("matrix must be 2D")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("matrix entries must be finite")
-        matrix = matrix.copy()
+        self._adopt(matrix.copy())
+
+    def _adopt(self, matrix):
+        """Take ownership of `matrix`, which nothing else may write to."""
         matrix.flags.writeable = False
         self.matrix = matrix
         self.m, self.n = matrix.shape
@@ -186,21 +190,34 @@ class CompressiveSensingOperator(MatrixOperator):
     construction: a reduced QR of the transpose, with the sign of each
     column fixed so the factor is unique.  For an input of full row rank
     the result spans the same row space; A^T A is always the orthogonal
-    projection onto the row space of the result.
+    projection onto the row space of the result.  The input is copied once,
+    into the buffer that is factored in place and kept.
     """
 
     gram_is_projection = True
 
-    def __init__(self, matrix, seed):
-        matrix = np.asarray(matrix, dtype=np.float64)
+    def __init__(self, matrix, seed, _owned=False):
+        # `_owned`: the caller hands over a fresh C-ordered float64 array,
+        # which is factored and kept as it is; any other input is copied.
+        matrix = np.array(matrix, dtype=np.float64, order="C", copy=not _owned)
         if matrix.ndim != 2 or not 1 <= matrix.shape[0] < matrix.shape[1]:
             raise ValueError("expected an m x n matrix with 1 <= m < n")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("matrix entries must be finite")
-        q, r = np.linalg.qr(matrix.T, mode="reduced")
-        signs = np.sign(np.diag(r))
+        # LAPACK factors the transpose, an F-ordered buffer, in place.  Both
+        # calls query the optimal workspace: the default one runs the
+        # unblocked algorithm, slower and with other bits.
+        a = matrix.T
+        *_, work, _ = lapack.dgeqrf(a, lwork=-1, overwrite_a=1)
+        a, tau, _, info = lapack.dgeqrf(a, lwork=int(work[0]), overwrite_a=1)
+        signs = np.sign(np.diagonal(a))
         signs[signs == 0.0] = 1.0
-        super().__init__((q * signs).T)
+        _, work, _ = lapack.dorgqr(a, tau, lwork=-1, overwrite_a=1)
+        a, _, info_q = lapack.dorgqr(a, tau, lwork=int(work[0]), overwrite_a=1)
+        if info or info_q:
+            raise np.linalg.LinAlgError(f"QR failed: info {info}, {info_q}")
+        a *= signs
+        self._adopt(matrix)
         self.seed = int(seed)
 
     def exact_spectral_norm_sq(self):
@@ -223,11 +240,13 @@ def build_cs_operator(m, n, seed):
 
 # One entry: the matrix grows with n^2 (13.4 MB at 64x64, ratio 0.1), and
 # every caller uses one matrix at a time.  The thread count is part of the
-# key because MatrixOperator fixes its gram blocking when it is built.
+# key because MatrixOperator fixes its gram blocking when it is built.  The
+# draw is scaled, factored and kept in one buffer.
 @functools.lru_cache(maxsize=1)
 def _cs_operator(m, n, seed, _threads):
-    raw = gaussian_samples(RngState(seed), m * n).reshape(m, n) / np.sqrt(m)
-    return CompressiveSensingOperator(raw, seed)
+    raw = gaussian_samples(RngState(seed), m * n).reshape(m, n)
+    raw /= np.sqrt(m)
+    return CompressiveSensingOperator(raw, seed, _owned=True)
 
 
 @dataclass

@@ -9,6 +9,16 @@ compatibility across numpy versions or platforms is not promised.
 import numpy as np
 
 _FAMILY = "pcg64"
+# Box-Muller pairs per angle chunk: 512 KiB temporaries at any count.
+_CHUNK = 1 << 16
+
+
+def _count(count):
+    """`count` as an int; a non-integral value is an error, not truncated."""
+    n = int(count)
+    if n != count:
+        raise ValueError(f"count must be an integer, got {count!r}")
+    return n
 
 
 class RngState:
@@ -28,13 +38,14 @@ class RngState:
 
     def uniform(self, count):
         """Return `count` samples uniform on [0, 1)."""
+        count = _count(count)
         if count < 0:
             raise ValueError("count must be non-negative")
-        return self._gen.random(int(count))
+        return self._gen.random(count)
 
     def integers(self, low, high, count):
         """Return `count` integers uniform on [low, high)."""
-        return self._gen.integers(low, high, size=int(count))
+        return self._gen.integers(low, high, size=_count(count))
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, family={self.family!r})"
@@ -43,19 +54,28 @@ class RngState:
 def gaussian_samples(rng, count):
     """Draw `count` standard-normal samples via Box-Muller.
 
-    The transform consumes pairs of uniforms from `rng`; the stream is
-    deterministic per seed.  `count` must be >= 1.
+    The transform consumes ceil(count / 2) radius uniforms, then as many
+    angle uniforms, from `rng`; the stream is deterministic per seed.  The
+    radii are computed in place and the angles in chunks written straight
+    into the result, so no other full-size array is made.  `count` must be
+    an integer >= 1.
     """
-    count = int(count)
+    count = _count(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     pairs = (count + 1) // 2
     # 1 - U maps [0,1) to (0,1] so the log is finite.
-    u1 = 1.0 - rng.uniform(pairs)
-    u2 = rng.uniform(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(ang)
-    out[1::2] = r * np.sin(ang)
-    return out[:count]
+    r = rng.uniform(pairs)
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    out = np.empty(count)
+    for lo in range(0, pairs, _CHUNK):
+        hi = min(lo + _CHUNK, pairs)
+        ang = rng.uniform(hi - lo)
+        ang *= 2.0 * np.pi
+        np.multiply(r[lo:hi], np.cos(ang), out=out[2 * lo : 2 * hi : 2])
+        odd = out[2 * lo + 1 : 2 * hi : 2]
+        np.multiply(r[lo : lo + odd.size], np.sin(ang[: odd.size]), out=odd)
+    return out

@@ -5,6 +5,7 @@ import glob
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,37 @@ def test_cs_operator_orthonormalizes_its_input():
         CompressiveSensingOperator(raw.T, seed=9)
     with pytest.raises(ValueError):
         CompressiveSensingOperator(np.full((2, 8), np.nan), seed=9)
+
+
+def test_cs_operator_leaves_its_input_unchanged():
+    # The rows of Q span the input's row space, so an input overwritten with
+    # Q would still pass the test above; compare the input's bits instead.
+    raw = gaussian_samples(RngState(4), 40 * 300).reshape(40, 300)
+    q, r = np.linalg.qr(raw.T, mode="reduced")
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    want = (q * signs).T
+    frozen = raw.copy()
+    frozen.flags.writeable = False
+    for given in (raw.copy(), np.asfortranarray(raw), frozen):
+        op = CompressiveSensingOperator(given, seed=4)
+        assert np.array_equal(given, raw)
+        assert not np.shares_memory(op.matrix, given)
+        assert np.max(np.abs(op.matrix - want)) <= 1e-13
+
+
+def test_cs_build_memory_stays_near_the_matrix():
+    # The draw is the buffer that is factored and kept: the traced peak of a
+    # cold build is about twice the matrix, where a QR on copies took 4x.
+    operators._cs_operator.cache_clear()
+    try:
+        tracemalloc.start()
+        op = build_cs_operator(410, 4096, seed=77)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        operators._cs_operator.cache_clear()
+    assert peak <= 2.5 * op.matrix.nbytes
 
 
 def test_cs_determinism_and_shape():

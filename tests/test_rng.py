@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from redlab import RngState, gaussian_samples
+from redlab.rng import _CHUNK
 
 
 def test_same_seed_same_stream():
@@ -58,6 +59,43 @@ def test_gaussian_count_validation():
         gaussian_samples(RngState(0), 0)
     with pytest.raises(ValueError):
         gaussian_samples(RngState(0), -3)
+
+
+def test_non_integral_counts_are_rejected():
+    # int() would truncate these silently: 2.7 samples would give 2.
+    for bad in (2.7, 3.9, 0.5, np.float64(4.2)):
+        with pytest.raises(ValueError, match="integer"):
+            gaussian_samples(RngState(0), bad)
+        with pytest.raises(ValueError, match="integer"):
+            RngState(0).uniform(bad)
+        with pytest.raises(ValueError, match="integer"):
+            RngState(0).integers(0, 5, bad)
+    # Integral values of any numeric type are fine.
+    for good in (3, 3.0, np.int32(3), np.int64(3), np.uint64(3)):
+        assert gaussian_samples(RngState(0), good).shape == (3,)
+        assert RngState(0).uniform(good).shape == (3,)
+        assert RngState(0).integers(0, 5, good).shape == (3,)
+
+
+def test_gaussian_matches_one_shot_box_muller():
+    # The chunked, in-place transform gives the bits of the textbook one:
+    # all radius uniforms first, then all angle uniforms.
+    for count in (1, 2, 3, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 410 * 4096):
+        rng = RngState(11)
+        got = gaussian_samples(rng, count)
+        ref_rng = RngState(11)
+        pairs = (count + 1) // 2
+        u1 = 1.0 - ref_rng.uniform(pairs)
+        u2 = ref_rng.uniform(pairs)
+        r = np.sqrt(-2.0 * np.log(u1))
+        ang = 2.0 * np.pi * u2
+        want = np.empty(2 * pairs)
+        want[0::2] = r * np.cos(ang)
+        want[1::2] = r * np.sin(ang)
+        assert got.shape == (count,)
+        assert np.array_equal(got, want[:count])
+        # Both leave the stream at the same point.
+        assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
 
 
 def test_gaussian_odd_count():
