@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .images import CyclicConvolver, conv2d_wrap, dct2_vals, gaussian_kernel, idct2_vals
-from .rng import RngState, gaussian_samples
+from .images import CyclicConvolver, dct2_vals, gaussian_kernel, idct2_vals
+from .rng import RngState, _integral, gaussian_samples
 
 
 class Denoiser:
@@ -214,6 +214,51 @@ class ScaledDenoiser(Denoiser):
         return v - self.scale * inner_jv
 
 
+def _conv3(stack, taps):
+    """Periodic 3x3 convolution of each (h, w) plane of `stack` with the
+    matching 3x3 plane of `taps`, the leading axes broadcast against each other.
+
+    Nine multiply-adds over one wrap-padded copy.  The copy has rows of
+    w + 2 and a spare zero row, so the input shifted by tap (a, b) is the
+    contiguous run from (2 - a) * (w + 2) + 2 - b of h rows of w + 2, the
+    last two of each row being discarded.  The taps are summed in row-major
+    order starting from zero, the order in which conv2d_wrap sums them, so
+    each plane equals conv2d_wrap bit for bit.
+    """
+    h, w = stack.shape[-2:]
+    lead = stack.shape[:-2]
+    wp = w + 2
+    buf = np.empty(lead + (h + 3, wp))
+    buf[..., 1 : h + 1, 1:-1] = stack
+    buf[..., 0, 1:-1] = stack[..., -1, :]
+    buf[..., h + 1, 1:-1] = stack[..., 0, :]
+    buf[..., : h + 2, 0] = buf[..., : h + 2, -2]
+    buf[..., : h + 2, -1] = buf[..., : h + 2, 1]
+    buf[..., h + 2, :] = 0.0
+    flat = buf.reshape(lead + (-1,))
+    size = h * wp
+    shape = np.broadcast_shapes(lead, taps.shape[:-2]) + (size,)
+    out = np.zeros(shape)
+    tmp = np.empty(shape)
+    for a in range(3):
+        for b in range(3):
+            start = (2 - a) * wp + 2 - b
+            np.multiply(taps[..., a, b, None], flat[..., start : start + size], out=tmp)
+            out += tmp
+    return out.reshape(shape[:-1] + (h, wp))[..., :w]
+
+
+def _conv3_sum(stack, taps):
+    """Sum over the channel axis of _conv3(stack, taps) for a (c, h, w) stack
+    and (..., c, 3, 3) taps; channels are added one at a time, in order,
+    starting from zero, as a per-channel conv2d_wrap loop would."""
+    planes = _conv3(stack, taps)
+    out = np.zeros(planes.shape[:-3] + planes.shape[-2:])
+    for i in range(planes.shape[-3]):
+        out += planes[..., i, :, :]
+    return out
+
+
 class RandomConvnetDenoiser(Denoiser):
     """D(x) = x - N(x) with N a seeded small convnet; smooth, non-symmetric.
 
@@ -222,34 +267,42 @@ class RandomConvnetDenoiser(Denoiser):
     scaled by weight_scale / sqrt(9 * fan_in), so weight_scale tunes the
     network gain and with it the expansiveness of D.  Jacobian products are
     exact reverse- and forward-mode sweeps through the conv/tanh chain.
+
+    Each layer is one _conv3 over the stack of its channels; the reverse
+    sweep convolves with the 180-degree rotated weights, stacked once here.
+    The result equals a per-channel conv2d_wrap network bit for bit.  The
+    tanh activations of the last point run through N are kept, so products
+    at the point just applied, or at a fixed probe, skip the forward pass.
     """
 
     symmetric_jacobian = False
     smooth = True
 
     def __init__(self, shape, layers, channels, weight_scale, seed):
+        layers = _integral(layers, "layers")
         if layers not in (2, 3):
             raise ValueError("layers must be 2 or 3")
-        channels = int(channels)
+        channels = _integral(channels, "channels")
         if channels < 1:
             raise ValueError("channels must be positive")
-        if weight_scale <= 0:
+        if not weight_scale > 0:
             raise ValueError("weight_scale must be positive")
         h, w = int(shape[0]), int(shape[1])
         if min(h, w) < 3:
             raise ValueError("image extent must be at least 3 for 3x3 kernels")
+        rng = RngState(seed)
         self.shape = (h, w)
         self.layers = layers
         self.channels = channels
         self.weight_scale = float(weight_scale)
-        self.seed = int(seed)
+        self.seed = rng.seed
         self.n = h * w
-        rng = RngState(seed)
 
         def draw(count, fan_in):
             scale = weight_scale / np.sqrt(9.0 * fan_in)
             return scale * gaussian_samples(rng, count * 9).reshape(count, 3, 3)
 
+        # Weight stacks: in (c, 3, 3), mid (c_out, c_in, 3, 3), out (c, 3, 3).
         self._w_in = draw(channels, 1)
         self._w_mid = None
         if layers == 3:
@@ -260,84 +313,70 @@ class RandomConvnetDenoiser(Denoiser):
         for arr in (self._w_in, self._w_mid, self._w_out):
             if arr is not None:
                 arr.flags.writeable = False
+        # The reverse sweep's stacks: each kernel rotated by 180 degrees, the
+        # middle stack's channel axes swapped so that it sums over c_out.
+        # Views of read-only arrays, so read-only as well.
+        self._w_in_adj = self._w_in[:, ::-1, ::-1]
+        self._w_out_adj = self._w_out[:, ::-1, ::-1]
+        self._w_mid_adj = None
+        if layers == 3:
+            self._w_mid_adj = self._w_mid.transpose(1, 0, 2, 3)[..., ::-1, ::-1]
+        # (copy of x, (N(x), first tanh stack, second tanh stack or None)),
+        # replaced whole, never mutated.
+        self._last = None
 
-    def _forward(self, x2):
-        """Run N, keeping post-tanh activations for the Jacobian sweeps."""
-        c = self.channels
-        a1 = [np.tanh(conv2d_wrap(x2, self._w_in[i])) for i in range(c)]
-        if self.layers == 2:
-            out = np.zeros(self.shape)
-            for i in range(c):
-                out += conv2d_wrap(a1[i], self._w_out[i])
-            return out, (a1, None)
-        a2 = []
-        for j in range(c):
-            z = np.zeros(self.shape)
-            for i in range(c):
-                z += conv2d_wrap(a1[i], self._w_mid[j, i])
-            a2.append(np.tanh(z))
-        out = np.zeros(self.shape)
-        for j in range(c):
-            out += conv2d_wrap(a2[j], self._w_out[j])
-        return out, (a1, a2)
+    def _forward(self, x):
+        """(N(x), tanh activations) for a flat x, kept for the last point.
+
+        The key is the bits of x, not its values, so that -0.0 and NaN
+        never reuse another point's activations.
+        """
+        last = self._last
+        if last is not None and np.array_equal(
+            last[0].view(np.int64), x.view(np.int64)
+        ):
+            return last[1]
+        acts = self._network(x.reshape(self.shape))
+        self._last = (x.copy(), acts)
+        return acts
+
+    def _network(self, x2):
+        """(N(x), first tanh stack, second tanh stack or None) for an image."""
+        a1 = np.tanh(_conv3(x2, self._w_in))
+        a2 = None
+        top = a1
+        if self.layers == 3:
+            a2 = top = np.tanh(_conv3_sum(a1, self._w_mid))
+        return _conv3_sum(top, self._w_out), a1, a2
 
     def apply(self, x):
         x = self._check(x)
-        out, _ = self._forward(x.reshape(self.shape))
-        return x - out.reshape(-1)
+        return x - self._forward(x)[0].reshape(-1)
 
     def residual_vjp(self, x, v):
-        # R = N, so this is J_N(x)^T v: reverse sweep with 180-degree
-        # rotated kernels as the conv adjoints.
+        # R = N, so this is J_N(x)^T v: reverse sweep with the rotated
+        # kernels as the conv adjoints.
         x = self._check(x)
         v = self._check(v)
-        c = self.channels
-        _, (a1, a2) = self._forward(x.reshape(self.shape))
-        g = v.reshape(self.shape)
-        if self.layers == 2:
-            g1 = [
-                conv2d_wrap(g, self._w_out[i][::-1, ::-1]) * (1.0 - a1[i] ** 2)
-                for i in range(c)
-            ]
-        else:
-            g2 = [
-                conv2d_wrap(g, self._w_out[j][::-1, ::-1]) * (1.0 - a2[j] ** 2)
-                for j in range(c)
-            ]
-            g1 = []
-            for i in range(c):
-                acc = np.zeros(self.shape)
-                for j in range(c):
-                    acc += conv2d_wrap(g2[j], self._w_mid[j, i][::-1, ::-1])
-                g1.append(acc * (1.0 - a1[i] ** 2))
-        gx = np.zeros(self.shape)
-        for i in range(c):
-            gx += conv2d_wrap(g1[i], self._w_in[i][::-1, ::-1])
-        return gx.reshape(-1)
+        _, a1, a2 = self._forward(x)
+        g = _conv3(v.reshape(self.shape), self._w_out_adj)
+        if self.layers == 3:
+            g *= 1.0 - a2**2
+            g = _conv3_sum(g, self._w_mid_adj)
+        g *= 1.0 - a1**2
+        return _conv3_sum(g, self._w_in_adj).reshape(-1)
 
     def residual_jvp(self, x, v):
         # J_N(x) v: forward sweep reusing the stored tanh outputs.
         x = self._check(x)
         v = self._check(v)
-        c = self.channels
-        _, (a1, a2) = self._forward(x.reshape(self.shape))
-        t = v.reshape(self.shape)
-        t1 = [conv2d_wrap(t, self._w_in[i]) * (1.0 - a1[i] ** 2) for i in range(c)]
-        if self.layers == 2:
-            out = np.zeros(self.shape)
-            for i in range(c):
-                out += conv2d_wrap(t1[i], self._w_out[i])
-            return out.reshape(-1)
-        t2 = []
-        for j in range(c):
-            z = np.zeros(self.shape)
-            for i in range(c):
-                z += conv2d_wrap(t1[i], self._w_mid[j, i])
-            t2.append(z * (1.0 - a2[j] ** 2))
-        out = np.zeros(self.shape)
-        for j in range(c):
-            out += conv2d_wrap(t2[j], self._w_out[j])
-        return out.reshape(-1)
+        _, a1, a2 = self._forward(x)
+        t = _conv3(v.reshape(self.shape), self._w_in)
+        t *= 1.0 - a1**2
+        if self.layers == 3:
+            t = _conv3_sum(t, self._w_mid)
+            t *= 1.0 - a2**2
+        return _conv3_sum(t, self._w_out).reshape(-1)
 
 
 class FdJacobianWrapper(Denoiser):

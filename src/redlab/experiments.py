@@ -2,8 +2,8 @@
 
 A run always synthesizes its own measurements from a known clean image, so
 reconstruction quality can be traced per iteration.  Outputs per run: the
-iteration trace CSV, a JSON sidecar sufficient to re-run bit-identically,
-and the reconstruction as a 16-bit PGM.
+iteration trace CSV, a JSON sidecar sufficient to re-run bit-identically
+at the same BLAS thread count, and the reconstruction as a 16-bit PGM.
 """
 
 import json

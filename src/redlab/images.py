@@ -2,6 +2,9 @@
 
 Periodic convolution with a separable (rank-1) kernel is two small GEMMs
 with circulant matrices; any other kernel goes through real FFTs.
+conv2d_wrap, direct summation by scipy.signal, is kept for the texture
+image and as the tests' reference; it imports scipy.signal on its first
+call, so that module stays off the package's import path.
 
 Images are stored as flat row-major float64 vectors with explicit 2D shape
 metadata.  Pixel values are nominally in [0, 1] but are never clipped here;
@@ -14,7 +17,6 @@ import functools
 import numpy as np
 from scipy.fft import dctn, idctn, irfft2, rfft2
 from scipy.linalg import circulant
-from scipy.signal import convolve2d
 
 from .rng import RngState, gaussian_samples
 
@@ -106,8 +108,12 @@ def conv2d_wrap(arr, kern):
     """Periodic (circular) 2D convolution of a 2D array with a 2D kernel.
 
     The kernel is centered: out[p] = sum_d kern[c + d] * arr[(p - d) mod shape].
-    Direct spatial summation, O(n * k^2).
+    Direct spatial summation, O(n * k^2), by scipy.signal.convolve2d.  The
+    texture image and the tests' references use it; the module is imported
+    on the first call, since it costs about 40 MB and a second of import.
     """
+    from scipy.signal import convolve2d
+
     return convolve2d(arr, kern, mode="same", boundary="wrap")
 
 

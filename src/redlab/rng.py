@@ -13,11 +13,14 @@ _FAMILY = "pcg64"
 _CHUNK = 1 << 16
 
 
-def _count(count):
-    """`count` as an int; a non-integral value is an error, not truncated."""
-    n = int(count)
-    if n != count:
-        raise ValueError(f"count must be an integer, got {count!r}")
+def _integral(value, name="count"):
+    """`value` as an int; a non-integral value is an error, not truncated."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return n
 
 
@@ -29,7 +32,7 @@ class RngState:
     """
 
     def __init__(self, seed):
-        seed = int(seed)
+        seed = _integral(seed, "seed")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         self.seed = seed
@@ -38,14 +41,14 @@ class RngState:
 
     def uniform(self, count):
         """Return `count` samples uniform on [0, 1)."""
-        count = _count(count)
+        count = _integral(count)
         if count < 0:
             raise ValueError("count must be non-negative")
         return self._gen.random(count)
 
     def integers(self, low, high, count):
         """Return `count` integers uniform on [low, high)."""
-        return self._gen.integers(low, high, size=_count(count))
+        return self._gen.integers(low, high, size=_integral(count))
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, family={self.family!r})"
@@ -60,7 +63,7 @@ def gaussian_samples(rng, count):
     into the result, so no other full-size array is made.  `count` must be
     an integer >= 1.
     """
-    count = _count(count)
+    count = _integral(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     pairs = (count + 1) // 2

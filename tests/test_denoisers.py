@@ -1,6 +1,9 @@
 """Denoisers: analytic Jacobian products vs. independent oracles, Lipschitz
 estimation, and the nonexpansive/expansive certification boundary."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.fft import idctn
@@ -243,6 +246,196 @@ def test_convnet_validation():
         RandomConvnetDenoiser((8, 8), 2, 2, 0.0, seed=0)
     with pytest.raises(ValueError):
         RandomConvnetDenoiser((2, 8), 2, 2, 0.8, seed=0)
+
+
+def test_convnet_rejects_non_integral_sizes():
+    bad_args = (
+        {"layers": 2.5},
+        {"channels": 2.5},
+        {"seed": 11.5},
+        {"channels": "2"},
+        {"channels": None},
+        {"channels": float("inf")},
+        {"weight_scale": float("nan")},
+    )
+    for bad in bad_args:
+        args = {"layers": 2, "channels": 2, "weight_scale": 0.8, "seed": 0, **bad}
+        with pytest.raises(ValueError):
+            RandomConvnetDenoiser((8, 8), **args)
+        with pytest.raises(ValueError):
+            build_denoiser({"name": "convnet", **args}, (8, 8))
+    # Integral floats and numpy integers are the integers they equal.
+    d = RandomConvnetDenoiser((8, 8), 3.0, np.int64(2), 0.8, seed=np.uint8(4))
+    assert (d.layers, d.channels, d.seed) == (3, 2, 4)
+    assert all(type(v) is int for v in (d.layers, d.channels, d.seed))
+    x = probe(5, 64)
+    want = RandomConvnetDenoiser((8, 8), 3, 2, 0.8, seed=4).apply(x)
+    assert np.array_equal(d.apply(x), want)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def rot(k):
+    return k[::-1, ::-1]
+
+
+class PerChannelConvnet:
+    """The convnet one channel at a time with conv2d_wrap, its weights drawn
+    as RandomConvnetDenoiser draws them; each channel sum starts from zero."""
+
+    def __init__(self, shape, layers, channels, weight_scale, seed):
+        rng = RngState(seed)
+
+        def draw(count, fan_in):
+            scale = weight_scale / np.sqrt(9.0 * fan_in)
+            return scale * gaussian_samples(rng, count * 9).reshape(count, 3, 3)
+
+        c = channels
+        self.shape, self.layers, self.c = shape, layers, c
+        self.w_in = draw(c, 1)
+        self.w_mid = draw(c * c, c).reshape(c, c, 3, 3) if layers == 3 else None
+        self.w_out = draw(c, c)
+
+    def _sum(self, planes):
+        acc = np.zeros(self.shape)
+        for plane in planes:
+            acc += plane
+        return acc
+
+    def _acts(self, x):
+        x2, c = x.reshape(self.shape), self.c
+        a1 = [np.tanh(conv2d_wrap(x2, self.w_in[i])) for i in range(c)]
+        if self.layers == 2:
+            return a1, None
+        a2 = [
+            np.tanh(self._sum(conv2d_wrap(a1[i], self.w_mid[j, i]) for i in range(c)))
+            for j in range(c)
+        ]
+        return a1, a2
+
+    def apply(self, x):
+        a1, a2 = self._acts(x)
+        top = a1 if a2 is None else a2
+        out = self._sum(conv2d_wrap(top[j], self.w_out[j]) for j in range(self.c))
+        return x - out.reshape(-1)
+
+    def vjp(self, x, v):
+        a1, a2 = self._acts(x)
+        c, g = self.c, v.reshape(self.shape)
+        top = a1 if a2 is None else a2
+        gs = [conv2d_wrap(g, rot(self.w_out[j])) * (1.0 - top[j] ** 2) for j in range(c)]
+        if a2 is not None:
+            gs = [
+                self._sum(conv2d_wrap(gs[j], rot(self.w_mid[j, i])) for j in range(c))
+                * (1.0 - a1[i] ** 2)
+                for i in range(c)
+            ]
+        out = self._sum(conv2d_wrap(gs[i], rot(self.w_in[i])) for i in range(c))
+        return out.reshape(-1)
+
+    def jvp(self, x, v):
+        a1, a2 = self._acts(x)
+        c, t = self.c, v.reshape(self.shape)
+        ts = [conv2d_wrap(t, self.w_in[i]) * (1.0 - a1[i] ** 2) for i in range(c)]
+        if a2 is not None:
+            ts = [
+                self._sum(conv2d_wrap(ts[i], self.w_mid[j, i]) for i in range(c))
+                * (1.0 - a2[j] ** 2)
+                for j in range(c)
+            ]
+        out = self._sum(conv2d_wrap(ts[j], self.w_out[j]) for j in range(c))
+        return out.reshape(-1)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (33, 35), (64, 64)])
+@pytest.mark.parametrize("layers", [2, 3])
+def test_convnet_is_bit_equal_to_per_channel_reference(layers, shape):
+    d = RandomConvnetDenoiser(shape, layers, 4, 0.9, seed=21)
+    ref = PerChannelConvnet(shape, layers, 4, 0.9, 21)
+    rng = RngState(22)
+    for _ in range(2):
+        x = rng.uniform(d.n)
+        v = gaussian_samples(rng, d.n)
+        assert np.array_equal(bits(d.apply(x)), bits(ref.apply(x)))
+        assert np.array_equal(bits(d.residual_vjp(x, v)), bits(ref.vjp(x, v)))
+        assert np.array_equal(bits(d.residual_jvp(x, v)), bits(ref.jvp(x, v)))
+
+
+def test_convnet_keeps_the_last_points_activations(monkeypatch):
+    d = RandomConvnetDenoiser((16, 16), 2, 4, 0.8, seed=11)
+    ref = PerChannelConvnet((16, 16), 2, 4, 0.8, 11)
+    runs = []
+    network = d._network
+    monkeypatch.setattr(d, "_network", lambda x2: runs.append(1) or network(x2))
+    rng = RngState(30)
+    x, z, w = rng.uniform(256), rng.uniform(256), rng.uniform(256)
+    v = gaussian_samples(rng, 256)
+
+    def check(point, expect_runs):
+        # Any call order gives the reference's bits; runs counts forward passes.
+        assert np.array_equal(bits(d.apply(point)), bits(ref.apply(point)))
+        assert np.array_equal(bits(d.residual_vjp(point, v)), bits(ref.vjp(point, v)))
+        assert np.array_equal(bits(d.residual_jvp(point, v)), bits(ref.jvp(point, v)))
+        assert len(runs) == expect_runs
+
+    for k, point in enumerate((x, z, x, z)):
+        check(point, k + 1)
+    assert np.array_equal(bits(d.residual_vjp(x, v)), bits(ref.vjp(x, v)))
+    assert np.array_equal(bits(d.residual_jvp(z, v)), bits(ref.jvp(z, v)))
+    assert len(runs) == 6
+    # The caller's buffer changes after an apply: the kept point does not.
+    y = x.copy()
+    d.apply(y)
+    y[:] = w
+    assert np.array_equal(bits(d.residual_vjp(y, v)), bits(ref.vjp(w, v)))
+    assert len(runs) == 8
+    # Equal values with other bits are another point.
+    check(np.zeros(256), 9)
+    check(np.full(256, -0.0), 10)
+    # A NaN input propagates; the same bits are the same point, a NaN with
+    # another sign is not, and the next finite point is not stale.
+    xn = x.copy()
+    xn[7] = np.nan
+    assert np.array_equal(d.apply(xn), ref.apply(xn), equal_nan=True)
+    assert np.array_equal(d.residual_vjp(xn.copy(), v), ref.vjp(xn, v), equal_nan=True)
+    assert len(runs) == 11
+    xn[7] = -np.nan
+    d.apply(xn)
+    assert len(runs) == 12
+    check(x, 13)
+
+
+def test_convnet_shared_across_threads():
+    # The kept point and its activations are replaced in one assignment, so
+    # threads sharing a denoiser never pair one point with another's.
+    d = RandomConvnetDenoiser((16, 16), 2, 4, 0.8, seed=11)
+    ref = PerChannelConvnet((16, 16), 2, 4, 0.8, 11)
+    rng = RngState(40)
+    points = [rng.uniform(256) for _ in range(4)]
+    v = gaussian_samples(rng, 256)
+    want = [bits(ref.vjp(p, v)) for p in points]
+    wrong = []
+
+    def work(k):
+        for _ in range(200):
+            d.apply(points[k])
+            if not np.array_equal(bits(d.residual_vjp(points[k], v)), want[k]):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # ---------------------------------------------------------------- fd wrapper

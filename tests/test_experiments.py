@@ -4,10 +4,13 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import redlab
 from redlab import operators
 from redlab import (
     CompressiveSensingOperator,
@@ -815,3 +818,26 @@ def test_cli_make_data(tmp_path, capsys):
     assert code == 0
     assert captured.out.count("wrote ") == 13
     assert os.path.isfile(os.path.join(out, "deblur_expansive.json"))
+
+
+def test_scipy_signal_stays_off_the_import_path():
+    # scipy.signal costs about 40 MB and a second of import time; of the
+    # package, only the texture test image still convolves with it.
+    code = (
+        "import sys\n"
+        "import redlab, redlab.cli\n"
+        "from redlab.config import from_dict\n"
+        "from redlab.experiments import build_experiment\n"
+        "from redlab.presets import EXPERIMENT_PRESETS\n"
+        "for name in sorted(EXPERIMENT_PRESETS):\n"
+        "    build_experiment(from_dict(EXPERIMENT_PRESETS[name]))\n"
+        "print('scipy.signal' in sys.modules)\n"
+        "redlab.named_test_image('texture', 0, (32, 32))\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(redlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]

@@ -33,6 +33,13 @@ def test_seed_validation():
     # Boundary values are fine.
     RngState(0)
     RngState(2**64 - 1)
+    # int() would truncate a non-integral seed: 2.5 would seed with 2.
+    for bad in (2.5, np.float64(7.1), "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            RngState(bad)
+    for good in (3.0, np.int64(3), np.uint8(3)):
+        assert RngState(good).seed == 3
+        assert np.array_equal(RngState(good).uniform(4), RngState(3).uniform(4))
 
 
 def test_repr_mentions_seed_and_family():

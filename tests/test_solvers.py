@@ -24,6 +24,9 @@ from redlab import (
     red_sd_fixed,
     run_solver,
 )
+from redlab.config import from_dict
+from redlab.experiments import run_experiment
+from redlab.presets import experiment_preset
 
 SHAPE = (16, 16)
 N = 256
@@ -380,3 +383,36 @@ def test_run_solver_dispatch():
         assert phis(via) == phis(direct)
     with pytest.raises(ValueError):
         run_solver("sd", p, y.copy(), cfg)
+
+
+def test_deblur_nonexpansive_reaches_the_closed_form_fixed_point():
+    # With the linear smoother W, G(x) = M x - A^T y for M = A^T A + tau (I - W),
+    # and M is diagonal in the DFT: x* = F^-1[conj(khat) yhat / (|khat|^2 +
+    # tau (1 - what))].  Since x - x* = M^-1 G(x), ||x - x*|| <= ||G(x)|| /
+    # lambda_min(M) at any x; applied to the run's x_star and to the computed
+    # x*, it bounds their gap, with lambda_min exact from the spectra.
+    cfg = from_dict(experiment_preset("deblur_nonexpansive"))
+    result, built, _ = run_experiment(cfg)
+    shape = tuple(cfg.shape)
+
+    def spectrum(kernel):
+        r = kernel.size // 2
+        offsets = np.arange(-r, r + 1)
+        embed = np.zeros(shape)
+        embed[np.ix_(offsets % shape[0], offsets % shape[1])] = kernel.as_2d()
+        return np.fft.fft2(embed)
+
+    khat = spectrum(built.op.kernel)
+    what = spectrum(built.denoiser.kernel)
+    assert np.max(np.abs(what.imag)) < 1e-15
+    tau = built.problem.tau
+    eig = np.abs(khat) ** 2 + tau * (1.0 - what.real)
+    closed = np.fft.ifft2(np.conj(khat) * np.fft.fft2(built.y.reshape(shape)) / eig)
+    assert np.max(np.abs(closed.imag)) < 1e-14
+    x_closed = closed.real.reshape(-1)
+    lam_min = float(eig.min())
+    assert lam_min > 0.0
+    g_run = np.linalg.norm(built.problem.operator_g(result.x_star))
+    g_closed = np.linalg.norm(built.problem.operator_g(x_closed))
+    gap = np.linalg.norm(result.x_star - x_closed)
+    assert gap <= (g_run + g_closed) / lam_min
