@@ -32,7 +32,6 @@ from .fidelity import LeastSquaresFidelity, NoiseSpec, add_noise_at_snr
 from .denoisers import (
     Denoiser,
     DctSoftThresholdDenoiser,
-    FdJacobianWrapper,
     IdentityDenoiser,
     LinearSmoothingDenoiser,
     LipschitzEstimate,
@@ -77,7 +76,6 @@ __all__ = [
     "DctSoftThresholdDenoiser",
     "ScaledDenoiser",
     "RandomConvnetDenoiser",
-    "FdJacobianWrapper",
     "LipschitzEstimate",
     "estimate_lipschitz",
     "EvalCounters",

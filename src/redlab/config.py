@@ -67,7 +67,14 @@ def _number(d, key, path, default=None, required=False, allow_none=False):
         return None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(f"{path}.{key}", "expected a number")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    # No key takes an infinite value: a noiseless input_snr_db is null.
+    if not math.isfinite(v):
+        _fail(f"{path}.{key}", "expected a finite number")
+    return v
 
 
 def _integer(d, key, path, default=None, required=False):

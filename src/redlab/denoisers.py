@@ -1,7 +1,7 @@
 """Denoisers with analytic residual Jacobian products, plus a Lipschitz estimator.
 
-Every denoiser D maps flat vectors of dimension n and exposes products with
-the Jacobian of its residual map R(x) = x - D(x):
+Every denoiser D maps flat vectors of dimension n (`apply`) and exposes
+analytic products with the Jacobian of its residual map R(x) = x - D(x):
 
     residual_vjp(x, v) = (I - J_D(x))^T v
     residual_jvp(x, v) = (I - J_D(x)) v
@@ -30,11 +30,6 @@ class Denoiser:
 
     def apply(self, x):
         raise NotImplementedError
-
-    def residual(self, x):
-        """R(x) = x - D(x)."""
-        x = self._check(x)
-        return x - self.apply(x)
 
     def residual_vjp(self, x, v):
         raise NotImplementedError
@@ -88,7 +83,7 @@ class LinearSmoothingDenoiser(Denoiser):
     nominal_lipschitz = 1.0
 
     def __init__(self, shape, sigma):
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("sigma must be positive")
         h, w = int(shape[0]), int(shape[1])
         radius = int(np.ceil(4.0 * sigma))
@@ -157,9 +152,9 @@ class DctSoftThresholdDenoiser(Denoiser):
     nominal_lipschitz = 1.0
 
     def __init__(self, shape, threshold, smoothing_mu=0.0):
-        if threshold <= 0:
+        if not threshold > 0:
             raise ValueError("threshold must be positive")
-        if smoothing_mu < 0:
+        if not smoothing_mu >= 0:
             raise ValueError("smoothing_mu must be non-negative")
         if smoothing_mu > 0 and smoothing_mu >= threshold:
             raise ValueError("smoothing_mu must be smaller than the threshold")
@@ -190,7 +185,7 @@ class ScaledDenoiser(Denoiser):
     """D(x) = s * inner(x); s > 1 over a Lipschitz-1 inner is certified expansive."""
 
     def __init__(self, inner, scale):
-        if scale <= 0:
+        if not scale > 0:
             raise ValueError("scale must be positive")
         self.inner = inner
         self.scale = float(scale)
@@ -377,69 +372,6 @@ class RandomConvnetDenoiser(Denoiser):
             t = _conv3_sum(t, self._w_mid)
             t *= 1.0 - a2**2
         return _conv3_sum(t, self._w_out).reshape(-1)
-
-
-class FdJacobianWrapper(Denoiser):
-    """Finite-difference residual Jacobian products for a denoiser without them.
-
-    Symmetric Jacobians use a directional central difference (a JVP, which
-    equals the VJP under symmetry).  Non-symmetric ones fall back to building
-    the dense Jacobian column by column, capped at n <= 4096.
-    """
-
-    DENSE_CAP = 4096
-
-    def __init__(self, base, h=1e-5):
-        if h <= 0:
-            raise ValueError("step h must be positive")
-        if not base.symmetric_jacobian and base.n > self.DENSE_CAP:
-            raise ValueError(
-                "non-symmetric Jacobian requires the dense fallback, "
-                f"which caps at n = {self.DENSE_CAP}"
-            )
-        self.base = base
-        self.h = float(h)
-        self.n = base.n
-        self.symmetric_jacobian = base.symmetric_jacobian
-        self.smooth = base.smooth
-        self.nominal_lipschitz = base.nominal_lipschitz
-
-    def apply(self, x):
-        return self.base.apply(x)
-
-    def _directional(self, x, v):
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return np.zeros(self.n)
-        vh = v / nv
-        h = self.h
-        rp = self.base.residual(x + h * vh)
-        rm = self.base.residual(x - h * vh)
-        return (rp - rm) * (nv / (2.0 * h))
-
-    def _dense_jacobian(self, x):
-        h = self.h
-        cols = np.empty((self.n, self.n))
-        e = np.zeros(self.n)
-        for j in range(self.n):
-            e[j] = h
-            cols[:, j] = (self.base.residual(x + e) - self.base.residual(x - e)) / (
-                2.0 * h
-            )
-            e[j] = 0.0
-        return cols
-
-    def residual_vjp(self, x, v):
-        x = self._check(x)
-        v = self._check(v)
-        if self.symmetric_jacobian:
-            return self._directional(x, v)
-        return self._dense_jacobian(x).T @ v
-
-    def residual_jvp(self, x, v):
-        x = self._check(x)
-        v = self._check(v)
-        return self._directional(x, v)
 
 
 @dataclass

@@ -26,10 +26,6 @@ class LeastSquaresFidelity:
         self.op = op
         self.y = y
 
-    def value(self, x):
-        r = self.op.forward(x) - self.y
-        return 0.5 * float(r @ r)
-
     def gradient(self, x):
         return self.op.adjoint(self.op.forward(x) - self.y)
 

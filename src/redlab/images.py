@@ -93,7 +93,7 @@ class Kernel2D:
 
 def gaussian_kernel(size, sigma):
     """Normalized truncated-Gaussian blur kernel of odd `size`."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     size = int(size)
     if size % 2 == 0 or size < 1:

@@ -1,4 +1,4 @@
-"""Linear measurement operators and spectral-norm estimation.
+"""Linear measurement operators and the exact spectral norm of each.
 
 Operators map flat row-major vectors; imaging operators reshape internally.
 Every operator exposes `forward`, `adjoint`, and the composition `gram`
@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, svdvals
 
 from .images import CyclicConvolver, Kernel2D
 from .rng import RngState, gaussian_samples
@@ -59,7 +59,8 @@ class LinearOperator:
     """Base for linear maps R^n -> R^m with an explicit adjoint.
 
     Subclasses set `n` and `m` in their constructor and implement
-    `forward` and `adjoint` on flat float64 vectors.
+    `forward` and `adjoint` on flat float64 vectors, and the exact
+    lambda_max(A^T A) that sets the solvers' step.
     """
 
     n = 0
@@ -78,8 +79,8 @@ class LinearOperator:
         return self.adjoint(self.forward(v))
 
     def exact_spectral_norm_sq(self):
-        """lambda_max(A^T A) in closed form, or None where the structure gives none."""
-        return None
+        """lambda_max(A^T A), exact."""
+        raise NotImplementedError
 
     def _check_domain(self, x):
         x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -145,6 +146,9 @@ class MatrixOperator(LinearOperator):
         for block in self._blocks:
             out += block.T @ (block @ v)
         return out
+
+    def exact_spectral_norm_sq(self):
+        return float(svdvals(self.matrix)[0]) ** 2
 
 
 class DeblurOperator(LinearOperator):
@@ -251,43 +255,13 @@ def _cs_operator(m, n, seed, _threads):
 
 @dataclass
 class SpectralEstimate:
-    """Largest eigenvalue of A^T A: exact (iterations == 0) or by power iteration."""
+    """Largest eigenvalue of A^T A; exact, so iterations is 0 and converged True."""
 
     value: float
     iterations: int
     converged: bool
 
 
-def spectral_norm_sq(op, iters=200, tol=1e-9, rng=None):
-    """lambda_max(A^T A), exact where the operator knows it in closed form.
-
-    Otherwise power iteration with Rayleigh quotients: it stops when the
-    relative change of the estimate drops below `tol`, or runs `iters`
-    rounds and reports the result as unconverged.  The estimate is monotone
-    non-decreasing across iterations.
-    """
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
-    exact = op.exact_spectral_norm_sq()
-    if exact is not None:
-        return SpectralEstimate(exact, 0, True)
-    if rng is None:
-        rng = RngState(0)
-    v = gaussian_samples(rng, op.n)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise RuntimeError("degenerate start vector")
-    v = v / nv
-    estimate = 0.0
-    for k in range(1, iters + 1):
-        w = op.gram(v)
-        rayleigh = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # Probe direction annihilated; the quotient cannot improve.
-            return SpectralEstimate(max(estimate, rayleigh), k, True)
-        if k > 1 and abs(rayleigh - estimate) <= tol * max(abs(rayleigh), 1e-300):
-            return SpectralEstimate(rayleigh, k, True)
-        estimate = rayleigh
-        v = w / nw
-    return SpectralEstimate(estimate, iters, False)
+def spectral_norm_sq(op):
+    """lambda_max(A^T A), from the operator's closed form."""
+    return SpectralEstimate(op.exact_spectral_norm_sq(), 0, True)

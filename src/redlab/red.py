@@ -43,8 +43,8 @@ class REDProblem:
     """
 
     def __init__(self, fidelity, denoiser, tau):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < np.inf:
+            raise ValueError("tau must be positive and finite")
         if fidelity.op.n != denoiser.n:
             raise ValueError(
                 f"fidelity domain dimension {fidelity.op.n} != denoiser dimension {denoiser.n}"
@@ -123,21 +123,5 @@ class REDProblem:
             counters.grad_phi_evals += 1
         return 0.5 * float(g @ g), grad, g, hg, hgrad
 
-    def phi_and_grad(self, x, counters=None):
-        phi, grad = self.eval_state(x, counters)[:2]
-        return phi, grad
-
     def grad_phi(self, x, counters=None):
         return self.eval_state(x, counters)[1]
-
-    def regularizer_value(self, x, counters=None):
-        """Diagnostic (tau/2) <x, x - D(x)>.
-
-        Matches an explicit regularizer only for denoisers that admit one;
-        reported as-is for the others.
-        """
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        r = x - self.denoiser.apply(x)
-        if counters is not None:
-            counters.denoiser_applies += 1
-        return 0.5 * self.tau * float(x @ r)

@@ -46,10 +46,6 @@ class RngState:
             raise ValueError("count must be non-negative")
         return self._gen.random(count)
 
-    def integers(self, low, high, count):
-        """Return `count` integers uniform on [low, high)."""
-        return self._gen.integers(low, high, size=_integral(count))
-
     def __repr__(self):
         return f"RngState(seed={self.seed}, family={self.family!r})"
 

@@ -58,7 +58,7 @@ class SolverConfig:
         self.t = int(self.t)
         if not self.divergence_cap > 0:
             raise ValueError("divergence_cap must be positive")
-        if self.converge_tol < 0:
+        if not self.converge_tol >= 0:
             raise ValueError("converge_tol must be non-negative")
 
 
@@ -91,9 +91,9 @@ class SolveResult:
 
 def default_gamma(L, tau):
     """Step size 1/(L + 2 tau) for fidelity gradient Lipschitz constant L."""
-    if L < 0:
+    if not L >= 0:
         raise ValueError("L must be non-negative")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     return 1.0 / (L + 2.0 * tau)
 

@@ -10,7 +10,6 @@ from scipy.fft import idctn
 
 from redlab import (
     DctSoftThresholdDenoiser,
-    FdJacobianWrapper,
     IdentityDenoiser,
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
@@ -30,7 +29,8 @@ def dense_residual_jacobian(d, x, h=1e-6):
     e = np.zeros(n)
     for j in range(n):
         e[j] = h
-        jac[:, j] = (d.residual(x + e) - d.residual(x - e)) / (2.0 * h)
+        xp, xm = x + e, x - e
+        jac[:, j] = ((xp - d.apply(xp)) - (xm - d.apply(xm))) / (2.0 * h)
         e[j] = 0.0
     return jac
 
@@ -47,7 +47,7 @@ def test_identity_denoiser():
     x = probe(1, 10)
     v = gaussian_samples(RngState(2), 10)
     assert np.array_equal(d.apply(x), x)
-    assert np.array_equal(d.residual(x), np.zeros(10))
+    assert np.array_equal(x - d.apply(x), np.zeros(10))
     assert np.array_equal(d.residual_vjp(x, v), np.zeros(10))
     est = estimate_lipschitz(d, probes=2, iters=10)
     assert abs(est.value - 1.0) < 1e-10
@@ -139,7 +139,8 @@ def test_smoothed_threshold_vjp_matches_fd():
     for _ in range(5):
         v = gaussian_samples(rng, 64)
         v = v / np.linalg.norm(v)
-        fd = (d.residual(x + h * v) - d.residual(x - h * v)) / (2.0 * h)
+        xp, xm = x + h * v, x - h * v
+        fd = ((xp - d.apply(xp)) - (xm - d.apply(xm))) / (2.0 * h)
         got = d.residual_vjp(x, v)  # symmetric, so VJP == JVP
         rel = np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-6
@@ -436,42 +437,6 @@ def test_convnet_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-
-
-# ---------------------------------------------------------------- fd wrapper
-
-
-def test_fd_wrapper_matches_analytic_smoother():
-    base = LinearSmoothingDenoiser((16, 16), 1.0)
-    wrapped = FdJacobianWrapper(base)
-    x = probe(14, 256)
-    v = gaussian_samples(RngState(15), 256)
-    got = wrapped.residual_vjp(x, v)
-    want = base.residual_vjp(x, v)
-    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
-
-
-def test_fd_wrapper_zero_direction():
-    wrapped = FdJacobianWrapper(LinearSmoothingDenoiser((16, 16), 1.0))
-    assert np.array_equal(wrapped.residual_vjp(probe(16, 256), np.zeros(256)), np.zeros(256))
-
-
-def test_fd_wrapper_dense_fallback_convnet():
-    base = RandomConvnetDenoiser((8, 8), 2, 2, 0.8, seed=9)
-    wrapped = FdJacobianWrapper(base)
-    x = probe(17, 64)
-    v = gaussian_samples(RngState(18), 64)
-    got = wrapped.residual_vjp(x, v)
-    want = base.residual_vjp(x, v)
-    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-4
-
-
-def test_fd_wrapper_cap():
-    big = RandomConvnetDenoiser((70, 70), 2, 2, 0.8, seed=0)  # n = 4900
-    with pytest.raises(ValueError):
-        FdJacobianWrapper(big)
-    with pytest.raises(ValueError):
-        FdJacobianWrapper(IdentityDenoiser(4), h=0.0)
 
 
 # -------------------------------------------------------- lipschitz estimate

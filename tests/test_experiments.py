@@ -1,6 +1,7 @@
 """Experiment configs, run artifacts, sweeps, plots, and the CLI."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -14,14 +15,18 @@ import redlab
 from redlab import operators
 from redlab import (
     CompressiveSensingOperator,
+    DctSoftThresholdDenoiser,
     IdentityDenoiser,
     ImageGrid,
     LeastSquaresFidelity,
+    LinearSmoothingDenoiser,
     MatrixOperator,
     REDProblem,
     RngState,
+    ScaledDenoiser,
     SolverConfig,
     TEST_IMAGE_NAMES,
+    default_gamma,
     gaussian_kernel,
     mred,
     named_test_image,
@@ -181,6 +186,55 @@ def test_config_null_snr_means_noiseless():
     )
     assert cfg.noise["input_snr_db"] is None
     assert to_dict(cfg)["noise"]["input_snr_db"] is None
+
+
+@pytest.mark.parametrize(
+    "patch, tau_arg",
+    [
+        ({"tau": math.nan}, None),
+        ({"tau": math.inf}, None),
+        ({"tau": 10**400}, None),
+        ({"operator": {"kernel_size": 5, "kernel_sigma": math.nan}}, None),
+        ({"solver": {"name": "red", "converge_tol": math.nan}}, None),
+        ({"denoiser": {"name": "scaled_identity", "scale": math.nan}}, None),
+        ({}, "nan"),
+        ({}, "inf"),
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, patch, tau_arg):
+    # Python's json reads and writes NaN and Infinity, and a long integer
+    # literal overflows a float; the CLI's --tau skips the parser.
+    raw = {**EXPANSIVE_SMALL, **patch}
+    with pytest.raises(ValueError):  # ConfigError is a ValueError
+        cfg = from_dict(raw)
+        if tau_arg is not None:
+            cfg = dataclasses.replace(cfg, tau=float(tau_arg))
+        build_experiment(cfg)
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    args = ["run", "--config", write_config(tmp, raw), "--out", out]
+    assert main(args + (["--tau", tau_arg] if tau_arg else [])) == 1
+    assert not os.path.exists(out)
+    capsys.readouterr()
+
+
+def test_classes_reject_nan_parameters():
+    nan = math.nan
+    fid = LeastSquaresFidelity(MatrixOperator(np.eye(4)), np.zeros(4))
+    for make in (
+        lambda: gaussian_kernel(5, nan),
+        lambda: LinearSmoothingDenoiser((16, 16), nan),
+        lambda: DctSoftThresholdDenoiser((8, 8), nan),
+        lambda: DctSoftThresholdDenoiser((8, 8), 0.1, nan),
+        lambda: ScaledDenoiser(IdentityDenoiser(4), nan),
+        lambda: REDProblem(fid, IdentityDenoiser(4), nan),
+        lambda: REDProblem(fid, IdentityDenoiser(4), math.inf),
+        lambda: SolverConfig(gamma=0.5, converge_tol=nan),
+        lambda: default_gamma(nan, 0.1),
+        lambda: default_gamma(1.0, nan),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_load_config(tmp_path):

@@ -196,36 +196,6 @@ def test_grad_phi_zero_denoiser_scaling():
     assert np.max(np.abs(p.grad_phi(x) - want)) < 1e-12
 
 
-# --------------------------------------------------------------- regularizer
-
-
-def test_regularizer_identity_is_zero():
-    f = LeastSquaresFidelity(MatrixOperator(np.eye(5)), np.zeros(5))
-    p = REDProblem(f, IdentityDenoiser(5), tau=2.0)
-    assert p.regularizer_value(gaussian_samples(RngState(20), 5)) == 0.0
-
-
-def test_regularizer_smoother_nonnegative():
-    p, _m, _b, _y = smoother_instance(seed=21, tau=0.4)
-    wmat = dense_matrix(p.denoiser.apply, 64)
-    eigs = np.linalg.eigvalsh(np.eye(64) - 0.5 * (wmat + wmat.T))
-    assert eigs.min() >= -1e-12  # I - W is PSD for the unit-norm smoother
-    for seed in range(5):
-        x = gaussian_samples(RngState(seed), 64)
-        val = p.regularizer_value(x)
-        want = 0.5 * 0.4 * float(x @ (np.eye(64) - wmat) @ x)
-        assert abs(val - want) < 1e-10
-        assert val >= -1e-12
-
-
-def test_regularizer_negative_for_expansive():
-    # Scaled identity s=2: (tau/2) x^T (x - 2x) = -(tau/2)||x||^2.
-    f = LeastSquaresFidelity(MatrixOperator(np.eye(6)), np.zeros(6))
-    p = REDProblem(f, ScaledDenoiser(IdentityDenoiser(6), 2.0), tau=0.8)
-    x = gaussian_samples(RngState(22), 6)
-    assert abs(p.regularizer_value(x) + 0.4 * float(x @ x)) < 1e-12
-
-
 # ---------------------------------------------------- normalized residual
 
 
@@ -260,12 +230,10 @@ def test_counter_accounting():
     assert c.operator_adjoints == 4
     assert c.vjp_evals == 1
     assert c.grad_phi_evals == 1
-    p.regularizer_value(x, c)
-    assert c.denoiser_applies == 4
     snap = c.snapshot()
     p.phi(x, c)
-    assert snap.denoiser_applies == 4  # snapshot is decoupled
-    assert c.denoiser_applies == 5
+    assert snap.denoiser_applies == 3  # snapshot is decoupled
+    assert c.denoiser_applies == 4
 
 
 def test_eval_state_projection_identity():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
+from scipy.sparse.linalg import cg, eigsh
 
 from redlab import (
     DeblurOperator,
@@ -385,13 +387,25 @@ def test_run_solver_dispatch():
         run_solver("sd", p, y.copy(), cfg)
 
 
-def test_deblur_nonexpansive_reaches_the_closed_form_fixed_point():
-    # With the linear smoother W, G(x) = M x - A^T y for M = A^T A + tau (I - W),
+def _gap_bound(problem, x_run, x_ref, lam_min):
+    # For affine G(x) = M x - A^T y with M symmetric positive definite,
+    # x - x* = M^-1 G(x), so ||x - x*|| <= ||G(x)|| / lambda_min(M) at any x;
+    # applied to the run's x_star and to the reference point, it bounds their
+    # gap.  The reference, computed without redlab's G, must be a zero of G
+    # to rounding, relative to ||A^T y||.  Returns (gap, bound).
+    assert lam_min > 0.0
+    g_run = np.linalg.norm(problem.operator_g(x_run))
+    g_ref = np.linalg.norm(problem.operator_g(x_ref))
+    assert g_ref <= 1e-12 * np.linalg.norm(problem.fidelity_gradient(np.zeros(problem.n)))
+    return np.linalg.norm(x_run - x_ref), (g_run + g_ref) / lam_min
+
+
+def _deblur_closed_form_gap(preset):
+    # With a linear denoiser W, G(x) = M x - A^T y for M = A^T A + tau (I - W),
     # and M is diagonal in the DFT: x* = F^-1[conj(khat) yhat / (|khat|^2 +
-    # tau (1 - what))].  Since x - x* = M^-1 G(x), ||x - x*|| <= ||G(x)|| /
-    # lambda_min(M) at any x; applied to the run's x_star and to the computed
-    # x*, it bounds their gap, with lambda_min exact from the spectra.
-    cfg = from_dict(experiment_preset("deblur_nonexpansive"))
+    # tau (1 - what))], with what = 1 for the identity.  lambda_min is exact
+    # from the spectra.
+    cfg = from_dict(experiment_preset(preset))
     result, built, _ = run_experiment(cfg)
     shape = tuple(cfg.shape)
 
@@ -403,16 +417,45 @@ def test_deblur_nonexpansive_reaches_the_closed_form_fixed_point():
         return np.fft.fft2(embed)
 
     khat = spectrum(built.op.kernel)
-    what = spectrum(built.denoiser.kernel)
-    assert np.max(np.abs(what.imag)) < 1e-15
-    tau = built.problem.tau
-    eig = np.abs(khat) ** 2 + tau * (1.0 - what.real)
+    what = 1.0
+    if isinstance(built.denoiser, LinearSmoothingDenoiser):
+        what = spectrum(built.denoiser.kernel)
+        assert np.max(np.abs(what.imag)) < 1e-15
+        what = what.real
+    else:
+        assert isinstance(built.denoiser, IdentityDenoiser)
+    eig = np.abs(khat) ** 2 + built.problem.tau * (1.0 - what)
     closed = np.fft.ifft2(np.conj(khat) * np.fft.fft2(built.y.reshape(shape)) / eig)
     assert np.max(np.abs(closed.imag)) < 1e-14
-    x_closed = closed.real.reshape(-1)
-    lam_min = float(eig.min())
-    assert lam_min > 0.0
-    g_run = np.linalg.norm(built.problem.operator_g(result.x_star))
-    g_closed = np.linalg.norm(built.problem.operator_g(x_closed))
-    gap = np.linalg.norm(result.x_star - x_closed)
-    assert gap <= (g_run + g_closed) / lam_min
+    return _gap_bound(built.problem, result.x_star, closed.real.reshape(-1), float(eig.min()))
+
+
+def test_deblur_nonexpansive_reaches_the_closed_form_fixed_point():
+    gap, bound = _deblur_closed_form_gap("deblur_nonexpansive")
+    assert gap <= bound
+
+
+def test_deblur_identity_reaches_the_closed_form_fixed_point():
+    # The spectral-division oracle of the preset's comment: W = I.
+    gap, bound = _deblur_closed_form_gap("deblur_identity")
+    assert gap <= bound
+
+
+def test_cs_nonexpansive_reaches_the_conjugate_gradient_fixed_point():
+    # M = A^T A + tau (I - W) is symmetric positive definite here: A^T A is a
+    # projection, I - W is PSD with the constants as its null space, and the
+    # projection does not annihilate them.  CG solves M x = A^T y to 1e-14;
+    # Lanczos gives lambda_min(M) to machine precision.
+    cfg = from_dict(experiment_preset("cs_nonexpansive"))
+    result, built, _ = run_experiment(cfg)
+    p, op, w = built.problem, built.op, built.denoiser
+    assert isinstance(w, LinearSmoothingDenoiser)
+    m = ScipyLinearOperator(
+        (p.n, p.n), matvec=lambda v: op.gram(v) + p.tau * (v - w.apply(v)), dtype=float
+    )
+    x_cg, info = cg(m, op.adjoint(built.y), rtol=1e-14, atol=0.0)
+    assert info == 0
+    v0 = RngState(0).uniform(p.n)
+    lam_min = float(eigsh(m, k=1, which="SA", v0=v0, return_eigenvectors=False)[0])
+    gap, bound = _gap_bound(p, result.x_star, x_cg, lam_min)
+    assert gap <= bound
