@@ -23,7 +23,6 @@ from .operators import (
     CompressiveSensingOperator,
     DeblurOperator,
     LinearOperator,
-    MatrixOperator,
     SpectralEstimate,
     build_cs_operator,
     spectral_norm_sq,
@@ -61,7 +60,6 @@ __all__ = [
     "make_test_images",
     "named_test_image",
     "LinearOperator",
-    "MatrixOperator",
     "DeblurOperator",
     "CompressiveSensingOperator",
     "SpectralEstimate",

@@ -8,11 +8,11 @@ round-trip: to_dict(from_dict(d)) parses back to an equal object.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .images import TEST_IMAGE_NAMES
-from .presets import resolve_denoiser_spec
-from .solvers import SOLVER_NAMES
+from .presets import DENOISER_SCHEMAS, resolve_denoiser_spec
+from .solvers import SOLVER_NAMES, SolverConfig
 
 _PROBLEMS = ("deblur", "cs")
 
@@ -29,17 +29,11 @@ _TOP_KEYS = {
     "out",
 }
 
+# A null gamma means the default step 1/(L + 2 tau).
 _SOLVER_DEFAULTS = {
     "name": "mred",
     "gamma": None,
-    "alpha0": 1.0,
-    "beta": 0.5,
-    "theta": 0.1,
-    "epsilon": 1e-12,
-    "t": 1000,
-    "divergence_cap": 1e2,
-    "converge_tol": 0.0,
-    "conventional_armijo": False,
+    **{f.name: f.default for f in fields(SolverConfig) if f.name != "gamma"},
 }
 
 
@@ -86,6 +80,18 @@ def _integer(d, key, path, default=None, required=False):
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(f"{path}.{key}", "expected an integer")
     return int(v)
+
+
+def _like(d, key, path, default):
+    """d[key], or `default` where absent, checked to have the type of `default`."""
+    if isinstance(default, bool):
+        v = d.get(key, default)
+        if not isinstance(v, bool):
+            _fail(f"{path}.{key}", "expected a boolean")
+        return v
+    if isinstance(default, int):
+        return _integer(d, key, path, default=default)
+    return _number(d, key, path, default=default)
 
 
 @dataclass
@@ -207,6 +213,8 @@ def from_dict(raw, base_dir="."):
         denoiser = resolve_denoiser_spec(den_raw)
     except ValueError as exc:
         _fail("config.denoiser", str(exc))
+    for key, default in DENOISER_SCHEMAS[denoiser["name"]].items():
+        denoiser[key] = _like(denoiser, key, "config.denoiser", default)
 
     tau = _number(raw, "tau", "config", default=0.1)
     if tau <= 0:
@@ -224,15 +232,17 @@ def from_dict(raw, base_dir="."):
     solver["gamma"] = _number(
         sol_raw, "gamma", "config.solver", default=None, allow_none=True
     )
-    if solver["gamma"] is not None and solver["gamma"] <= 0:
-        _fail("config.solver.gamma", "must be positive when given")
-    for key in ("alpha0", "beta", "theta", "epsilon", "divergence_cap", "converge_tol"):
-        solver[key] = _number(sol_raw, key, "config.solver", default=solver[key])
-    solver["t"] = _integer(sol_raw, "t", "config.solver", default=solver["t"])
-    ca = sol_raw.get("conventional_armijo", solver["conventional_armijo"])
-    if not isinstance(ca, bool):
-        _fail("config.solver.conventional_armijo", "expected a boolean")
-    solver["conventional_armijo"] = ca
+    for key, default in _SOLVER_DEFAULTS.items():
+        if key not in ("name", "gamma"):
+            solver[key] = _like(sol_raw, key, "config.solver", default)
+    # SolverConfig owns the ranges; a null gamma stands for a positive one.
+    checked = {k: v for k, v in solver.items() if k != "name"}
+    if checked["gamma"] is None:
+        checked["gamma"] = 1.0
+    try:
+        SolverConfig(**checked)
+    except ValueError as exc:
+        _fail("config.solver", str(exc))
 
     out = raw.get("out", "runs")
     if not isinstance(out, str):

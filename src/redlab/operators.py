@@ -1,11 +1,13 @@
 """Linear measurement operators and the exact spectral norm of each.
 
-Operators map flat row-major vectors; imaging operators reshape internally.
-Every operator exposes `forward`, `adjoint`, and the composition `gram`
-(adjoint of forward), and is immutable after construction.  The circulant
-operator overrides `gram` to read its data once per product, and so does
-the dense one when BLAS runs on one thread or when it is given a stack of
-vectors.
+Two operators ship: periodic deblurring (`DeblurOperator`, circulant) and
+compressive sensing (`CompressiveSensingOperator(m, n, seed)`, the one
+dense operator, which draws and owns its matrix).  Both map flat
+row-major vectors, expose `forward`, `adjoint` and the composition `gram`
+(adjoint of forward), give lambda_max(A^T A) in closed form, and are
+immutable after construction.  The circulant operator's `gram` reads its
+data once per product, and so does the dense one when BLAS runs on one
+thread or when it is given a stack of vectors.
 """
 
 import ctypes
@@ -15,10 +17,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, svdvals
+from scipy.linalg import lapack
 
 from .images import CyclicConvolver, Kernel2D
-from .rng import RngState, gaussian_samples
+from .rng import RngState, _integral, gaussian_samples
 
 # Row-block size of the dense gram: a block this large stays in a 2 MiB L2
 # cache between its two uses, B v and then B^T (B v).  24 rows at n = 4096.
@@ -95,62 +97,6 @@ class LinearOperator:
         return u
 
 
-class MatrixOperator(LinearOperator):
-    """Dense matrix wrapped as an operator.
-
-    `gram` walks the matrix once, in row blocks B_k that fit in L2, and
-    sums B_k^T (B_k v); forward then adjoint would stream it twice.  That
-    holds for one core.  A threaded BLAS reads the whole matrix from every
-    core faster than one core reads it once, and does not thread products
-    as small as a block, so then a single vector sees the matrix as one
-    block.  A (k, n) stack V always walks the row blocks, as the sum of
-    (V B_k^T) B_k: every block serves all k rows while it is in cache,
-    which beats k threaded products at any thread count.
-    """
-
-    def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be 2D")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("matrix entries must be finite")
-        self._adopt(matrix.copy())
-
-    def _adopt(self, matrix):
-        """Take ownership of `matrix`, which nothing else may write to."""
-        matrix.flags.writeable = False
-        self.matrix = matrix
-        self.m, self.n = matrix.shape
-        rows = max(1, _GRAM_BLOCK_BYTES // (matrix.itemsize * max(self.n, 1)))
-        self._row_blocks = tuple(matrix[i : i + rows] for i in range(0, self.m, rows))
-        self._blocks = self._row_blocks if _blas_threads() == 1 else (matrix,)
-
-    def forward(self, x):
-        return self.matrix @ self._check_domain(x)
-
-    def adjoint(self, u):
-        return self.matrix.T @ self._check_range(u)
-
-    def gram(self, v):
-        """A^T A v for a vector v, or row by row for a (k, n) stack."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim == 2:
-            if v.shape[1] != self.n:
-                raise ValueError(f"expected rows of dimension {self.n}, got {v.shape[1]}")
-            out = np.zeros(v.shape)
-            for block in self._row_blocks:
-                out += (v @ block.T) @ block
-            return out
-        v = self._check_domain(v)
-        out = np.zeros(self.n)
-        for block in self._blocks:
-            out += block.T @ (block @ v)
-        return out
-
-    def exact_spectral_norm_sq(self):
-        return float(svdvals(self.matrix)[0]) ** 2
-
-
 class DeblurOperator(LinearOperator):
     """Periodic 2D convolution with a fixed blur kernel; square (m == n)."""
 
@@ -187,27 +133,34 @@ class DeblurOperator(LinearOperator):
         return self._conv.max_gain_sq()
 
 
-class CompressiveSensingOperator(MatrixOperator):
-    """Dense random projection with orthonormal rows (so A A^T == I_m).
+class CompressiveSensingOperator(LinearOperator):
+    """Seeded Gaussian sensing matrix with orthonormal rows (A A^T == I_m).
 
-    The rows of the given m x n matrix (1 <= m < n) are orthonormalized on
-    construction: a reduced QR of the transpose, with the sign of each
-    column fixed so the factor is unique.  For an input of full row rank
-    the result spans the same row space; A^T A is always the orthogonal
-    projection onto the row space of the result.  The input is copied once,
-    into the buffer that is factored in place and kept.
+    The m x n matrix (1 <= m < n) is drawn with variance 1/m and its rows
+    orthonormalized: a reduced QR of the transpose, with the sign of each
+    column fixed so the factor is unique.  A^T A is then the orthogonal
+    projection onto the row space.  The draw is scaled, factored in place
+    and kept in one buffer.
+
+    `gram` walks the matrix once, in row blocks B_k that fit in L2, and
+    sums B_k^T (B_k v); forward then adjoint would stream it twice.  That
+    holds for one core.  A threaded BLAS reads the whole matrix from every
+    core faster than one core reads it once, and does not thread products
+    as small as a block, so then a single vector sees the matrix as one
+    block.  A (k, n) stack V always walks the row blocks, as the sum of
+    (V B_k^T) B_k: every block serves all k rows while it is in cache,
+    which beats k threaded products at any thread count.
     """
 
     gram_is_projection = True
 
-    def __init__(self, matrix, seed, _owned=False):
-        # `_owned`: the caller hands over a fresh C-ordered float64 array,
-        # which is factored and kept as it is; any other input is copied.
-        matrix = np.array(matrix, dtype=np.float64, order="C", copy=not _owned)
-        if matrix.ndim != 2 or not 1 <= matrix.shape[0] < matrix.shape[1]:
-            raise ValueError("expected an m x n matrix with 1 <= m < n")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("matrix entries must be finite")
+    def __init__(self, m, n, seed):
+        m = _integral(m, "m")
+        n = _integral(n, "n")
+        if not 1 <= m < n:
+            raise ValueError("need 1 <= m < n for an undersampled operator")
+        matrix = gaussian_samples(RngState(seed), m * n).reshape(m, n)
+        matrix /= np.sqrt(m)
         # LAPACK factors the transpose, an F-ordered buffer, in place.  Both
         # calls query the optimal workspace: the default one runs the
         # unblocked algorithm, slower and with other bits.
@@ -221,8 +174,34 @@ class CompressiveSensingOperator(MatrixOperator):
         if info or info_q:
             raise np.linalg.LinAlgError(f"QR failed: info {info}, {info_q}")
         a *= signs
-        self._adopt(matrix)
-        self.seed = int(seed)
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.m, self.n = m, n
+        rows = max(1, _GRAM_BLOCK_BYTES // (matrix.itemsize * n))
+        self._row_blocks = tuple(matrix[i : i + rows] for i in range(0, m, rows))
+        self._blocks = self._row_blocks if _blas_threads() == 1 else (matrix,)
+
+    def forward(self, x):
+        return self.matrix @ self._check_domain(x)
+
+    def adjoint(self, u):
+        return self.matrix.T @ self._check_range(u)
+
+    def gram(self, v):
+        """A^T A v for a vector v, or row by row for a (k, n) stack."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim == 2:
+            if v.shape[1] != self.n:
+                raise ValueError(f"expected rows of dimension {self.n}, got {v.shape[1]}")
+            out = np.zeros(v.shape)
+            for block in self._row_blocks:
+                out += (v @ block.T) @ block
+            return out
+        v = self._check_domain(v)
+        out = np.zeros(self.n)
+        for block in self._blocks:
+            out += block.T @ (block @ v)
+        return out
 
     def exact_spectral_norm_sq(self):
         # A projection has eigenvalues 0 and 1.
@@ -230,27 +209,21 @@ class CompressiveSensingOperator(MatrixOperator):
 
 
 def build_cs_operator(m, n, seed):
-    """Seeded Gaussian sensing matrix, variance 1/m, rows orthonormalized.
+    """The shared, immutable `CompressiveSensingOperator(m, n, seed)`.
 
-    Returns one shared, immutable instance per (m, n, seed) at the current
-    BLAS thread count; only the most recently built one is kept.
+    One instance per (m, n, seed) at the current BLAS thread count; only
+    the most recently built one is kept.
     """
-    m = int(m)
-    n = int(n)
-    if m < 1 or m >= n:
-        raise ValueError("need 1 <= m < n for an undersampled operator")
-    return _cs_operator(m, n, int(seed), _blas_threads())
+    m, n, seed = _integral(m, "m"), _integral(n, "n"), _integral(seed, "seed")
+    return _cs_operator(m, n, seed, _blas_threads())
 
 
 # One entry: the matrix grows with n^2 (13.4 MB at 64x64, ratio 0.1), and
 # every caller uses one matrix at a time.  The thread count is part of the
-# key because MatrixOperator fixes its gram blocking when it is built.  The
-# draw is scaled, factored and kept in one buffer.
+# key because the operator fixes its gram blocking when it is built.
 @functools.lru_cache(maxsize=1)
 def _cs_operator(m, n, seed, _threads):
-    raw = gaussian_samples(RngState(seed), m * n).reshape(m, n)
-    raw /= np.sqrt(m)
-    return CompressiveSensingOperator(raw, seed, _owned=True)
+    return CompressiveSensingOperator(m, n, seed)
 
 
 @dataclass

@@ -95,7 +95,10 @@ def default_gamma(L, tau):
         raise ValueError("L must be non-negative")
     if not tau > 0:
         raise ValueError("tau must be positive")
-    return 1.0 / (L + 2.0 * tau)
+    gamma = 1.0 / (L + 2.0 * tau)
+    if gamma == 0.0:
+        raise ValueError(f"tau {tau!r} is too large: the default step 1/(L + 2 tau) rounds to 0")
+    return gamma
 
 
 def _psnr_of(x, ref):

@@ -20,7 +20,6 @@ from redlab import (
     ImageGrid,
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
-    MatrixOperator,
     REDProblem,
     RngState,
     ScaledDenoiser,
@@ -54,6 +53,8 @@ from redlab.traceio import (
     write_aggregate_csv,
     write_trace_csv,
 )
+
+from dense_operator import DenseOperator
 
 SMALL = {
     "problem": "deblur",
@@ -104,9 +105,18 @@ def test_config_defaults():
     assert cfg.denoiser["name"] == "smoother"
     assert cfg.denoiser["sigma"] == 1.5
     assert cfg.tau == 0.1
-    assert cfg.solver["name"] == "mred"
-    assert cfg.solver["gamma"] is None
-    assert cfg.solver["t"] == 1000
+    assert cfg.solver == {
+        "name": "mred",
+        "gamma": None,
+        "alpha0": 1.0,
+        "beta": 0.5,
+        "theta": 0.1,
+        "epsilon": 1e-12,
+        "t": 1000,
+        "divergence_cap": 100.0,
+        "converge_tol": 0.0,
+        "conventional_armijo": False,
+    }
     assert cfg.out == "runs"
 
 
@@ -218,9 +228,76 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, patch, tau_arg):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "params, key",
+    [
+        ({"name": "smoother", "sigma": "x"}, "sigma"),
+        ({"name": "dct_threshold", "threshold": [1]}, "threshold"),
+        ({"name": "smoother", "sigma": 1e400}, "sigma"),
+        ({"name": "smoother", "sigma": True}, "sigma"),
+        ({"name": "convnet", "layers": 2.5}, "layers"),
+    ],
+)
+def test_denoiser_parameters_are_checked_at_the_boundary(tmp_path, capsys, params, key):
+    # Each value has the type of its schema default: a finite non-bool
+    # number for a float default, an integer for an int default.
+    raw = {**SMALL, "denoiser": params}
+    with pytest.raises(ConfigError, match=rf"^config\.denoiser\.{key}: expected"):
+        from_dict(raw)
+    tmp = str(tmp_path)
+    path = os.path.join(tmp, "cfg.json")
+    with open(path, "w") as fh:
+        # json writes an infinite float as Infinity; keep the literal 1e400.
+        fh.write(json.dumps(raw).replace("Infinity", "1e400"))
+    out = os.path.join(tmp, "out")
+    assert main(["run", "--config", path, "--out", out]) == 1
+    assert f"config error: config.denoiser.{key}: expected" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_denoiser_parameters_are_normalized_by_type():
+    cfg = from_dict({**SMALL, "denoiser": {"name": "convnet", "weight_scale": 1, "seed": 3}})
+    assert cfg.denoiser["weight_scale"] == 1.0 and type(cfg.denoiser["weight_scale"]) is float
+    assert cfg.denoiser["seed"] == 3 and type(cfg.denoiser["seed"]) is int
+
+
+@pytest.mark.parametrize(
+    "solver, fragment",
+    [
+        ({"beta": 2}, "beta must lie in (0, 1)"),
+        ({"t": 0}, "t must be an integer >= 1"),
+        ({"theta": 0.5}, "theta must lie in (0, 1/2)"),
+        ({"alpha0": 0.0}, "alpha0 must be positive"),
+        ({"gamma": 0.0}, "gamma must be positive"),
+    ],
+)
+def test_solver_ranges_are_checked_at_parse_time(tmp_path, capsys, solver, fragment):
+    # Without the check every run of a sweep would record the same error.
+    raw = {**SMALL, "solver": solver}
+    with pytest.raises(ConfigError) as exc:
+        from_dict(raw)
+    assert str(exc.value) == f"config.solver: {fragment}"
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    assert main(["sweep", "--config", write_config(tmp, raw), "--out", out]) == 1
+    assert f"config.solver: {fragment}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_run_names_tau_when_the_default_step_rounds_to_zero(tmp_path, capsys):
+    # 1/(L + 2 tau) is 0 once L + 2 tau overflows; the user set tau, not gamma.
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    args = ["run", "--config", write_config(tmp, SMALL), "--out", out, "--tau", "1e308"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "tau 1e+308 is too large" in err and "gamma" not in err
+    assert not os.path.exists(out)
+
+
 def test_classes_reject_nan_parameters():
     nan = math.nan
-    fid = LeastSquaresFidelity(MatrixOperator(np.eye(4)), np.zeros(4))
+    fid = LeastSquaresFidelity(DenseOperator(np.eye(4)), np.zeros(4))
     for make in (
         lambda: gaussian_kernel(5, nan),
         lambda: LinearSmoothingDenoiser((16, 16), nan),
@@ -269,7 +346,7 @@ COUNTER_FIELDS = (
 
 
 def small_result(t=5, psnr_ref=None):
-    f = LeastSquaresFidelity(MatrixOperator(np.eye(4)), np.ones(4))
+    f = LeastSquaresFidelity(DenseOperator(np.eye(4)), np.ones(4))
     p = REDProblem(f, IdentityDenoiser(4), tau=0.2)
     return mred(p, np.zeros(4), SolverConfig(gamma=0.5, t=t), psnr_ref=psnr_ref)
 

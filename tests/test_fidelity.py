@@ -7,7 +7,6 @@ import pytest
 
 from redlab import (
     LeastSquaresFidelity,
-    MatrixOperator,
     NoiseSpec,
     RngState,
     add_noise_at_snr,
@@ -15,17 +14,19 @@ from redlab import (
     gaussian_samples,
 )
 
+from dense_operator import DenseOperator
+
 
 def small_instance(seed, m=6, n=9):
     rng = RngState(seed)
     mat = gaussian_samples(rng, m * n).reshape(m, n)
-    op = MatrixOperator(mat)
+    op = DenseOperator(mat)
     y = gaussian_samples(rng, m)
     return op, y, LeastSquaresFidelity(op, y)
 
 
 def test_gradient_identity_case():
-    op = MatrixOperator(np.eye(5))
+    op = DenseOperator(np.eye(5))
     y = gaussian_samples(RngState(5), 5)
     f = LeastSquaresFidelity(op, y)
     x = gaussian_samples(RngState(6), 5)
@@ -69,7 +70,7 @@ def test_hessian_is_gram_matrix():
 def test_hessian_null_space_vector():
     # v orthogonal to every row maps to zero.
     mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    f = LeastSquaresFidelity(MatrixOperator(mat), np.zeros(2))
+    f = LeastSquaresFidelity(DenseOperator(mat), np.zeros(2))
     v = np.array([0.0, 0.0, 3.0])
     assert np.max(np.abs(f.hessian_vp(v))) < 1e-12
 
@@ -83,7 +84,7 @@ def test_hessian_cs_contraction():
 
 
 def test_fidelity_validation():
-    op = MatrixOperator(np.eye(3))
+    op = DenseOperator(np.eye(3))
     with pytest.raises(ValueError):
         LeastSquaresFidelity(op, np.zeros(4))
     with pytest.raises(ValueError):
@@ -125,6 +126,6 @@ def test_noise_deterministic():
 
 
 def test_noise_rejects_zero_measurement():
-    op = MatrixOperator(np.eye(3))
+    op = DenseOperator(np.eye(3))
     with pytest.raises(ValueError):
         add_noise_at_snr(op, np.zeros(3), NoiseSpec(30.0, seed=0))

@@ -15,13 +15,14 @@ from redlab.images import conv2d_wrap
 from redlab import (
     CompressiveSensingOperator,
     DeblurOperator,
-    MatrixOperator,
     RngState,
     build_cs_operator,
     gaussian_kernel,
     gaussian_samples,
     spectral_norm_sq,
 )
+
+from dense_operator import DenseOperator
 
 
 def check_adjoint(op, pairs, seed, tol=1e-10):
@@ -42,11 +43,6 @@ def test_deblur_adjoint_consistency():
 def test_cs_adjoint_consistency():
     op = build_cs_operator(12, 120, seed=7)
     check_adjoint(op, 100, seed=4)
-
-
-def test_matrix_operator_adjoint():
-    mat = gaussian_samples(RngState(5), 12).reshape(3, 4)
-    check_adjoint(MatrixOperator(mat), 100, seed=6)
 
 
 def test_deblur_matches_convolution():
@@ -70,21 +66,20 @@ def test_deblur_matches_convolution():
         (50, 4096),  # two full row blocks and a short one
         (10, 4096),  # fewer rows than one block
         (1, 4096),
-        (2000, 64),  # tall: m > n, two blocks
     ],
 )
 def test_matrix_gram_matches_adjoint_of_forward(m, n, monkeypatch):
-    mat = gaussian_samples(RngState(m), m * n).reshape(m, n)
     rng = RngState(n)
     vs = [gaussian_samples(rng, n) for _ in range(3)]
     # A vector takes the row blocks when BLAS runs on one thread; a stack
     # takes them always.
     for threads in (1, 2):
         monkeypatch.setattr(operators, "_blas_threads", lambda: threads)
-        op = MatrixOperator(mat)
+        op = CompressiveSensingOperator(m, n, seed=m)
+        mat = op.matrix
         assert sum(b.shape[0] for b in op._row_blocks) == m
-        assert all(np.shares_memory(b, op.matrix) for b in op._row_blocks)
-        blocks = op._row_blocks if threads == 1 else [op.matrix]
+        assert all(np.shares_memory(b, mat) for b in op._row_blocks)
+        blocks = op._row_blocks if threads == 1 else [mat]
         for v in vs:
             ref = op.adjoint(op.forward(v))
             assert np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -107,8 +102,8 @@ def test_blas_thread_probe_selects_row_blocks():
     if operators._blas_threads() is None:
         pytest.skip("numpy here does not bundle OpenBLAS")
     code = (
-        "import numpy as np; from redlab import MatrixOperator; "
-        "print(len(MatrixOperator(np.zeros((50, 4096)))._blocks))"
+        "from redlab import CompressiveSensingOperator; "
+        "print(len(CompressiveSensingOperator(50, 4096, 3)._blocks))"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(operators.__file__)))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
@@ -146,7 +141,7 @@ def test_blas_thread_probe_looks_up_its_library_once(monkeypatch):
 @pytest.mark.parametrize("threads", [2, None])
 def test_matrix_gram_is_one_block_unless_blas_is_single_threaded(threads, monkeypatch):
     monkeypatch.setattr(operators, "_blas_threads", lambda: threads)
-    op = MatrixOperator(gaussian_samples(RngState(3), 50 * 4096).reshape(50, 4096))
+    op = CompressiveSensingOperator(50, 4096, seed=3)
     assert len(op._blocks) == 1 and op._blocks[0].shape == op.matrix.shape
     v = gaussian_samples(RngState(4), op.n)
     assert np.array_equal(op.gram(v), op.adjoint(op.forward(v)))
@@ -184,35 +179,21 @@ def test_cs_rows_orthonormal():
 
 
 def test_cs_operator_orthonormalizes_its_input():
-    # Any m < n input comes out with orthonormal rows spanning the same space.
-    raw = gaussian_samples(RngState(9), 30 * 200).reshape(30, 200)
-    op = CompressiveSensingOperator(raw, seed=9)
-    assert op.gram_is_projection
-    assert np.max(np.abs(op.matrix @ op.matrix.T - np.eye(30))) <= 1e-12
-    assert np.max(np.abs(raw - (raw @ op.matrix.T) @ op.matrix)) <= 1e-12 * np.max(np.abs(raw))
-    assert np.linalg.matrix_rank(raw) == 30
-    assert not MatrixOperator(raw).gram_is_projection
-    with pytest.raises(ValueError):
-        CompressiveSensingOperator(raw.T, seed=9)
-    with pytest.raises(ValueError):
-        CompressiveSensingOperator(np.full((2, 8), np.nan), seed=9)
-
-
-def test_cs_operator_leaves_its_input_unchanged():
-    # The rows of Q span the input's row space, so an input overwritten with
-    # Q would still pass the test above; compare the input's bits instead.
-    raw = gaussian_samples(RngState(4), 40 * 300).reshape(40, 300)
+    # The matrix is the sign-fixed reduced QR factor of an independent draw
+    # of the same seeded Gaussian, scaled to variance 1/m.
+    m, n, seed = 30, 200, 9
+    raw = gaussian_samples(RngState(seed), m * n).reshape(m, n) / np.sqrt(m)
     q, r = np.linalg.qr(raw.T, mode="reduced")
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     want = (q * signs).T
-    frozen = raw.copy()
-    frozen.flags.writeable = False
-    for given in (raw.copy(), np.asfortranarray(raw), frozen):
-        op = CompressiveSensingOperator(given, seed=4)
-        assert np.array_equal(given, raw)
-        assert not np.shares_memory(op.matrix, given)
-        assert np.max(np.abs(op.matrix - want)) <= 1e-13
+    op = CompressiveSensingOperator(m, n, seed)
+    assert (op.m, op.n) == (m, n) and op.gram_is_projection
+    assert np.max(np.abs(op.matrix - want)) <= 1e-13
+    # Orthonormal rows spanning the draw's row space.
+    assert np.max(np.abs(op.matrix @ op.matrix.T - np.eye(m))) <= 1e-12
+    assert np.linalg.matrix_rank(raw) == m
+    assert np.max(np.abs(raw - (raw @ op.matrix.T) @ op.matrix)) <= 1e-12 * np.max(np.abs(raw))
 
 
 def test_cs_build_memory_stays_near_the_matrix():
@@ -272,7 +253,7 @@ def test_cs_operator_cache_keys_on_blas_threads(monkeypatch):
 
 def test_cs_operator_is_immutable():
     op = build_cs_operator(50, 4096, seed=5)
-    assert set(vars(op)) == {"matrix", "m", "n", "_row_blocks", "_blocks", "seed"}
+    assert set(vars(op)) == {"matrix", "m", "n", "_row_blocks", "_blocks"}
     assert isinstance(op._row_blocks, tuple) and isinstance(op._blocks, tuple)
     for arr in (op.matrix, *op._row_blocks, *op._blocks):
         assert not arr.flags.writeable
@@ -283,14 +264,25 @@ def test_cs_operator_is_immutable():
 def test_cs_rejects_oversampling():
     # Errors are never cached: every call raises again.
     for _ in range(2):
-        with pytest.raises(ValueError):
-            build_cs_operator(8, 8, seed=0)
-        with pytest.raises(ValueError):
-            build_cs_operator(9, 8, seed=0)
-        with pytest.raises(ValueError):
-            build_cs_operator(0, 8, seed=0)
-        with pytest.raises(ValueError):
-            build_cs_operator(5, 30, seed=-1)
+        for build in (build_cs_operator, CompressiveSensingOperator):
+            with pytest.raises(ValueError):
+                build(8, 8, seed=0)
+            with pytest.raises(ValueError):
+                build(9, 8, seed=0)
+            with pytest.raises(ValueError):
+                build(0, 8, seed=0)
+            with pytest.raises(ValueError):
+                build(5, 30, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "m, n, seed", [(10.7, 100, 2), (10, 100.5, 2), (10, 100, 2.5), ("10", 100, 2)]
+)
+def test_cs_rejects_non_integral_arguments(m, n, seed):
+    # Truncating would build another matrix than the one asked for.
+    for build in (build_cs_operator, CompressiveSensingOperator):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(m, n, seed)
 
 
 def test_spectral_cs_is_one():
@@ -298,16 +290,10 @@ def test_spectral_cs_is_one():
     op = build_cs_operator(26, 256, seed=77)
     est = spectral_norm_sq(op)
     assert (est.value, est.iterations, est.converged) == (1.0, 0, True)
-    # The dense eigenvalues agree, and so do the singular values that the
-    # same matrix gets as a plain MatrixOperator.
+    # The dense eigenvalues and singular values agree.
     dense = np.linalg.eigvalsh(op.matrix.T @ op.matrix).max()
     assert abs(dense - 1.0) < 1e-12
-    assert abs(spectral_norm_sq(MatrixOperator(op.matrix)).value - dense) < 1e-12
-
-
-def test_spectral_diagonal_matrix():
-    est = spectral_norm_sq(MatrixOperator(np.diag([3.0, 2.0, 1.0])))
-    assert abs(est.value - 9.0) < 1e-8
+    assert abs(np.linalg.svd(op.matrix, compute_uv=False)[0] ** 2 - dense) < 1e-12
 
 
 def test_spectral_deblur_matches_dft_oracle():
@@ -336,19 +322,20 @@ def test_spectral_deblur_matches_dft_oracle():
 
 
 def test_spectral_deblur_exact_equals_power_iteration():
-    # The largest eigenvalue of the dense A^T A of the same operator equals
-    # the closed-form value taken from the kernel DFT.
+    # The largest eigenvalue of the dense A^T A of the same operator, and its
+    # largest singular value squared, equal the closed-form value taken from
+    # the kernel DFT.
     op = DeblurOperator((12, 10), gaussian_kernel(5, 1.1))
     dense = np.column_stack([op.forward(e) for e in np.eye(op.n)])
     want = np.linalg.eigvalsh(dense.T @ dense).max()
     assert abs(want - spectral_norm_sq(op).value) < 1e-10
-    assert abs(want - spectral_norm_sq(MatrixOperator(dense)).value) < 1e-10
+    assert abs(want - np.linalg.svd(dense, compute_uv=False)[0] ** 2) < 1e-10
 
 
 def test_spectral_rayleigh_monotone():
     # The Rayleigh quotient of power iteration never decreases; replay the
     # iteration by hand and watch the sequence.
-    op = MatrixOperator(gaussian_samples(RngState(13), 15 * 20).reshape(15, 20))
+    op = DenseOperator(gaussian_samples(RngState(13), 15 * 20).reshape(15, 20))
     v = gaussian_samples(RngState(0), op.n)
     v = v / np.linalg.norm(v)
     prev = -np.inf

@@ -1,0 +1,14 @@
+"""The README's Python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_readme_python_block_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})
+    capsys.readouterr()

@@ -13,7 +13,6 @@ from redlab import (
     IdentityDenoiser,
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
-    MatrixOperator,
     RandomConvnetDenoiser,
     REDProblem,
     RngState,
@@ -22,6 +21,8 @@ from redlab import (
     gaussian_kernel,
     gaussian_samples,
 )
+
+from dense_operator import DenseOperator
 
 
 def dense_matrix(apply_fn, n):
@@ -52,7 +53,7 @@ def smoother_instance(seed=0, h=8, w=8, sigma=0.5, tau=0.1):
 
 
 def test_g_equals_fidelity_gradient_with_identity_denoiser():
-    op = MatrixOperator(gaussian_samples(RngState(1), 20).reshape(4, 5))
+    op = DenseOperator(gaussian_samples(RngState(1), 20).reshape(4, 5))
     y = gaussian_samples(RngState(2), 4)
     f = LeastSquaresFidelity(op, y)
     p = REDProblem(f, IdentityDenoiser(5), tau=0.7)
@@ -81,7 +82,7 @@ def test_g_matches_dense_assembly():
 
 
 def test_problem_validation():
-    op = MatrixOperator(np.eye(4))
+    op = DenseOperator(np.eye(4))
     f = LeastSquaresFidelity(op, np.zeros(4))
     with pytest.raises(ValueError):
         REDProblem(f, IdentityDenoiser(4), tau=0.0)
@@ -105,7 +106,7 @@ def test_phi_zero_at_dense_solution():
 def test_phi_known_norm():
     # G(x) = (1+tau)x when A = I, y = 0, and the denoiser contributes the
     # full residual x; pick x so ||G|| = 2.
-    f = LeastSquaresFidelity(MatrixOperator(np.eye(6)), np.zeros(6))
+    f = LeastSquaresFidelity(DenseOperator(np.eye(6)), np.zeros(6))
     p = REDProblem(f, ScaledDenoiser(IdentityDenoiser(6), 0.5), tau=1.0)
     # G = x + 1.0*(x - 0.5x) = 1.5x
     x = np.zeros(6)
@@ -180,7 +181,7 @@ def test_grad_phi_matches_full_finite_differences(name):
 
 def test_grad_phi_identity_everything():
     # A = I, y = 0, identity denoiser: G(x) = x and grad phi = x.
-    f = LeastSquaresFidelity(MatrixOperator(np.eye(8)), np.zeros(8))
+    f = LeastSquaresFidelity(DenseOperator(np.eye(8)), np.zeros(8))
     p = REDProblem(f, IdentityDenoiser(8), tau=0.3)
     x = gaussian_samples(RngState(18), 8)
     assert np.array_equal(p.grad_phi(x), x)
@@ -189,7 +190,7 @@ def test_grad_phi_identity_everything():
 def test_grad_phi_zero_denoiser_scaling():
     # With D == 0 on the probe set (threshold far above every coefficient),
     # G = (1+tau)x and grad phi = (1+tau)^2 x.
-    f = LeastSquaresFidelity(MatrixOperator(np.eye(16)), np.zeros(16))
+    f = LeastSquaresFidelity(DenseOperator(np.eye(16)), np.zeros(16))
     p = REDProblem(f, DctSoftThresholdDenoiser((4, 4), 10.0, 0.0), tau=0.5)
     x = RngState(19).uniform(16)
     want = (1.5**2) * x

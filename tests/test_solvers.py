@@ -13,7 +13,6 @@ from redlab import (
     IdentityDenoiser,
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
-    MatrixOperator,
     RandomConvnetDenoiser,
     REDProblem,
     RngState,
@@ -29,6 +28,8 @@ from redlab import (
 from redlab.config import from_dict
 from redlab.experiments import run_experiment
 from redlab.presets import experiment_preset
+
+from dense_operator import DenseOperator
 
 SHAPE = (16, 16)
 N = 256
@@ -149,7 +150,7 @@ def test_red_trace_shape_and_modes():
 
 
 def test_start_in_solution_set_stays_fixed():
-    f = LeastSquaresFidelity(MatrixOperator(np.eye(12)), np.zeros(12))
+    f = LeastSquaresFidelity(DenseOperator(np.eye(12)), np.zeros(12))
     p = REDProblem(f, IdentityDenoiser(12), tau=0.5)
     x0 = np.zeros(12)
     cfg = SolverConfig(gamma=0.4, t=5)
