@@ -196,6 +196,33 @@ def test_cs_operator_orthonormalizes_its_input():
     assert np.max(np.abs(raw - (raw @ op.matrix.T) @ op.matrix)) <= 1e-12 * np.max(np.abs(raw))
 
 
+def test_cs_operator_leaves_its_input_unchanged():
+    # The operator draws its own matrix, so its inputs are the vectors and
+    # stacks it is applied to: those keep their bits whatever their layout
+    # or writeability, and no result aliases them or the matrix.
+    op = CompressiveSensingOperator(40, 300, seed=4)
+    a = op.matrix
+    rng = RngState(5)
+    x = gaussian_samples(rng, 300)
+    u = gaussian_samples(rng, 40)
+    stack = gaussian_samples(rng, 3 * 300).reshape(3, 300)
+    frozen = stack.copy()
+    frozen.flags.writeable = False
+    for v, apply, want in (
+        (x, op.forward, a @ x),
+        (u, op.adjoint, a.T @ u),
+        (x, op.gram, a.T @ (a @ x)),
+        (stack.copy(), op.gram, (stack @ a.T) @ a),
+        (np.asfortranarray(stack), op.gram, (stack @ a.T) @ a),
+        (frozen, op.gram, (stack @ a.T) @ a),
+    ):
+        before = v.copy()
+        got = apply(v)
+        assert np.array_equal(v, before)
+        assert not np.shares_memory(got, v) and not np.shares_memory(got, a)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_cs_build_memory_stays_near_the_matrix():
     # The draw is the buffer that is factored and kept: the traced peak of a
     # cold build is about twice the matrix, where a QR on copies took 4x.
