@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .images import CyclicConvolver, dct2_vals, gaussian_kernel, idct2_vals
+from .images import CyclicConvolver, _periodic_conv, dct2_vals, gaussian_kernel, idct2_vals
 from .rng import RngState, _integral, gaussian_samples
 
 
@@ -209,45 +209,11 @@ class ScaledDenoiser(Denoiser):
         return v - self.scale * inner_jv
 
 
-def _conv3(stack, taps):
-    """Periodic 3x3 convolution of each (h, w) plane of `stack` with the
-    matching 3x3 plane of `taps`, the leading axes broadcast against each other.
-
-    Nine multiply-adds over one wrap-padded copy.  The copy has rows of
-    w + 2 and a spare zero row, so the input shifted by tap (a, b) is the
-    contiguous run from (2 - a) * (w + 2) + 2 - b of h rows of w + 2, the
-    last two of each row being discarded.  The taps are summed in row-major
-    order starting from zero, the order in which conv2d_wrap sums them, so
-    each plane equals conv2d_wrap bit for bit.
-    """
-    h, w = stack.shape[-2:]
-    lead = stack.shape[:-2]
-    wp = w + 2
-    buf = np.empty(lead + (h + 3, wp))
-    buf[..., 1 : h + 1, 1:-1] = stack
-    buf[..., 0, 1:-1] = stack[..., -1, :]
-    buf[..., h + 1, 1:-1] = stack[..., 0, :]
-    buf[..., : h + 2, 0] = buf[..., : h + 2, -2]
-    buf[..., : h + 2, -1] = buf[..., : h + 2, 1]
-    buf[..., h + 2, :] = 0.0
-    flat = buf.reshape(lead + (-1,))
-    size = h * wp
-    shape = np.broadcast_shapes(lead, taps.shape[:-2]) + (size,)
-    out = np.zeros(shape)
-    tmp = np.empty(shape)
-    for a in range(3):
-        for b in range(3):
-            start = (2 - a) * wp + 2 - b
-            np.multiply(taps[..., a, b, None], flat[..., start : start + size], out=tmp)
-            out += tmp
-    return out.reshape(shape[:-1] + (h, wp))[..., :w]
-
-
 def _conv3_sum(stack, taps):
-    """Sum over the channel axis of _conv3(stack, taps) for a (c, h, w) stack
-    and (..., c, 3, 3) taps; channels are added one at a time, in order,
-    starting from zero, as a per-channel conv2d_wrap loop would."""
-    planes = _conv3(stack, taps)
+    """Sum over the channel axis of _periodic_conv(stack, taps) for a
+    (c, h, w) stack and (..., c, 3, 3) taps; channels are added one at a
+    time, in order, starting from zero, as a per-channel loop would."""
+    planes = _periodic_conv(stack, taps)
     out = np.zeros(planes.shape[:-3] + planes.shape[-2:])
     for i in range(planes.shape[-3]):
         out += planes[..., i, :, :]
@@ -263,11 +229,12 @@ class RandomConvnetDenoiser(Denoiser):
     network gain and with it the expansiveness of D.  Jacobian products are
     exact reverse- and forward-mode sweeps through the conv/tanh chain.
 
-    Each layer is one _conv3 over the stack of its channels; the reverse
-    sweep convolves with the 180-degree rotated weights, stacked once here.
-    The result equals a per-channel conv2d_wrap network bit for bit.  The
-    tanh activations of the last point run through N are kept, so products
-    at the point just applied, or at a fixed probe, skip the forward pass.
+    Each layer is one _periodic_conv over the stack of its channels; the
+    reverse sweep convolves with the 180-degree rotated weights, stacked
+    once here.  The result equals a per-channel scipy.signal.convolve2d
+    network bit for bit.  The tanh activations of the last point run through
+    N are kept, so products at the point just applied, or at a fixed probe,
+    skip the forward pass.
     """
 
     symmetric_jacobian = False
@@ -337,7 +304,7 @@ class RandomConvnetDenoiser(Denoiser):
 
     def _network(self, x2):
         """(N(x), first tanh stack, second tanh stack or None) for an image."""
-        a1 = np.tanh(_conv3(x2, self._w_in))
+        a1 = np.tanh(_periodic_conv(x2, self._w_in))
         a2 = None
         top = a1
         if self.layers == 3:
@@ -354,7 +321,7 @@ class RandomConvnetDenoiser(Denoiser):
         x = self._check(x)
         v = self._check(v)
         _, a1, a2 = self._forward(x)
-        g = _conv3(v.reshape(self.shape), self._w_out_adj)
+        g = _periodic_conv(v.reshape(self.shape), self._w_out_adj)
         if self.layers == 3:
             g *= 1.0 - a2**2
             g = _conv3_sum(g, self._w_mid_adj)
@@ -366,7 +333,7 @@ class RandomConvnetDenoiser(Denoiser):
         x = self._check(x)
         v = self._check(v)
         _, a1, a2 = self._forward(x)
-        t = _conv3(v.reshape(self.shape), self._w_in)
+        t = _periodic_conv(v.reshape(self.shape), self._w_in)
         t *= 1.0 - a1**2
         if self.layers == 3:
             t = _conv3_sum(t, self._w_mid)

@@ -3,7 +3,9 @@
 A run always synthesizes its own measurements from a known clean image, so
 reconstruction quality can be traced per iteration.  Outputs per run: the
 iteration trace CSV, a JSON sidecar sufficient to re-run bit-identically
-at the same BLAS thread count, and the reconstruction as a 16-bit PGM.
+(it records the OpenBLAS thread count, `blas_threads`, on which the CS bits
+depend; null where the library is not found), and the reconstruction as a
+16-bit PGM.
 """
 
 import json
@@ -25,7 +27,7 @@ from .images import (
     make_test_images,
     named_test_image,
 )
-from .operators import DeblurOperator, build_cs_operator, spectral_norm_sq
+from .operators import DeblurOperator, _blas_threads, build_cs_operator, spectral_norm_sq
 from .pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
 from .presets import EXPERIMENT_PRESETS, build_denoiser
 from .red import REDProblem
@@ -158,6 +160,7 @@ def run_experiment(cfg, out_dir=None):
         psnr = metrics["final_psnr_db"]
         sidecar = {
             "library_version": __version__,
+            "blas_threads": _blas_threads(),
             "config": to_dict(cfg),
             "solver": built.solver_name,
             "L": {

@@ -1,10 +1,11 @@
 """Image containers, periodic convolution, orthonormal DCT, and test images.
 
-Periodic convolution with a separable (rank-1) kernel is two small GEMMs
-with circulant matrices; any other kernel goes through real FFTs.
-conv2d_wrap, direct summation by scipy.signal, is kept for the texture
-image and as the tests' reference; it imports scipy.signal on its first
-call, so that module stays off the package's import path.
+Repeated periodic convolution with a separable (rank-1) kernel is two
+small GEMMs with circulant matrices; any other kernel goes through real
+FFTs.  Direct summation over shifted runs of one wrap-padded copy
+(_periodic_conv) serves the texture image and the convnet denoiser; it
+sums in scipy.signal.convolve2d's order, so its bits are convolve2d's for
+kernels up to 7x7, without importing scipy.signal.
 
 Images are stored as flat row-major float64 vectors with explicit 2D shape
 metadata.  Pixel values are nominally in [0, 1] but are never clipped here;
@@ -104,17 +105,55 @@ def gaussian_kernel(size, sigma):
     return Kernel2D(size, (w / w.sum()).reshape(-1))
 
 
-def conv2d_wrap(arr, kern):
-    """Periodic (circular) 2D convolution of a 2D array with a 2D kernel.
+def _periodic_conv(stack, taps):
+    """Periodic convolution of each (h, w) plane of `stack` with the matching
+    k x k plane of `taps` (k odd, k // 2 <= min(h, w)), leading axes
+    broadcast: out[p] = sum_d taps[c + d] * plane[(p - d) mod (h, w)].
 
-    The kernel is centered: out[p] = sum_d kern[c + d] * arr[(p - d) mod shape].
-    Direct spatial summation, O(n * k^2), by scipy.signal.convolve2d.  The
-    texture image and the tests' references use it; the module is imported
-    on the first call, since it costs about 40 MB and a second of import.
+    k^2 multiply-adds over one wrap-padded copy with rows of w + 2r
+    (r = k // 2) and a spare zero row: the plane shifted by tap (a, b) is
+    the contiguous run from (2r - a) (w + 2r) + 2r - b of h rows, the last
+    2r of each row being discarded.  Products are summed in
+    scipy.signal.convolve2d's order (rows ascending into a total from zero;
+    a row of 4 or more taps adds ((t0 + t1) + t2) + t3, then the rest one
+    at a time), so for k <= 7 the bits are those of convolve2d(mode="same",
+    boundary="wrap").  From k = 9 on convolve2d sums in another order, and
+    the two agree to roundoff.
     """
-    from scipy.signal import convolve2d
-
-    return convolve2d(arr, kern, mode="same", boundary="wrap")
+    h, w = stack.shape[-2:]
+    k = taps.shape[-1]
+    r = k // 2
+    if r > min(h, w):
+        raise ValueError(f"kernel size {k} is too large for a {h}x{w} image")
+    lead = stack.shape[:-2]
+    wp = w + 2 * r
+    hp = h + 2 * r
+    buf = np.empty(lead + (hp + 1, wp))
+    buf[..., r : r + h, r : r + w] = stack
+    buf[..., :r, r : r + w] = stack[..., h - r :, :]
+    buf[..., r + h : hp, r : r + w] = stack[..., :r, :]
+    buf[..., :hp, :r] = buf[..., :hp, w : w + r]
+    buf[..., :hp, r + w :] = buf[..., :hp, r : 2 * r]
+    buf[..., hp, :] = 0.0
+    flat = buf.reshape(lead + (-1,))
+    size = h * wp
+    shape = np.broadcast_shapes(lead, taps.shape[:-2]) + (size,)
+    out = np.zeros(shape)
+    tmp = np.empty(shape)
+    # Rows of 4 or more taps sum their first four products into a partial.
+    part = np.empty(shape) if k > 3 else None
+    for a in range(k):
+        for b in range(k):
+            start = (2 * r - a) * wp + 2 * r - b
+            prod = part if part is not None and b == 0 else tmp
+            np.multiply(taps[..., a, b, None], flat[..., start : start + size], out=prod)
+            if part is None or b > 3:
+                out += tmp
+            elif b > 0:
+                part += tmp
+                if b == 3:
+                    out += part
+    return out.reshape(shape[:-1] + (h, wp))[..., :w]
 
 
 # Two GEMMs with dense circulants cost 2 (h + w) flops per pixel and hold
@@ -156,8 +195,8 @@ class CyclicConvolver:
     the image grid: two real FFTs per apply.  On either path the adjoint is
     convolution with the 180-degree rotated kernel, and the gram
     apply_adjoint(apply(.)) is one pass: (C_a^T C_a) X (C_b^T C_b), or one
-    round trip through the real gain |khat|^2.  Matches conv2d_wrap to
-    roundoff.
+    round trip through the real gain |khat|^2.  Matches direct summation
+    (_periodic_conv) to roundoff.
     """
 
     def __init__(self, shape, kernel):
@@ -277,7 +316,7 @@ def _checkerboard(h, w):
 def _texture(h, w, rng):
     noise = gaussian_samples(rng, h * w).reshape(h, w)
     k = gaussian_kernel(7, 1.2)
-    smooth = conv2d_wrap(noise, k.as_2d())
+    smooth = _periodic_conv(noise, k.as_2d())
     lo, hi = smooth.min(), smooth.max()
     if hi == lo:
         return np.full((h, w), 0.5)

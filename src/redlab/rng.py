@@ -55,26 +55,29 @@ def gaussian_samples(rng, count):
 
     The transform consumes ceil(count / 2) radius uniforms, then as many
     angle uniforms, from `rng`; the stream is deterministic per seed.  The
-    radii are computed in place and the angles in chunks written straight
-    into the result, so no other full-size array is made.  `count` must be
-    an integer >= 1.
+    radii are computed in place in the tail of the result; each chunk of
+    pairs is written after its radii are copied out, and ends before the
+    next chunk's radii begin, so no other full-size array is made.  `count`
+    must be an integer >= 1.
     """
     count = _integral(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     pairs = (count + 1) // 2
+    out = np.empty(count)
+    r = out[count - pairs :]
+    rng._gen.random(out=r)
     # 1 - U maps [0,1) to (0,1] so the log is finite.
-    r = rng.uniform(pairs)
     np.subtract(1.0, r, out=r)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    out = np.empty(count)
     for lo in range(0, pairs, _CHUNK):
         hi = min(lo + _CHUNK, pairs)
+        rad = r[lo:hi].copy()
         ang = rng.uniform(hi - lo)
         ang *= 2.0 * np.pi
-        np.multiply(r[lo:hi], np.cos(ang), out=out[2 * lo : 2 * hi : 2])
+        np.multiply(rad, np.cos(ang), out=out[2 * lo : 2 * hi : 2])
         odd = out[2 * lo + 1 : 2 * hi : 2]
-        np.multiply(r[lo : lo + odd.size], np.sin(ang[: odd.size]), out=odd)
+        np.multiply(rad[: odd.size], np.sin(ang[: odd.size]), out=odd)
     return out

@@ -18,8 +18,10 @@ from redlab import (
     estimate_lipschitz,
     gaussian_samples,
 )
-from redlab.images import conv2d_wrap, dct2_vals
+from redlab.images import dct2_vals
 from redlab.presets import DENOISER_NAMES, build_denoiser
+
+from conv_reference import convolve2d_wrap
 
 
 def dense_residual_jacobian(d, x, h=1e-6):
@@ -66,7 +68,7 @@ def test_smoother_vjp_is_i_minus_w():
     # (I - W)v with W v computed by an explicit independent convolution.
     d = LinearSmoothingDenoiser((16, 16), 1.0)
     v = gaussian_samples(RngState(3), 256)
-    wv = conv2d_wrap(v.reshape(16, 16), d.kernel.as_2d()).reshape(-1)
+    wv = convolve2d_wrap(v.reshape(16, 16), d.kernel.as_2d()).reshape(-1)
     got = d.residual_vjp(probe(4, 256), v)
     assert np.max(np.abs(got - (v - wv))) < 1e-12
 
@@ -283,8 +285,9 @@ def rot(k):
 
 
 class PerChannelConvnet:
-    """The convnet one channel at a time with conv2d_wrap, its weights drawn
-    as RandomConvnetDenoiser draws them; each channel sum starts from zero."""
+    """The convnet one channel at a time with scipy.signal.convolve2d, its
+    weights drawn as RandomConvnetDenoiser draws them; each channel sum
+    starts from zero."""
 
     def __init__(self, shape, layers, channels, weight_scale, seed):
         rng = RngState(seed)
@@ -307,11 +310,11 @@ class PerChannelConvnet:
 
     def _acts(self, x):
         x2, c = x.reshape(self.shape), self.c
-        a1 = [np.tanh(conv2d_wrap(x2, self.w_in[i])) for i in range(c)]
+        a1 = [np.tanh(convolve2d_wrap(x2, self.w_in[i])) for i in range(c)]
         if self.layers == 2:
             return a1, None
         a2 = [
-            np.tanh(self._sum(conv2d_wrap(a1[i], self.w_mid[j, i]) for i in range(c)))
+            np.tanh(self._sum(convolve2d_wrap(a1[i], self.w_mid[j, i]) for i in range(c)))
             for j in range(c)
         ]
         return a1, a2
@@ -319,34 +322,34 @@ class PerChannelConvnet:
     def apply(self, x):
         a1, a2 = self._acts(x)
         top = a1 if a2 is None else a2
-        out = self._sum(conv2d_wrap(top[j], self.w_out[j]) for j in range(self.c))
+        out = self._sum(convolve2d_wrap(top[j], self.w_out[j]) for j in range(self.c))
         return x - out.reshape(-1)
 
     def vjp(self, x, v):
         a1, a2 = self._acts(x)
         c, g = self.c, v.reshape(self.shape)
         top = a1 if a2 is None else a2
-        gs = [conv2d_wrap(g, rot(self.w_out[j])) * (1.0 - top[j] ** 2) for j in range(c)]
+        gs = [convolve2d_wrap(g, rot(self.w_out[j])) * (1.0 - top[j] ** 2) for j in range(c)]
         if a2 is not None:
             gs = [
-                self._sum(conv2d_wrap(gs[j], rot(self.w_mid[j, i])) for j in range(c))
+                self._sum(convolve2d_wrap(gs[j], rot(self.w_mid[j, i])) for j in range(c))
                 * (1.0 - a1[i] ** 2)
                 for i in range(c)
             ]
-        out = self._sum(conv2d_wrap(gs[i], rot(self.w_in[i])) for i in range(c))
+        out = self._sum(convolve2d_wrap(gs[i], rot(self.w_in[i])) for i in range(c))
         return out.reshape(-1)
 
     def jvp(self, x, v):
         a1, a2 = self._acts(x)
         c, t = self.c, v.reshape(self.shape)
-        ts = [conv2d_wrap(t, self.w_in[i]) * (1.0 - a1[i] ** 2) for i in range(c)]
+        ts = [convolve2d_wrap(t, self.w_in[i]) * (1.0 - a1[i] ** 2) for i in range(c)]
         if a2 is not None:
             ts = [
-                self._sum(conv2d_wrap(ts[i], self.w_mid[j, i]) for i in range(c))
+                self._sum(convolve2d_wrap(ts[i], self.w_mid[j, i]) for i in range(c))
                 * (1.0 - a2[j] ** 2)
                 for j in range(c)
             ]
-        out = self._sum(conv2d_wrap(ts[j], self.w_out[j]) for j in range(c))
+        out = self._sum(convolve2d_wrap(ts[j], self.w_out[j]) for j in range(c))
         return out.reshape(-1)
 
 

@@ -500,6 +500,35 @@ def test_run_sidecar_certificates(tmp_path):
     assert sidecar["lipschitz"]["method"] == "jacobian_power_iteration"
 
 
+def test_sidecar_records_the_blas_thread_count(tmp_path, monkeypatch):
+    # CS bits depend on the BLAS thread count, so every sidecar records it:
+    # the probe's int, or null where no OpenBLAS is found.
+    out = os.path.join(str(tmp_path), "cs")
+    run_experiment(from_dict(copy.deepcopy(CS_SMALL)), out)
+    threads = operators._blas_threads()
+    assert threads is None or isinstance(threads, int)
+    assert read_sidecar(os.path.join(out, "sidecar.json"))["blas_threads"] == threads
+    monkeypatch.setattr(operators, "_blas_thread_getter", lambda: lambda: None)
+    out = os.path.join(str(tmp_path), "none")
+    run_experiment(from_dict(copy.deepcopy(SMALL)), out)
+    assert read_sidecar(os.path.join(out, "sidecar.json"))["blas_threads"] is None
+    if threads is None:
+        return
+    # numpy reads OPENBLAS_NUM_THREADS when it loads, so ask a new process.
+    cfg = os.path.join(str(tmp_path), "small.json")
+    with open(cfg, "w") as fh:
+        json.dump(SMALL, fh)
+    out = os.path.join(str(tmp_path), "one")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(redlab.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    subprocess.run(
+        [sys.executable, "-m", "redlab.cli", "run", "--config", cfg, "--out", out],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    (run_dir,) = os.listdir(out)
+    assert read_sidecar(os.path.join(out, run_dir, "sidecar.json"))["blas_threads"] == 1
+
+
 @pytest.mark.parametrize("preset", ["deblur_expansive", "cs_nonexpansive", "cs_expansive"])
 def test_carried_gradient_keeps_the_residual_exact(preset):
     # The solvers update grad g by linearity after x0; after a full run the
@@ -952,18 +981,24 @@ def test_cli_make_data(tmp_path, capsys):
 
 
 def test_scipy_signal_stays_off_the_import_path():
-    # scipy.signal costs about 40 MB and a second of import time; of the
-    # package, only the texture test image still convolves with it.
+    # scipy.signal costs about 40 MB and half a second of import time; no
+    # path of the package loads it: not the presets' builds, the six test
+    # images, a sweep, nor make-data.
     code = (
-        "import sys\n"
+        "import sys, tempfile\n"
         "import redlab, redlab.cli\n"
         "from redlab.config import from_dict\n"
-        "from redlab.experiments import build_experiment\n"
+        "from redlab.experiments import build_experiment, make_data, run_sweep\n"
         "from redlab.presets import EXPERIMENT_PRESETS\n"
         "for name in sorted(EXPERIMENT_PRESETS):\n"
         "    build_experiment(from_dict(EXPERIMENT_PRESETS[name]))\n"
         "print('scipy.signal' in sys.modules)\n"
-        "redlab.named_test_image('texture', 0, (32, 32))\n"
+        "redlab.make_test_images(redlab.RngState(0), (32, 32))\n"
+        "raw = dict(EXPERIMENT_PRESETS['deblur_nonexpansive'])\n"
+        "raw['solver'] = dict(raw['solver'], t=2)\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    run_sweep(from_dict(raw), [0.1], ['mred'], tmp + '/sweep')\n"
+        "    make_data(tmp + '/data')\n"
         "print('scipy.signal' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(redlab.__file__)))
@@ -971,4 +1006,4 @@ def test_scipy_signal_stays_off_the_import_path():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False"]

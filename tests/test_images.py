@@ -1,7 +1,8 @@
 """Image containers, periodic convolution, DCT, synthetic images.
 
-The convolution oracle is a direct O(n*k^2) double loop written here from
-the definition, independent of the production code path.
+The convolution oracles are a direct O(n*k^2) double loop written here from
+the definition and scipy.signal.convolve2d, both independent of the
+production code path.
 """
 
 import numpy as np
@@ -17,7 +18,9 @@ from redlab import (
     make_test_images,
     named_test_image,
 )
-from redlab.images import CyclicConvolver, conv2d_wrap, dct2_vals, idct2_vals
+from redlab.images import CyclicConvolver, _periodic_conv, dct2_vals, idct2_vals
+
+from conv_reference import convolve2d_wrap
 
 
 def conv_oracle(arr, kern):
@@ -89,7 +92,7 @@ def test_gaussian_kernel_normalized():
 
 
 def test_conv_constant_image_preserved():
-    out = conv2d_wrap(np.full((8, 8), 0.37), gaussian_kernel(5, 1.0).as_2d())
+    out = _periodic_conv(np.full((8, 8), 0.37), gaussian_kernel(5, 1.0).as_2d())
     assert np.allclose(out, 0.37, atol=1e-14)
 
 
@@ -98,7 +101,7 @@ def test_conv_impulse_response():
     arr = np.zeros((7, 7))
     arr[3, 3] = 1.0
     k = Kernel2D(3, np.arange(1.0, 10.0) / 45.0)
-    out = conv2d_wrap(arr, k.as_2d())
+    out = _periodic_conv(arr, k.as_2d())
     assert np.allclose(out[2:5, 2:5], k.as_2d(), atol=1e-15)
 
 
@@ -106,14 +109,14 @@ def test_conv_matches_double_loop_oracle():
     # 4x4 ramp with a uniform 3x3 kernel, plus random cases.
     ramp = np.arange(16.0).reshape(4, 4) / 15.0
     uni = np.full((3, 3), 1.0 / 9.0)
-    got = conv2d_wrap(ramp, uni)
+    got = _periodic_conv(ramp, uni)
     assert np.allclose(got, conv_oracle(ramp, uni), atol=1e-14)
 
     rng = RngState(11)
     for h, w, ks in ((5, 7, 3), (8, 8, 5), (6, 9, 5)):
         arr = gaussian_samples(rng, h * w).reshape(h, w)
         kern = gaussian_samples(rng, ks * ks).reshape(ks, ks)
-        got = conv2d_wrap(arr, kern)
+        got = _periodic_conv(arr, kern)
         assert np.allclose(got, conv_oracle(arr, kern), atol=1e-12)
 
 
@@ -122,8 +125,8 @@ def test_conv_linearity():
     x = gaussian_samples(rng, 36).reshape(6, 6)
     z = gaussian_samples(rng, 36).reshape(6, 6)
     k = gaussian_kernel(3, 0.8).as_2d()
-    lhs = conv2d_wrap(2.5 * x - 1.25 * z, k)
-    rhs = 2.5 * conv2d_wrap(x, k) - 1.25 * conv2d_wrap(z, k)
+    lhs = _periodic_conv(2.5 * x - 1.25 * z, k)
+    rhs = 2.5 * _periodic_conv(x, k) - 1.25 * _periodic_conv(z, k)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -137,6 +140,57 @@ def test_conv_adjoint_is_rotated_kernel():
         lhs = float(np.sum(conv_oracle(x, k) * u))
         rhs = float(np.sum(x * conv_oracle(u, k[::-1, ::-1])))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def test_periodic_conv_is_bit_equal_to_convolve2d():
+    # Summed in convolve2d's order, direct summation has its bits for every
+    # kernel up to 7x7, on square, non-square and odd shapes.
+    rng = RngState(50)
+    for k in (1, 3, 5, 7):
+        for h, w in ((8, 8), (64, 64), (5, 7), (13, 9), (33, 35), (31, 300)):
+            arr = gaussian_samples(rng, h * w).reshape(h, w)
+            kern = gaussian_samples(rng, k * k).reshape(k, k)
+            assert np.array_equal(_periodic_conv(arr, kern), convolve2d_wrap(arr, kern))
+
+
+def test_periodic_conv_broadcasts_stacks_against_tap_stacks():
+    rng = RngState(51)
+    h, w = 9, 12
+    # (leading axes of the images, leading axes of the taps)
+    cases = [((4,), (4,)), ((), (3,)), ((2, 1), (3,)), ((3,), ())]
+    for k in (1, 3, 5, 7):
+        for lead, tap_lead in cases:
+            stack = gaussian_samples(rng, 2 * 3 * 4 * h * w)[: int(np.prod(lead)) * h * w]
+            stack = stack.reshape(lead + (h, w))
+            taps = gaussian_samples(rng, 3 * 4 * k * k)[: int(np.prod(tap_lead)) * k * k]
+            taps = taps.reshape(tap_lead + (k, k))
+            got = _periodic_conv(stack, taps)
+            both = np.broadcast_shapes(lead, tap_lead)
+            assert got.shape == both + (h, w)
+            stack_b = np.broadcast_to(stack, both + (h, w))
+            taps_b = np.broadcast_to(taps, both + (k, k))
+            for idx in np.ndindex(both):
+                assert np.array_equal(got[idx], convolve2d_wrap(stack_b[idx], taps_b[idx]))
+
+
+def test_periodic_conv_agrees_with_convolve2d_to_roundoff_from_9x9():
+    # From k = 9 on convolve2d sums in another order; each output is a sum
+    # of k^2 products, so the two differ by at most k^2 eps sum|kern| max|arr|.
+    rng = RngState(52)
+    for k in (9, 11):
+        for h, w in ((9, 9), (16, 12), (64, 64)):
+            arr = gaussian_samples(rng, h * w).reshape(h, w)
+            kern = gaussian_samples(rng, k * k).reshape(k, k)
+            bound = k * k * np.finfo(float).eps * np.sum(np.abs(kern)) * np.max(np.abs(arr))
+            got = _periodic_conv(arr, kern)
+            assert np.max(np.abs(got - convolve2d_wrap(arr, kern))) <= bound
+
+
+def test_periodic_conv_rejects_a_kernel_wider_than_its_wrap():
+    with pytest.raises(ValueError):
+        _periodic_conv(np.zeros((2, 8)), np.zeros((7, 7)))
+    out = _periodic_conv(np.ones((3, 8)), np.full((7, 7), 1.0 / 49))
+    assert out.shape == (3, 8) and np.allclose(out, 1.0, atol=1e-15)
 
 
 def test_conv_kernel_too_large():
@@ -180,9 +234,9 @@ def test_cyclic_convolver_matches_direct():
         scale = np.sum(np.abs(kern.weights))
         for _ in range(3):
             arr = gaussian_samples(rng, h * w).reshape(h, w)
-            direct = conv2d_wrap(arr, kern.as_2d())
+            direct = convolve2d_wrap(arr, kern.as_2d())
             assert np.max(np.abs(conv.apply(arr) - direct)) <= 1e-12 * scale
-            adj_direct = conv2d_wrap(arr, kern.as_2d()[::-1, ::-1])
+            adj_direct = convolve2d_wrap(arr, kern.as_2d()[::-1, ::-1])
             assert np.max(np.abs(conv.apply_adjoint(arr) - adj_direct)) <= 1e-12 * scale
             gram = conv.apply_adjoint(conv.apply(arr))
             assert np.max(np.abs(conv.apply_gram(arr) - gram)) <= 1e-12 * scale**2
@@ -294,3 +348,15 @@ def test_image_names_and_errors():
         named_test_image("nope", 0, (32, 32))
     with pytest.raises(ValueError):
         make_test_images(RngState(0), (16, 64))
+
+
+def test_texture_is_bit_equal_to_smoothed_noise_by_convolve2d():
+    # The texture is the seed's Gaussian noise smoothed by a 7x7 Gaussian
+    # and scaled to [0, 1]; direct summation gives convolve2d's bits.
+    kern = gaussian_kernel(7, 1.2).as_2d()
+    for seed in (0, 1234, 4242, 2**32 - 1):
+        noise = gaussian_samples(RngState(seed), 64 * 64).reshape(64, 64)
+        smooth = convolve2d_wrap(noise, kern)
+        lo, hi = smooth.min(), smooth.max()
+        want = (smooth - lo) / (hi - lo)
+        assert np.array_equal(named_test_image("texture", seed, (64, 64)).as_2d(), want)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from redlab import operators
-from redlab.images import conv2d_wrap
 from redlab import (
     CompressiveSensingOperator,
     DeblurOperator,
@@ -22,6 +21,7 @@ from redlab import (
     spectral_norm_sq,
 )
 
+from conv_reference import convolve2d_wrap
 from dense_operator import DenseOperator
 
 
@@ -52,11 +52,11 @@ def test_deblur_matches_convolution():
     op = DeblurOperator((8, 9), k)
     x = gaussian_samples(RngState(2), 72)
     via_op = op.forward(x)
-    via_conv = conv2d_wrap(x.reshape(8, 9), k.as_2d()).reshape(-1)
+    via_conv = convolve2d_wrap(x.reshape(8, 9), k.as_2d()).reshape(-1)
     assert np.max(np.abs(via_op - via_conv)) < 1e-12
     # Adjoint is convolution with the rotated kernel.
     via_adj = op.adjoint(x)
-    via_rot = conv2d_wrap(x.reshape(8, 9), k.as_2d()[::-1, ::-1]).reshape(-1)
+    via_rot = convolve2d_wrap(x.reshape(8, 9), k.as_2d()[::-1, ::-1]).reshape(-1)
     assert np.max(np.abs(via_adj - via_rot)) < 1e-12
 
 

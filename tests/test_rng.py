@@ -1,5 +1,7 @@
 """Seeded sampling: determinism, Box-Muller statistics, validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,10 @@ def test_non_integral_counts_are_rejected():
 def test_gaussian_matches_one_shot_box_muller():
     # The chunked, in-place transform gives the bits of the textbook one:
     # all radius uniforms first, then all angle uniforms.
-    for count in (1, 2, 3, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 410 * 4096):
+    for count in (
+        1, 2, 3, 4, 5, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 4 * _CHUNK + 1,
+        1_000_001, 410 * 4096,
+    ):
         rng = RngState(11)
         got = gaussian_samples(rng, count)
         ref_rng = RngState(11)
@@ -100,6 +105,21 @@ def test_gaussian_matches_one_shot_box_muller():
         assert np.array_equal(got, want[:count])
         # Both leave the stream at the same point.
         assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
+
+
+def test_gaussian_draw_holds_one_full_size_array():
+    # The radii live in the tail of the result; besides it the draw holds
+    # only chunk-sized temporaries (a copy of the chunk's radii, its angles
+    # and their cosine or sine).
+    for count in (2 * _CHUNK + 1, 410 * 4096):
+        rng = RngState(77)
+        tracemalloc.start()
+        try:
+            gaussian_samples(rng, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * count <= 4 * 8 * _CHUNK
 
 
 def test_gaussian_odd_count():
