@@ -16,7 +16,6 @@ from .images import (
     Kernel2D,
     TEST_IMAGE_NAMES,
     gaussian_kernel,
-    make_test_images,
     named_test_image,
 )
 from .operators import (
@@ -57,7 +56,6 @@ __all__ = [
     "Kernel2D",
     "TEST_IMAGE_NAMES",
     "gaussian_kernel",
-    "make_test_images",
     "named_test_image",
     "LinearOperator",
     "DeblurOperator",

@@ -6,9 +6,8 @@ Exit codes: 0 success, 1 usage or configuration error, 2 solver diverged,
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .config import ConfigError, load_config
+from .config import ConfigError, from_dict, load_config, to_dict
 from .experiments import (
     grad_check,
     lipschitz_report,
@@ -44,14 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _apply_overrides(cfg, args):
-    if getattr(args, "tau", None) is not None:
-        cfg = replace(cfg, tau=args.tau)
-    if getattr(args, "solver", None) is not None:
-        cfg = replace(cfg, solver={**cfg.solver, "name": args.solver})
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, noise={**cfg.noise, "seed": args.seed})
-    return cfg
+def _apply_overrides(cfg, tau=None, solver=None, seed=None):
+    """The config with the given command-line values, parsed again so that
+    they meet the same checks as the file's."""
+    raw = to_dict(cfg)
+    if tau is not None:
+        raw["tau"] = tau
+    if solver is not None:
+        raw["solver"]["name"] = solver
+    if seed is not None:
+        raw["noise"]["seed"] = seed
+    return from_dict(raw)
 
 
 def _fmt_metric(v):
@@ -61,7 +63,7 @@ def _fmt_metric(v):
 
 
 def _cmd_run(args):
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _apply_overrides(load_config(args.config), args.tau, args.solver, args.seed)
     out_root = args.out if args.out is not None else cfg.out
     image_name = cfg.image.get("preset", "pgm")
     out_dir = f"{out_root}/{run_dir_name(cfg.solver['name'], cfg.tau, image_name)}"
@@ -88,12 +90,14 @@ def _parse_list(text, convert, what):
 
 
 def _cmd_sweep(args):
-    cfg = _apply_overrides(load_config(args.config), args)
+    # --tau and --solver are the grid's lists, not overrides.
+    cfg = _apply_overrides(load_config(args.config), seed=args.seed)
     taus = _parse_list(args.tau or "1,0.1,0.01", float, "tau")
     solvers = _parse_list(args.solver or ",".join(SOLVER_NAMES), str, "solver")
-    for name in solvers:
-        if name not in SOLVER_NAMES:
-            raise ConfigError(f"unknown solver {name!r} in sweep list")
+    # Each grid point meets the parser's checks before any run starts.
+    for tau in taus:
+        for solver in solvers:
+            _apply_overrides(cfg, tau, solver)
     out_root = args.out if args.out is not None else cfg.out
     summary = run_sweep(cfg, taus, solvers, out_root, parallel=args.parallel)
     for run in summary["runs"]:
@@ -132,7 +136,7 @@ def _cmd_plot(args):
 
 
 def _cmd_grad_check(args):
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _apply_overrides(load_config(args.config), seed=args.seed)
     max_err, errs = grad_check(cfg, seed=args.seed if args.seed is not None else 0)
     print(f"probes={len(errs)} max_rel_error={repr(max_err)}")
     if not build_denoiser(cfg.denoiser, cfg.shape).smooth:

@@ -1,40 +1,53 @@
 """Strict experiment configuration: JSON in, normalized dataclass out.
 
-Unknown keys are errors at every nesting level, so typos never silently
-fall back to defaults.  Parsing fills every default, which makes configs
-round-trip: to_dict(from_dict(d)) parses back to an equal object.
+Every key is declared once, with its default, in one table per section, and
+a value must have its default's type (see _like).  Unknown keys are errors
+at every nesting level, so typos never silently fall back to defaults.
+Parsing fills every default, which makes configs round-trip:
+to_dict(from_dict(d)) parses back to an equal object.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .images import TEST_IMAGE_NAMES
-from .presets import DENOISER_SCHEMAS, resolve_denoiser_spec
+from .presets import DENOISER_NAMES, DENOISERS
 from .solvers import SOLVER_NAMES, SolverConfig
 
 _PROBLEMS = ("deblur", "cs")
 
-_TOP_KEYS = {
-    "problem",
-    "image",
-    "shape",
-    "image_seed",
-    "operator",
-    "noise",
-    "denoiser",
-    "tau",
-    "solver",
-    "out",
+# {key: default} per section; problem and denoiser have no default.
+_TOP = {
+    "problem": None,
+    "image": "phantom",
+    "shape": [64, 64],
+    "image_seed": 1234,
+    "operator": {},
+    "noise": {},
+    "denoiser": None,
+    "tau": 0.1,
+    "solver": {},
+    "out": "runs",
 }
-
-# A null gamma means the default step 1/(L + 2 tau).
-_SOLVER_DEFAULTS = {
+# A deblur operator may instead be {"kernel_path": path}.
+_OPERATOR = {
+    "deblur": {"kernel_size": 17, "kernel_sigma": 2.0},
+    "cs": {"ratio": 0.1, "seed": 77},
+}
+_NOISE = {
+    "deblur": {"input_snr_db": 30.0, "seed": 42},
+    "cs": {"input_snr_db": None, "seed": 42},
+}
+_SOLVER = {
     "name": "mred",
     "gamma": None,
     **{f.name: f.default for f in fields(SolverConfig) if f.name != "gamma"},
 }
+# Floats that may be null: a null gamma means the default step
+# 1/(L + 2 tau), a null input_snr_db noiseless measurements.
+_NULLABLE = ("gamma", "input_snr_db")
 
 
 class ConfigError(ValueError):
@@ -45,53 +58,59 @@ def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _check_keys(d, allowed, path):
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        _fail(path, f"unknown key(s) {unknown}")
+def _like(v, default, path):
+    """`v` checked to have the type of `default`.
 
-
-def _number(d, key, path, default=None, required=False, allow_none=False):
-    if key not in d:
-        if required:
-            _fail(path, f"missing required key {key!r}")
-        return default
-    v = d[key]
-    if v is None and allow_none:
-        return None
+    A bool or int default takes exactly that type; a float default takes any
+    finite number that is not a bool, and returns it as a float.
+    """
+    if isinstance(default, int):  # bool is an int too
+        if type(v) is not type(default):
+            _fail(path, "expected a boolean" if type(default) is bool else "expected an integer")
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", "expected a number")
+        _fail(path, "expected a number")
     try:
         v = float(v)
     except OverflowError:
         v = math.inf
     # No key takes an infinite value: a noiseless input_snr_db is null.
     if not math.isfinite(v):
-        _fail(f"{path}.{key}", "expected a finite number")
+        _fail(path, "expected a finite number")
     return v
 
 
-def _integer(d, key, path, default=None, required=False):
-    if key not in d:
-        if required:
-            _fail(path, f"missing required key {key!r}")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", "expected an integer")
-    return int(v)
+def _section(d, defaults, path):
+    """The object `d`, keyed by `defaults` only, with every default filled in.
+
+    Numbers and booleans pass _like, as do the nullable floats unless null;
+    values with other defaults are left to the caller.
+    """
+    if not isinstance(d, dict):
+        _fail(path, "expected an object")
+    unknown = sorted(set(d) - set(defaults))
+    if unknown:
+        _fail(path, f"unknown key(s) {unknown}")
+    out = {**defaults, **d}
+    for key, default in defaults.items():
+        if key in _NULLABLE:
+            if out[key] is None:
+                continue
+            default = 0.0  # a float
+        if isinstance(default, (int, float)):
+            out[key] = _like(out[key], default, f"{path}.{key}")
+    return out
 
 
-def _like(d, key, path, default):
-    """d[key], or `default` where absent, checked to have the type of `default`."""
-    if isinstance(default, bool):
-        v = d.get(key, default)
-        if not isinstance(v, bool):
-            _fail(f"{path}.{key}", "expected a boolean")
-        return v
-    if isinstance(default, int):
-        return _integer(d, key, path, default=default)
-    return _number(d, key, path, default=default)
+def _file(v, base_dir, path):
+    """Absolute path of an existing file, so the config round-trips from any
+    directory."""
+    if not isinstance(v, str):
+        _fail(path, "expected a path string")
+    v = os.path.abspath(os.path.join(base_dir, v))
+    if not os.path.isfile(v):
+        _fail(path, f"file not found: {v}")
+    return v
 
 
 @dataclass
@@ -107,158 +126,88 @@ class ExperimentConfig:
     denoiser: dict
     tau: float
     solver: dict
-    out: str = field(default="runs")
+    out: str
 
 
 def from_dict(raw, base_dir="."):
     """Validate a raw config dict and return an ExperimentConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object at top level")
-    _check_keys(raw, _TOP_KEYS, "config")
-
-    problem = raw.get("problem")
+    top = _section(raw, _TOP, "config")
+    problem = top["problem"]
     if problem not in _PROBLEMS:
         _fail("config.problem", f"expected one of {_PROBLEMS}, got {problem!r}")
 
-    image_raw = raw.get("image", "phantom")
-    if isinstance(image_raw, str):
-        if image_raw not in TEST_IMAGE_NAMES:
-            _fail(
-                "config.image",
-                f"unknown image preset {image_raw!r}; valid: {TEST_IMAGE_NAMES}",
-            )
-        image = {"preset": image_raw}
-    elif isinstance(image_raw, dict):
-        _check_keys(image_raw, {"pgm"}, "config.image")
-        if "pgm" not in image_raw or not isinstance(image_raw["pgm"], str):
-            _fail("config.image", "expected {'pgm': path}")
-        # Stored absolute so the config round-trips from any directory.
-        pgm_path = os.path.abspath(os.path.join(base_dir, image_raw["pgm"]))
-        if not os.path.isfile(pgm_path):
-            _fail("config.image.pgm", f"file not found: {pgm_path}")
-        image = {"pgm": pgm_path}
+    image = top["image"]
+    if isinstance(image, str):
+        if image not in TEST_IMAGE_NAMES:
+            _fail("config.image", f"unknown image preset {image!r}; valid: {TEST_IMAGE_NAMES}")
+        image = {"preset": image}
+    elif isinstance(image, dict) and list(image) == ["pgm"]:
+        image = {"pgm": _file(image["pgm"], base_dir, "config.image.pgm")}
     else:
         _fail("config.image", "expected a preset name or {'pgm': path}")
 
-    shape_raw = raw.get("shape", [64, 64])
-    if (
-        not isinstance(shape_raw, (list, tuple))
-        or len(shape_raw) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in shape_raw)
-    ):
+    shape = top["shape"]
+    if not isinstance(shape, (list, tuple)) or len(shape) != 2:
         _fail("config.shape", "expected [height, width] integers")
-    shape = (int(shape_raw[0]), int(shape_raw[1]))
+    shape = tuple(_like(v, 1, "config.shape") for v in shape)
     if min(shape) < 1:
         _fail("config.shape", "dimensions must be positive")
 
-    image_seed = _integer(raw, "image_seed", "config", default=1234)
-
-    op_raw = raw.get("operator", {})
-    if not isinstance(op_raw, dict):
-        _fail("config.operator", "expected an object")
-    if problem == "deblur":
-        _check_keys(
-            op_raw, {"kernel_path", "kernel_size", "kernel_sigma"}, "config.operator"
-        )
-        if "kernel_path" in op_raw:
-            if "kernel_size" in op_raw or "kernel_sigma" in op_raw:
-                _fail(
-                    "config.operator",
-                    "kernel_path excludes kernel_size/kernel_sigma",
-                )
-            kp = op_raw["kernel_path"]
-            if not isinstance(kp, str):
-                _fail("config.operator.kernel_path", "expected a path string")
-            kp = os.path.abspath(os.path.join(base_dir, kp))
-            if not os.path.isfile(kp):
-                _fail("config.operator.kernel_path", f"file not found: {kp}")
-            operator = {"kernel_path": kp}
-        else:
-            size = _integer(op_raw, "kernel_size", "config.operator", default=17)
-            sigma = _number(op_raw, "kernel_sigma", "config.operator", default=2.0)
-            if size < 1 or size % 2 == 0:
-                _fail("config.operator.kernel_size", "must be odd and positive")
-            if sigma <= 0:
-                _fail("config.operator.kernel_sigma", "must be positive")
-            operator = {"kernel_size": size, "kernel_sigma": sigma}
+    op = top["operator"]
+    if problem == "cs":
+        operator = _section(op, _OPERATOR["cs"], "config.operator")
+        # The operator measures m = round(ratio * n) of the n pixels.
+        ratio, n = operator["ratio"], shape[0] * shape[1]
+        if not (0.0 < ratio < 1.0 and 1 <= round(ratio * n) < n):
+            _fail("config.operator.ratio", f"must lie in (0, 1) and give 1 <= m < n = {n}")
+    elif isinstance(op, dict) and "kernel_path" in op:
+        if len(op) > 1:
+            _fail("config.operator", "kernel_path excludes every other key")
+        kernel_path = _file(op["kernel_path"], base_dir, "config.operator.kernel_path")
+        operator = {"kernel_path": kernel_path}
     else:
-        _check_keys(op_raw, {"ratio", "seed"}, "config.operator")
-        ratio = _number(op_raw, "ratio", "config.operator", default=0.1)
-        if not 0.0 < ratio < 1.0:
-            _fail("config.operator.ratio", "must lie in (0, 1)")
-        seed = _integer(op_raw, "seed", "config.operator", default=77)
-        operator = {"ratio": ratio, "seed": seed}
+        operator = _section(op, _OPERATOR["deblur"], "config.operator")
+        if operator["kernel_size"] < 1 or operator["kernel_size"] % 2 == 0:
+            _fail("config.operator.kernel_size", "must be odd and positive")
+        if operator["kernel_sigma"] <= 0:
+            _fail("config.operator.kernel_sigma", "must be positive")
 
-    noise_raw = raw.get("noise", {})
-    if not isinstance(noise_raw, dict):
-        _fail("config.noise", "expected an object")
-    _check_keys(noise_raw, {"input_snr_db", "seed"}, "config.noise")
-    default_snr = 30.0 if problem == "deblur" else None
-    snr = _number(
-        noise_raw,
-        "input_snr_db",
-        "config.noise",
-        default=default_snr,
-        allow_none=True,
-    )
-    noise = {
-        "input_snr_db": snr,
-        "seed": _integer(noise_raw, "seed", "config.noise", default=42),
-    }
+    noise = _section(top["noise"], _NOISE[problem], "config.noise")
 
-    den_raw = raw.get("denoiser")
-    if not isinstance(den_raw, dict):
-        _fail("config.denoiser", "expected an object with a 'name' key")
-    try:
-        denoiser = resolve_denoiser_spec(den_raw)
-    except ValueError as exc:
-        _fail("config.denoiser", str(exc))
-    for key, default in DENOISER_SCHEMAS[denoiser["name"]].items():
-        denoiser[key] = _like(denoiser, key, "config.denoiser", default)
+    den = top["denoiser"]
+    name = den.get("name") if isinstance(den, dict) else None
+    if name not in DENOISER_NAMES:
+        _fail("config.denoiser", f"expected an object with a 'name' in {DENOISER_NAMES}")
+    denoiser = _section(den, {"name": name, **DENOISERS[name][0]}, "config.denoiser")
 
-    tau = _number(raw, "tau", "config", default=0.1)
-    if tau <= 0:
+    if top["tau"] <= 0:
         _fail("config.tau", "must be positive")
 
-    sol_raw = raw.get("solver", {})
-    if not isinstance(sol_raw, dict):
-        _fail("config.solver", "expected an object")
-    _check_keys(sol_raw, set(_SOLVER_DEFAULTS), "config.solver")
-    solver = dict(_SOLVER_DEFAULTS)
-    name = sol_raw.get("name", solver["name"])
-    if name not in SOLVER_NAMES:
-        _fail("config.solver.name", f"expected one of {SOLVER_NAMES}, got {name!r}")
-    solver["name"] = name
-    solver["gamma"] = _number(
-        sol_raw, "gamma", "config.solver", default=None, allow_none=True
-    )
-    for key, default in _SOLVER_DEFAULTS.items():
-        if key not in ("name", "gamma"):
-            solver[key] = _like(sol_raw, key, "config.solver", default)
+    solver = _section(top["solver"], _SOLVER, "config.solver")
+    if solver["name"] not in SOLVER_NAMES:
+        _fail("config.solver.name", f"expected one of {SOLVER_NAMES}, got {solver['name']!r}")
     # SolverConfig owns the ranges; a null gamma stands for a positive one.
-    checked = {k: v for k, v in solver.items() if k != "name"}
-    if checked["gamma"] is None:
-        checked["gamma"] = 1.0
+    checked = {**solver, "gamma": 1.0 if solver["gamma"] is None else solver["gamma"]}
+    del checked["name"]
     try:
         SolverConfig(**checked)
     except ValueError as exc:
         _fail("config.solver", str(exc))
 
-    out = raw.get("out", "runs")
-    if not isinstance(out, str):
+    if not isinstance(top["out"], str):
         _fail("config.out", "expected a path string")
 
     return ExperimentConfig(
         problem=problem,
         image=image,
         shape=shape,
-        image_seed=image_seed,
+        image_seed=top["image_seed"],
         operator=operator,
         noise=noise,
         denoiser=denoiser,
-        tau=tau,
+        tau=top["tau"],
         solver=solver,
-        out=out,
+        out=top["out"],
     )
 
 

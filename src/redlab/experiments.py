@@ -20,13 +20,7 @@ from . import __version__
 from .config import ExperimentConfig, from_dict, to_dict
 from .denoisers import LipschitzEstimate, estimate_lipschitz
 from .fidelity import LeastSquaresFidelity, NoiseSpec, add_noise_at_snr
-from .images import (
-    ImageGrid,
-    TEST_IMAGE_NAMES,
-    gaussian_kernel,
-    make_test_images,
-    named_test_image,
-)
+from .images import ImageGrid, TEST_IMAGE_NAMES, gaussian_kernel, named_test_image
 from .operators import DeblurOperator, _blas_threads, build_cs_operator, spectral_norm_sq
 from .pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
 from .presets import EXPERIMENT_PRESETS, build_denoiser
@@ -78,10 +72,7 @@ def _build_operator(cfg):
             )
         return DeblurOperator(cfg.shape, kernel)
     n = cfg.shape[0] * cfg.shape[1]
-    m = round(cfg.operator["ratio"] * n)
-    if not 1 <= m < n:
-        raise ValueError(f"ratio {cfg.operator['ratio']} gives invalid m={m} for n={n}")
-    return build_cs_operator(m, n, cfg.operator["seed"])
+    return build_cs_operator(round(cfg.operator["ratio"] * n), n, cfg.operator["seed"])
 
 
 def build_experiment(cfg):
@@ -184,7 +175,7 @@ def run_experiment(cfg, out_dir=None):
         }
         write_sidecar(os.path.join(out_dir, "sidecar.json"), sidecar)
         recon = ImageGrid(cfg.shape[0], cfg.shape[1], result.x_star)
-        write_pgm(os.path.join(out_dir, "recon.pgm"), recon, bit_depth=16)
+        write_pgm(os.path.join(out_dir, "recon.pgm"), recon)
     return result, built, metrics
 
 
@@ -216,9 +207,9 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
     """Cartesian product of taus x solvers x the six synthetic images.
 
     Returns {"runs": [...], "failures": [...], "aggregates": [...]}.
-    Failures, including a failed operator build (recorded once per run),
-    do not stop the sweep.  `out_root/summary.json` holds the runs and the
-    failures, with sorted keys and no timing, so reruns write the same bytes.
+    Failures do not stop the sweep.  `out_root/summary.json` holds the runs
+    and the failures, with sorted keys and no timing, so reruns write the
+    same bytes.
     """
     if not taus or not solvers:
         raise ValueError("sweep needs at least one tau and one solver")
@@ -320,10 +311,9 @@ def make_data(out_dir, seed=1234, shape=(64, 64)):
     file, and one JSON config per shipped experiment preset."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    rng = RngState(seed)
-    for name, img in zip(TEST_IMAGE_NAMES, make_test_images(rng, shape)):
+    for name in TEST_IMAGE_NAMES:
         path = os.path.join(out_dir, f"{name}.pgm")
-        write_pgm(path, img, bit_depth=16)
+        write_pgm(path, named_test_image(name, seed, shape))
         written.append(path)
     kpath = os.path.join(out_dir, "kernel_17.txt")
     write_kernel_file(kpath, gaussian_kernel(17, 2.0))

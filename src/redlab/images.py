@@ -349,34 +349,17 @@ _TEST_IMAGE_BUILDERS = {
 }
 
 
-def _test_image_shape(shape):
-    h, w = int(shape[0]), int(shape[1])
-    if h < 32 or w < 32:
-        raise ValueError("test image shape must be at least 32x32")
-    return h, w
-
-
-def make_test_images(rng, shape):
-    """Build the six deterministic synthetic test images for a shape.
-
-    Returns [phantom, ramp, sinusoid, checkerboard, texture, blocks], all
-    with values in [0, 1].  The texture and block images consume samples
-    from `rng`, in that order; the rest are seed-independent.
-    """
-    h, w = _test_image_shape(shape)
-    return [
-        ImageGrid.from_2d(_TEST_IMAGE_BUILDERS[name](h, w, rng)) for name in TEST_IMAGE_NAMES
-    ]
-
-
 def named_test_image(name, seed, shape):
-    """Single named test image, equal to its entry of `make_test_images`.
+    """One of the six synthetic test images (TEST_IMAGE_NAMES), values in [0, 1].
 
-    See TEST_IMAGE_NAMES for valid names.
+    Texture and blocks read one stream seeded by `seed`, texture's draw
+    first; the other four do not depend on the seed.
     """
     if name not in TEST_IMAGE_NAMES:
         raise ValueError(f"unknown test image {name!r}; valid: {TEST_IMAGE_NAMES}")
-    h, w = _test_image_shape(shape)
+    h, w = int(shape[0]), int(shape[1])
+    if h < 32 or w < 32:
+        raise ValueError("test image shape must be at least 32x32")
     rng = RngState(seed)
     if name == "blocks":
         # Skip the uniforms the texture's Gaussian draw takes first: two per

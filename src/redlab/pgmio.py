@@ -1,8 +1,8 @@
 """Binary PGM (P5) image files and plain-text kernel files.
 
-Writing quantizes [0, 1] pixel values to 8- or 16-bit levels; values outside
-[0, 1] are clipped first.  16-bit samples are big-endian per the PGM format.
-Kernel files hold the kernel size on the first line and then size^2 weights
+Writing quantizes [0, 1] pixel values to 16-bit levels, big-endian per the
+PGM format; values outside [0, 1] are clipped first.  Reading also takes
+8-bit files.  Kernel files hold the kernel size on the first line and then size^2 weights
 in row-major order, whitespace separated.
 """
 
@@ -11,20 +11,12 @@ import numpy as np
 from .images import ImageGrid, Kernel2D
 
 
-def write_pgm(path, img, bit_depth=8):
-    if bit_depth == 8:
-        maxval = 255
-        dtype = np.dtype(">u1")
-    elif bit_depth == 16:
-        maxval = 65535
-        dtype = np.dtype(">u2")
-    else:
-        raise ValueError("bit_depth must be 8 or 16")
+def write_pgm(path, img):
     vals = np.clip(img.values, 0.0, 1.0)
     # Round half away from zero so that quantization is platform independent.
-    levels = np.floor(vals * maxval + 0.5).astype(np.int64)
-    levels = np.clip(levels, 0, maxval).astype(dtype)
-    header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
+    levels = np.floor(vals * 65535 + 0.5).astype(np.int64)
+    levels = np.clip(levels, 0, 65535).astype(">u2")
+    header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(levels.tobytes())

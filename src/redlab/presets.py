@@ -18,58 +18,44 @@ from .denoisers import (
     ScaledDenoiser,
 )
 
-# Parameter names (with defaults) accepted by each denoiser preset.
-DENOISER_SCHEMAS = {
-    "identity": {},
-    "smoother": {"sigma": 1.5},
-    "dct_threshold": {"threshold": 0.1, "smoothing_mu": 0.02},
-    "scaled_identity": {"scale": 1.6},
-    "scaled_smoother": {"sigma": 1.5, "scale": 1.6},
-    "convnet": {"layers": 2, "channels": 4, "weight_scale": 0.8, "seed": 11},
+
+def _pixels(shape):
+    return int(shape[0]) * int(shape[1])
+
+
+# Each denoiser by name: its parameters with their defaults, and its
+# constructor, called as (shape, parameters).
+DENOISERS = {
+    "identity": ({}, lambda shape, p: IdentityDenoiser(_pixels(shape))),
+    "smoother": ({"sigma": 1.5}, lambda shape, p: LinearSmoothingDenoiser(shape, p["sigma"])),
+    "dct_threshold": (
+        {"threshold": 0.1, "smoothing_mu": 0.02},
+        lambda shape, p: DctSoftThresholdDenoiser(shape, p["threshold"], p["smoothing_mu"]),
+    ),
+    "scaled_identity": (
+        {"scale": 1.6},
+        lambda shape, p: ScaledDenoiser(IdentityDenoiser(_pixels(shape)), p["scale"]),
+    ),
+    "scaled_smoother": (
+        {"sigma": 1.5, "scale": 1.6},
+        lambda shape, p: ScaledDenoiser(LinearSmoothingDenoiser(shape, p["sigma"]), p["scale"]),
+    ),
+    "convnet": (
+        {"layers": 2, "channels": 4, "weight_scale": 0.8, "seed": 11},
+        lambda shape, p: RandomConvnetDenoiser(
+            shape, p["layers"], p["channels"], p["weight_scale"], p["seed"]
+        ),
+    ),
 }
 
-DENOISER_NAMES = tuple(sorted(DENOISER_SCHEMAS))
-
-
-def resolve_denoiser_spec(spec):
-    """Fill defaults and reject unknown keys; returns a normalized dict."""
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ValueError("denoiser spec must be a dict with a 'name' key")
-    name = spec["name"]
-    if name not in DENOISER_SCHEMAS:
-        raise ValueError(f"unknown denoiser {name!r}; valid: {DENOISER_NAMES}")
-    schema = DENOISER_SCHEMAS[name]
-    unknown = set(spec) - set(schema) - {"name"}
-    if unknown:
-        raise ValueError(
-            f"unknown denoiser parameter(s) {sorted(unknown)} for {name!r}"
-        )
-    out = {"name": name}
-    for key, default in schema.items():
-        out[key] = spec.get(key, default)
-    return out
+DENOISER_NAMES = tuple(sorted(DENOISERS))
 
 
 def build_denoiser(spec, shape):
-    """Construct the denoiser described by a normalized spec for a shape."""
-    spec = resolve_denoiser_spec(spec)
-    name = spec["name"]
-    n = int(shape[0]) * int(shape[1])
-    if name == "identity":
-        return IdentityDenoiser(n)
-    if name == "smoother":
-        return LinearSmoothingDenoiser(shape, spec["sigma"])
-    if name == "dct_threshold":
-        return DctSoftThresholdDenoiser(shape, spec["threshold"], spec["smoothing_mu"])
-    if name == "scaled_identity":
-        return ScaledDenoiser(IdentityDenoiser(n), spec["scale"])
-    if name == "scaled_smoother":
-        return ScaledDenoiser(
-            LinearSmoothingDenoiser(shape, spec["sigma"]), spec["scale"]
-        )
-    return RandomConvnetDenoiser(
-        shape, spec["layers"], spec["channels"], spec["weight_scale"], spec["seed"]
-    )
+    """Construct the denoiser a spec ({"name": ..., parameters...}) names for
+    a shape; absent parameters take their defaults."""
+    defaults, make = DENOISERS[spec["name"]]
+    return make(shape, {**defaults, **spec})
 
 
 _DEBLUR_BASE = {

@@ -136,7 +136,7 @@ def test_config_round_trip_presets(name):
 def test_config_round_trip_with_files(tmp_path):
     tmp = str(tmp_path)
     img = named_test_image("ramp", 1, (32, 32))
-    write_pgm(os.path.join(tmp, "img.pgm"), img, bit_depth=16)
+    write_pgm(os.path.join(tmp, "img.pgm"), img)
     write_kernel_file(os.path.join(tmp, "k.txt"), gaussian_kernel(5, 1.0))
     raw = {
         "problem": "deblur",
@@ -213,7 +213,7 @@ def test_config_null_snr_means_noiseless():
 )
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, patch, tau_arg):
     # Python's json reads and writes NaN and Infinity, and a long integer
-    # literal overflows a float; the CLI's --tau skips the parser.
+    # literal overflows a float; a config changed in code skips the parser.
     raw = {**EXPANSIVE_SMALL, **patch}
     with pytest.raises(ValueError):  # ConfigError is a ValueError
         cfg = from_dict(raw)
@@ -284,6 +284,47 @@ def test_solver_ranges_are_checked_at_parse_time(tmp_path, capsys, solver, fragm
     assert not os.path.exists(out)
 
 
+def test_cs_ratio_is_checked_against_the_shape_at_parse_time(tmp_path, capsys):
+    # round(1e-4 * 32 * 32) = 0 rows: the ratio lies in (0, 1) but measures
+    # nothing, which every run of a sweep would otherwise find on its own.
+    raw = {**CS_SMALL, "operator": {"ratio": 1e-4, "seed": 5}}
+    with pytest.raises(ConfigError, match=r"^config\.operator\.ratio: "):
+        from_dict(raw)
+    assert from_dict({**raw, "shape": [128, 128]}).operator["ratio"] == 1e-4
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    assert main(["sweep", "--config", write_config(tmp, raw), "--out", out]) == 1
+    assert "config error: config.operator.ratio: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_overrides_go_through_the_parser(tmp_path, capsys):
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    path = write_config(tmp, SMALL)
+    for cmd, tau in (("run", "nan"), ("sweep", "0.1,nan"), ("sweep", "0.1,-1")):
+        assert main([cmd, "--config", path, "--out", out, "--tau", tau]) == 1
+        assert "config error: config.tau: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+def test_cli_sweep_lists_are_the_grid_not_overrides(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_sweep(cfg, taus, solvers, out_root, parallel=False):
+        seen.update(cfg=cfg, taus=taus, solvers=solvers)
+        return {"runs": [], "failures": [], "aggregates": []}
+
+    monkeypatch.setattr("redlab.cli.run_sweep", fake_sweep)
+    tmp = str(tmp_path)
+    args = ["sweep", "--config", write_config(tmp, SMALL), "--out", os.path.join(tmp, "x"),
+            "--tau", "1,0.1", "--solver", "red,mred", "--seed", "7"]
+    assert main(args) == 0
+    assert seen["taus"] == [1.0, 0.1] and seen["solvers"] == ["red", "mred"]
+    want = from_dict({**SMALL, "noise": {"seed": 7}})
+    assert seen["cfg"] == want
+
+
 def test_cli_run_names_tau_when_the_default_step_rounds_to_zero(tmp_path, capsys):
     # 1/(L + 2 tau) is 0 once L + 2 tau overflows; the user set tau, not gamma.
     tmp = str(tmp_path)
@@ -317,7 +358,7 @@ def test_classes_reject_nan_parameters():
 def test_load_config(tmp_path):
     tmp = str(tmp_path)
     img = named_test_image("ramp", 1, (32, 32))
-    write_pgm(os.path.join(tmp, "img.pgm"), img, bit_depth=16)
+    write_pgm(os.path.join(tmp, "img.pgm"), img)
     raw = dict(SMALL)
     raw["image"] = {"pgm": "img.pgm"}
     path = write_config(tmp, raw)
@@ -448,7 +489,7 @@ def test_build_honors_explicit_gamma():
 def test_build_rejects_shape_mismatched_pgm(tmp_path):
     tmp = str(tmp_path)
     img = named_test_image("ramp", 1, (32, 32))
-    write_pgm(os.path.join(tmp, "img.pgm"), img, bit_depth=16)
+    write_pgm(os.path.join(tmp, "img.pgm"), img)
     raw = copy.deepcopy(SMALL)
     raw["image"] = {"pgm": "img.pgm"}
     raw["shape"] = [64, 64]
@@ -993,7 +1034,8 @@ def test_scipy_signal_stays_off_the_import_path():
         "for name in sorted(EXPERIMENT_PRESETS):\n"
         "    build_experiment(from_dict(EXPERIMENT_PRESETS[name]))\n"
         "print('scipy.signal' in sys.modules)\n"
-        "redlab.make_test_images(redlab.RngState(0), (32, 32))\n"
+        "for name in redlab.TEST_IMAGE_NAMES:\n"
+        "    redlab.named_test_image(name, 0, (32, 32))\n"
         "raw = dict(EXPERIMENT_PRESETS['deblur_nonexpansive'])\n"
         "raw['solver'] = dict(raw['solver'], t=2)\n"
         "with tempfile.TemporaryDirectory() as tmp:\n"

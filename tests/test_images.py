@@ -15,10 +15,15 @@ from redlab import (
     TEST_IMAGE_NAMES,
     gaussian_kernel,
     gaussian_samples,
-    make_test_images,
     named_test_image,
 )
-from redlab.images import CyclicConvolver, _periodic_conv, dct2_vals, idct2_vals
+from redlab.images import (
+    _TEST_IMAGE_BUILDERS,
+    CyclicConvolver,
+    _periodic_conv,
+    dct2_vals,
+    idct2_vals,
+)
 
 from conv_reference import convolve2d_wrap
 
@@ -290,30 +295,32 @@ def test_dct_orthonormality_preserves_inner_products():
 # ------------------------------------------------------------ test image set
 
 
-def test_make_test_images_basics():
-    imgs = make_test_images(RngState(1234), (64, 64))
-    assert len(imgs) == 6
-    for img in imgs:
+def test_test_images_basics():
+    for name in TEST_IMAGE_NAMES:
+        img = named_test_image(name, 1234, (64, 64))
         assert img.shape == (64, 64)
         assert img.values.min() >= 0.0
         assert img.values.max() <= 1.0
 
 
-def test_make_test_images_deterministic():
-    a = make_test_images(RngState(99), (32, 32))
-    b = make_test_images(RngState(99), (32, 32))
-    for x, z in zip(a, b):
-        assert np.array_equal(x.values, z.values)
+def test_test_images_deterministic():
+    for name in TEST_IMAGE_NAMES:
+        a = named_test_image(name, 99, (32, 32))
+        b = named_test_image(name, 99, (32, 32))
+        assert np.array_equal(a.values, b.values)
 
 
 @pytest.mark.parametrize("seed", [0, 1234])
 @pytest.mark.parametrize("shape", [(32, 32), (64, 48), (33, 35)])  # odd h*w too
 def test_named_test_image_matches_the_full_set(seed, shape):
-    full = make_test_images(RngState(seed), shape)
-    for name, img in zip(TEST_IMAGE_NAMES, full):
+    # The full set draws texture and then blocks from one stream; each
+    # named image is its entry of that set.
+    rng = RngState(seed)
+    for name in TEST_IMAGE_NAMES:
+        full = _TEST_IMAGE_BUILDERS[name](*shape, rng)
         one = named_test_image(name, seed, shape)
-        assert one.shape == img.shape
-        assert np.array_equal(one.values, img.values)
+        assert one.shape == full.shape
+        assert np.array_equal(one.as_2d(), full)
 
 
 def test_phantom_has_gray_levels():
@@ -347,7 +354,7 @@ def test_image_names_and_errors():
     with pytest.raises(ValueError):
         named_test_image("nope", 0, (32, 32))
     with pytest.raises(ValueError):
-        make_test_images(RngState(0), (16, 64))
+        named_test_image("phantom", 0, (16, 64))
 
 
 def test_texture_is_bit_equal_to_smoothed_noise_by_convolve2d():

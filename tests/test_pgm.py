@@ -11,33 +11,37 @@ def test_round_trip_16bit(tmp_path):
     rng = RngState(8)
     img = ImageGrid(6, 5, rng.uniform(30))
     path = tmp_path / "a.pgm"
-    write_pgm(path, img, bit_depth=16)
+    write_pgm(path, img)
     back = read_pgm(path)
     assert back.shape == img.shape
     assert np.max(np.abs(back.values - img.values)) <= 1.0 / 65535
 
 
 def test_round_trip_8bit(tmp_path):
+    # The package writes 16-bit files only; 8-bit ones come from elsewhere.
     img = ImageGrid(4, 4, RngState(9).uniform(16))
     path = tmp_path / "b.pgm"
-    write_pgm(path, img, bit_depth=8)
+    levels = np.floor(img.values * 255 + 0.5).astype(np.uint8)
+    path.write_bytes(b"P5\n4 4\n255\n" + levels.tobytes())
     back = read_pgm(path)
-    assert np.max(np.abs(back.values - img.values)) <= 1.0 / 255
+    assert back.shape == img.shape
+    assert np.max(np.abs(back.values - img.values)) <= 0.5 / 255
 
 
 def test_write_clips_and_rounds(tmp_path):
     # Out-of-range pixels clip; in-range ones round half away from zero.
-    img = ImageGrid(1, 4, [-0.5, 1.5, 0.5 / 255, 1.5 / 255])
+    img = ImageGrid(1, 4, [-0.5, 1.5, 0.5 / 65535, 1.5 / 65535])
     path = tmp_path / "c.pgm"
-    write_pgm(path, img, bit_depth=8)
+    write_pgm(path, img)
     raw = path.read_bytes()
-    levels = list(raw[-4:])
-    assert levels == [0, 255, 1, 2]
+    levels = np.frombuffer(raw[-8:], dtype=">u2").tolist()
+    assert levels == [0, 65535, 1, 2]
 
 
-def test_write_bit_depth_validation(tmp_path):
-    with pytest.raises(ValueError):
-        write_pgm(tmp_path / "d.pgm", ImageGrid(1, 1, [0.0]), bit_depth=12)
+def test_write_is_always_16bit(tmp_path):
+    path = tmp_path / "d.pgm"
+    write_pgm(path, ImageGrid(1, 2, [0.0, 1.0]))
+    assert path.read_bytes() == b"P5\n2 1\n65535\n" + bytes([0, 0, 255, 255])
 
 
 def test_read_known_bytes(tmp_path):
@@ -80,7 +84,7 @@ def test_16bit_is_big_endian(tmp_path):
     # Level 1 at maxval 65535 must serialize as 0x00 0x01.
     img = ImageGrid(1, 1, [1.0 / 65535])
     path = tmp_path / "j.pgm"
-    write_pgm(path, img, bit_depth=16)
+    write_pgm(path, img)
     assert path.read_bytes()[-2:] == bytes([0, 1])
 
 
