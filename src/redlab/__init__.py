@@ -22,9 +22,7 @@ from .operators import (
     CompressiveSensingOperator,
     DeblurOperator,
     LinearOperator,
-    SpectralEstimate,
     build_cs_operator,
-    spectral_norm_sq,
 )
 from .fidelity import LeastSquaresFidelity, NoiseSpec, add_noise_at_snr
 from .denoisers import (
@@ -42,10 +40,8 @@ from .solvers import (
     IterationRecord,
     SolveResult,
     SolverConfig,
+    SOLVER_NAMES,
     default_gamma,
-    mred,
-    red_bls,
-    red_sd_fixed,
     run_solver,
 )
 
@@ -60,9 +56,7 @@ __all__ = [
     "LinearOperator",
     "DeblurOperator",
     "CompressiveSensingOperator",
-    "SpectralEstimate",
     "build_cs_operator",
-    "spectral_norm_sq",
     "LeastSquaresFidelity",
     "NoiseSpec",
     "add_noise_at_snr",
@@ -76,12 +70,10 @@ __all__ = [
     "estimate_lipschitz",
     "EvalCounters",
     "REDProblem",
+    "SOLVER_NAMES",
     "SolverConfig",
     "IterationRecord",
     "SolveResult",
     "default_gamma",
-    "red_sd_fixed",
-    "red_bls",
-    "mred",
     "run_solver",
 ]

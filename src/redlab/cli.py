@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 solver diverged,
 """
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, from_dict, load_config, to_dict
@@ -19,7 +20,7 @@ from .experiments import (
 from .presets import build_denoiser
 from .solvers import SOLVER_NAMES
 from .svgplot import plot_residual_curves
-from .traceio import read_aggregate_csv
+from .traceio import read_aggregate_csv, read_sidecar
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,10 +44,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _apply_overrides(cfg, tau=None, solver=None, seed=None):
+def _apply_overrides(cfg, tau=None, solver=None, seed=None, out=None):
     """The config with the given command-line values, parsed again so that
     they meet the same checks as the file's."""
     raw = to_dict(cfg)
+    if out is not None:
+        raw["out"] = out
     if tau is not None:
         raw["tau"] = tau
     if solver is not None:
@@ -63,10 +66,15 @@ def _fmt_metric(v):
 
 
 def _cmd_run(args):
-    cfg = _apply_overrides(load_config(args.config), args.tau, args.solver, args.seed)
-    out_root = args.out if args.out is not None else cfg.out
+    cfg = _apply_overrides(
+        load_config(args.config), args.tau, args.solver, args.seed, args.out
+    )
     image_name = cfg.image.get("preset", "pgm")
-    out_dir = f"{out_root}/{run_dir_name(cfg.solver['name'], cfg.tau, image_name)}"
+    out_dir = f"{cfg.out}/{run_dir_name(cfg.solver['name'], cfg.tau, image_name)}"
+    # Several configs map to one run directory; never replace another's run.
+    sidecar = os.path.join(out_dir, "sidecar.json")
+    if os.path.isfile(sidecar) and read_sidecar(sidecar).get("config") != to_dict(cfg):
+        raise ConfigError(f"{out_dir} holds a run of another config; choose another --out")
     result, _built, metrics = run_experiment(cfg, out_dir)
     print(
         f"solver={metrics['solver']} termination={metrics['termination']} "
@@ -91,15 +99,14 @@ def _parse_list(text, convert, what):
 
 def _cmd_sweep(args):
     # --tau and --solver are the grid's lists, not overrides.
-    cfg = _apply_overrides(load_config(args.config), seed=args.seed)
+    cfg = _apply_overrides(load_config(args.config), seed=args.seed, out=args.out)
     taus = _parse_list(args.tau or "1,0.1,0.01", float, "tau")
     solvers = _parse_list(args.solver or ",".join(SOLVER_NAMES), str, "solver")
     # Each grid point meets the parser's checks before any run starts.
     for tau in taus:
         for solver in solvers:
             _apply_overrides(cfg, tau, solver)
-    out_root = args.out if args.out is not None else cfg.out
-    summary = run_sweep(cfg, taus, solvers, out_root, parallel=args.parallel)
+    summary = run_sweep(cfg, taus, solvers, cfg.out, parallel=args.parallel)
     for run in summary["runs"]:
         print(
             f"run tau={run['tau']} solver={run['solver']} image={run['image']} "

@@ -21,7 +21,7 @@ from .config import ExperimentConfig, from_dict, to_dict
 from .denoisers import LipschitzEstimate, estimate_lipschitz
 from .fidelity import LeastSquaresFidelity, NoiseSpec, add_noise_at_snr
 from .images import ImageGrid, TEST_IMAGE_NAMES, gaussian_kernel, named_test_image
-from .operators import DeblurOperator, _blas_threads, build_cs_operator, spectral_norm_sq
+from .operators import DeblurOperator, _blas_threads, build_cs_operator
 from .pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
 from .presets import EXPERIMENT_PRESETS, build_denoiser
 from .red import REDProblem
@@ -47,7 +47,7 @@ class BuiltExperiment:
     problem: REDProblem
     solver_name: str
     solver_config: SolverConfig
-    spectral: object
+    L: float
     gamma: float
 
 
@@ -84,10 +84,10 @@ def build_experiment(cfg):
     y, _e = add_noise_at_snr(op, x_true, spec)
     denoiser = build_denoiser(cfg.denoiser, cfg.shape)
     problem = REDProblem(LeastSquaresFidelity(op, y), denoiser, cfg.tau)
-    spectral = spectral_norm_sq(op)
+    L = op.exact_spectral_norm_sq()
     gamma = cfg.solver["gamma"]
     if gamma is None:
-        gamma = default_gamma(spectral.value, cfg.tau)
+        gamma = default_gamma(L, cfg.tau)
     solver_kwargs = {
         k: v for k, v in cfg.solver.items() if k not in ("name", "gamma")
     }
@@ -103,7 +103,7 @@ def build_experiment(cfg):
         problem=problem,
         solver_name=cfg.solver["name"],
         solver_config=solver_config,
-        spectral=spectral,
+        L=L,
         gamma=gamma,
     )
 
@@ -154,11 +154,7 @@ def run_experiment(cfg, out_dir=None):
             "blas_threads": _blas_threads(),
             "config": to_dict(cfg),
             "solver": built.solver_name,
-            "L": {
-                "value": built.spectral.value,
-                "iterations": built.spectral.iterations,
-                "converged": built.spectral.converged,
-            },
+            "L": built.L,
             "gamma": built.gamma,
             "lipschitz": {
                 "value": lip.value,
@@ -285,16 +281,20 @@ def grad_check(cfg, probes=20, h=1e-5, seed=0):
     Returns (max relative error, per-probe list).  Probe points sit in the
     unit pixel box; directions are unit Gaussian vectors.
     """
-    built = build_experiment(cfg)
-    p = built.problem
+    p = build_experiment(cfg).problem
+
+    def phi(x):
+        g = p.operator_g(x)
+        return 0.5 * float(g @ g)
+
     rng = RngState(seed)
     errs = []
     for _ in range(probes):
         x = rng.uniform(p.n)
         v = gaussian_samples(rng, p.n)
         v = v / np.linalg.norm(v)
-        d_analytic = float(p.grad_phi(x) @ v)
-        d_fd = (p.phi(x + h * v) - p.phi(x - h * v)) / (2.0 * h)
+        d_analytic = float(p.eval_state(x)[1] @ v)
+        d_fd = (phi(x + h * v) - phi(x - h * v)) / (2.0 * h)
         scale = max(abs(d_analytic), abs(d_fd), 1e-12)
         errs.append(abs(d_analytic - d_fd) / scale)
     return max(errs), errs

@@ -14,7 +14,6 @@ import ctypes
 import functools
 import glob
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -224,17 +223,3 @@ def build_cs_operator(m, n, seed):
 @functools.lru_cache(maxsize=1)
 def _cs_operator(m, n, seed, _threads):
     return CompressiveSensingOperator(m, n, seed)
-
-
-@dataclass
-class SpectralEstimate:
-    """Largest eigenvalue of A^T A; exact, so iterations is 0 and converged True."""
-
-    value: float
-    iterations: int
-    converged: bool
-
-
-def spectral_norm_sq(op):
-    """lambda_max(A^T A), from the operator's closed form."""
-    return SpectralEstimate(op.exact_spectral_norm_sq(), 0, True)

@@ -90,11 +90,6 @@ class REDProblem:
             counters.denoiser_applies += 1
         return gx
 
-    def phi(self, x, counters=None):
-        """phi(x) = 0.5 * ||G(x)||^2."""
-        g = self.operator_g(x, counters)
-        return 0.5 * float(g @ g)
-
     def eval_state(self, x, counters=None, g=None, want_hgrad=False):
         """(phi, grad phi, G, A^T A G, A^T A grad phi) from at most one G evaluation.
 
@@ -122,6 +117,3 @@ class REDProblem:
             counters.vjp_evals += 1
             counters.grad_phi_evals += 1
         return 0.5 * float(g @ g), grad, g, hg, hgrad
-
-    def grad_phi(self, x, counters=None):
-        return self.eval_state(x, counters)[1]

@@ -7,10 +7,16 @@ cap), on an optional residual tolerance, or when a line search shrinks its
 step below the floor epsilon.
 
 - red: any finite candidate passes; a non-finite one is divergence.
-- red_bls: ||G|| must not grow; a rejection shrinks gamma for good.
-- mred: phi = 0.5*||G||^2 must decrease sufficiently; a rejection backtracks
-  a gradient step on phi, so the recorded phi never increases.  When every
-  trial passes, the run is red's.
+- red_bls: ||G|| must not grow; a rejection shrinks gamma for good, so
+  repeated growth drives it below epsilon and the run stops at the previous
+  iterate with `step_floor`.
+- mred: phi = 0.5*||G||^2 must decrease sufficiently,
+  phi(candidate) <= phi(x) - alpha*theta*||grad phi(x)||^2; a rejection
+  backtracks a gradient step of length alpha on phi, so the recorded phi
+  never increases.  As printed, alpha shrinks right after each gradient
+  step, so the next test uses the shrunk value.  alpha restarts from alpha0
+  at every outer iteration, and gamma never changes.  When every trial
+  passes, the run is red's.
 
 An iteration costs one Hessian product A^T A G and one denoiser apply per
 candidate.  mred adds one residual VJP for grad phi, and a fallback one
@@ -40,7 +46,6 @@ class SolverConfig:
     t: int = 1000
     divergence_cap: float = 1e2
     converge_tol: float = 0.0
-    conventional_armijo: bool = False
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -111,8 +116,8 @@ def _psnr_of(x, ref):
     return 10.0 * math.log10(1.0 / mse)
 
 
-def _solve(solver, p, x0, cfg, psnr_ref):
-    """The iteration the three solvers share; `solver` names the rule.
+def run_solver(name, p, x0, cfg, psnr_ref=None):
+    """Run the solver `name`, one of SOLVER_NAMES, from x0.
 
     The loop carries the current point x, its fidelity gradient grad g(x),
     and G(x).  grad g is evaluated exactly only at x0.  Every later point is
@@ -120,6 +125,8 @@ def _solve(solver, p, x0, cfg, psnr_ref):
     g is quadratic, grad g(x - s*d) = grad g(x) - s * A^T A d.  A candidate
     thus costs one denoiser apply and no operator call.
     """
+    if name not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {name!r}; valid: {SOLVER_NAMES}")
     x = np.array(x0, dtype=np.float64).reshape(-1)
     if x.size != p.n:
         raise ValueError(f"x0 has dimension {x.size}, problem is {p.n}")
@@ -149,14 +156,14 @@ def _solve(solver, p, x0, cfg, psnr_ref):
         )
 
     def result(termination):
-        return SolveResult(x, trace, termination, solver, cfg, counters)
+        return SolveResult(x, trace, termination, name, cfg, counters)
 
-    if solver == "mred":
+    if name == "mred":
         phi, grad, _g, hg, hgrad = p.eval_state(x, counters, g)
     record(0, "init", 0, 0.0)
     gamma = cfg.gamma
     for k in range(1, cfg.t + 1):
-        if solver != "mred":
+        if name != "mred":
             # Every candidate steps along G(x): one Hessian product serves all.
             hg = p.fidelity_hessian_vp(g, counters)
         elif k > 1:
@@ -165,7 +172,7 @@ def _solve(solver, p, x0, cfg, psnr_ref):
             phi, grad, _g, hg, hgrad = p.eval_state(
                 x, counters, g, want_hgrad=mode == "gradient_step"
             )
-        if solver == "mred":
+        if name == "mred":
             if not (math.isfinite(phi) and np.all(np.isfinite(grad))):
                 return result("diverged")
             gp_sq = float(grad @ grad)
@@ -179,15 +186,15 @@ def _solve(solver, p, x0, cfg, psnr_ref):
                 g_new = p.operator_g(x_new, counters, grad_g_new)
                 g_new_sq = float(g_new @ g_new)
             if math.isfinite(g_new_sq) and (
-                solver == "red"
-                or solver == "red_bls" and g_new_sq <= g_sq
-                or solver == "mred" and 0.5 * g_new_sq <= phi - alpha * cfg.theta * gp_sq
+                name == "red"
+                or name == "red_bls" and g_new_sq <= g_sq
+                or name == "mred" and 0.5 * g_new_sq <= phi - alpha * cfg.theta * gp_sq
             ):
                 break
-            if solver == "red":
+            if name == "red":
                 return result("diverged")
             backtracks += 1
-            if solver == "red_bls":
+            if name == "red_bls":
                 gamma = step = cfg.beta * gamma
                 if gamma < cfg.epsilon:
                     return result("step_floor")
@@ -201,15 +208,10 @@ def _solve(solver, p, x0, cfg, psnr_ref):
                 if hgrad is None:
                     hgrad = p.fidelity_hessian_vp(grad, counters)
                 mode, d, hd = "gradient_step", grad, hgrad
-            elif cfg.conventional_armijo:
-                alpha = cfg.beta * alpha
-                if alpha < cfg.epsilon:
-                    return result("step_floor")
             step = alpha
-            if not cfg.conventional_armijo:
-                alpha = cfg.beta * alpha
-                if alpha < cfg.epsilon:
-                    return result("step_floor")
+            alpha = cfg.beta * alpha
+            if alpha < cfg.epsilon:
+                return result("step_floor")
         x, grad_g, g, g_sq = x_new, grad_g_new, g_new, g_new_sq
         record(k, mode, backtracks, step)
         nr = trace[-1].normalized_residual
@@ -218,45 +220,3 @@ def _solve(solver, p, x0, cfg, psnr_ref):
         if cfg.converge_tol > 0.0 and nr <= cfg.converge_tol:
             return result("converged_tol")
     return result("max_iters")
-
-
-def red_sd_fixed(p, x0, cfg, psnr_ref=None):
-    """Fixed-step iteration x <- x - gamma * G(x); diverged on a non-finite step."""
-    return _solve("red", p, x0, cfg, psnr_ref)
-
-
-def red_bls(p, x0, cfg, psnr_ref=None):
-    """Fixed-point iteration that shrinks gamma whenever ||G|| would grow.
-
-    The shrink is persistent: gamma never resets across outer iterations,
-    so repeated growth drives it below epsilon and the solver returns the
-    previous iterate with termination `step_floor`.
-    """
-    return _solve("red_bls", p, x0, cfg, psnr_ref)
-
-
-def mred(p, x0, cfg, psnr_ref=None):
-    """Monotone hybrid: fixed-step trial, gradient-step fallback on phi.
-
-    Per outer iteration: evaluate phi and grad phi at the current point
-    once; take the fixed-step trial; accept any candidate satisfying
-    phi(candidate) <= phi(x) - alpha*theta*||grad phi(x)||^2, otherwise
-    replace it by a gradient step of length alpha.  Following the printed
-    procedure, alpha shrinks immediately after each gradient step, so the
-    next acceptance test uses the shrunk value; the conventional_armijo
-    switch instead tests each step against the value that produced it.
-    alpha restarts from alpha0 at every outer iteration; gamma never
-    changes.
-    """
-    return _solve("mred", p, x0, cfg, psnr_ref)
-
-
-def run_solver(name, p, x0, cfg, psnr_ref=None):
-    """Dispatch by solver name: red, red_bls, or mred."""
-    if name == "red":
-        return red_sd_fixed(p, x0, cfg, psnr_ref)
-    if name == "red_bls":
-        return red_bls(p, x0, cfg, psnr_ref)
-    if name == "mred":
-        return mred(p, x0, cfg, psnr_ref)
-    raise ValueError(f"unknown solver {name!r}; valid: {SOLVER_NAMES}")

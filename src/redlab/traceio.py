@@ -7,16 +7,12 @@ experiment (resolved config, seeds, spectral constants, library version).
 """
 
 import json
-import math
+from dataclasses import fields
+
+from .red import EvalCounters
 
 # The EvalCounters fields, cumulative, after the eight per-iterate columns.
-COUNTER_COLUMNS = (
-    "denoiser_applies",
-    "vjp_evals",
-    "operator_forwards",
-    "operator_adjoints",
-    "grad_phi_evals",
-)
+COUNTER_COLUMNS = tuple(f.name for f in fields(EvalCounters))
 TRACE_HEADER = "k,phi,g_norm,norm_resid,mode,backtracks,step_used,psnr_db," + ",".join(
     COUNTER_COLUMNS
 )

@@ -25,11 +25,8 @@ from redlab import (
     estimate_lipschitz,
     gaussian_kernel,
     gaussian_samples,
-    mred,
     named_test_image,
-    red_bls,
-    red_sd_fixed,
-    spectral_norm_sq,
+    run_solver,
 )
 from redlab.config import from_dict
 from redlab.experiments import build_experiment, run_experiment
@@ -65,6 +62,13 @@ def _monotone_excess(trace):
     return worst
 
 
+
+def _phi(p, x):
+    """phi(x) = 0.5 * ||G(x)||^2."""
+    g = p.operator_g(x)
+    return 0.5 * float(g @ g)
+
+
 # Heavy preset runs shared by criteria 6 and 8.
 _EXPANSIVE_CACHE = {}
 
@@ -81,9 +85,9 @@ def _expansive_runs(name):
     )
     entry = {
         "built": built,
-        "red": red_sd_fixed(built.problem, built.x0, red_cfg),
-        "bls": red_bls(built.problem, built.x0, base),
-        "mred": mred(built.problem, built.x0, base),
+        "red": run_solver("red", built.problem, built.x0, red_cfg),
+        "bls": run_solver("red_bls", built.problem, built.x0, base),
+        "mred": run_solver("mred", built.problem, built.x0, base),
         "lipschitz": estimate_lipschitz(built.denoiser),
     }
     entry["elapsed"] = time.perf_counter() - start
@@ -140,8 +144,8 @@ def test_criterion_2_gradient_matches_finite_differences(capsys):
                 x = rng.uniform(256)
                 v = gaussian_samples(rng, 256)
                 v = v / np.linalg.norm(v)
-                d_an = float(p.grad_phi(x) @ v)
-                d_fd = (p.phi(x + h * v) - p.phi(x - h * v)) / (2.0 * h)
+                d_an = float(p.eval_state(x)[1] @ v)
+                d_fd = (_phi(p, x + h * v) - _phi(p, x - h * v)) / (2.0 * h)
                 rel = abs(d_an - d_fd) / max(abs(d_an), abs(d_fd), 1e-12)
                 worst = max(worst, rel)
         elapsed = time.perf_counter() - start
@@ -178,7 +182,7 @@ def test_criterion_3_monotone_solver_reaches_dense_solution(capsys):
             cfg = SolverConfig(
                 gamma=default_gamma(1.0, tau), t=5000, converge_tol=1e-26
             )
-            res = mred(p, y.copy(), cfg)
+            res = run_solver("mred", p, y.copy(), cfg)
             rel = np.linalg.norm(res.x_star - x_star) / np.linalg.norm(x_star)
             worst = max(worst, rel)
         elapsed = time.perf_counter() - start
@@ -196,16 +200,16 @@ def test_criterion_4_cs_spectral_constant_and_step(capsys):
     def compute():
         start = time.perf_counter()
         op = build_cs_operator(M_CS, N64, 77)
-        est = spectral_norm_sq(op)
-        gamma = default_gamma(est.value, 0.1)
+        L = op.exact_spectral_norm_sq()
+        gamma = default_gamma(L, 0.1)
         elapsed = time.perf_counter() - start
         ok = (
-            abs(est.value - 1.0) <= 1e-6
+            abs(L - 1.0) <= 1e-6
             and abs(gamma - 1.0 / 1.2) <= 1e-6
             and elapsed < 5.0
         )
         return ok, (
-            f"row-orthonormal sensing: L={est.value!r} (=1 within 1e-6), "
+            f"row-orthonormal sensing: L={L!r} (=1 within 1e-6), "
             f"step 1/(L+0.2)={gamma!r} (=0.8333... within 1e-6) "
             f"({elapsed:.1f}s < 5s)"
         )
@@ -224,7 +228,7 @@ def test_criterion_5_monotonicity_across_72_runs(capsys):
             else:
                 op = build_cs_operator(M_CS, N64, 77)
                 noise = NoiseSpec(math.inf, 42)
-            L = spectral_norm_sq(op).value
+            L = op.exact_spectral_norm_sq()
             dens = {
                 kind: build_denoiser(spec, SHAPE64)
                 for kind, spec in SUITE_DENOISERS[problem].items()
@@ -242,7 +246,7 @@ def test_criterion_5_monotonicity_across_72_runs(capsys):
                 for tau in (1.0, 0.1, 0.01):
                     cfg = SolverConfig(gamma=default_gamma(L, tau), t=1000)
                     for den in dens.values():
-                        res = mred(REDProblem(fid, den, tau), x0, cfg)
+                        res = run_solver("mred", REDProblem(fid, den, tau), x0, cfg)
                         runs += 1
                         excess = _monotone_excess(res.trace)
                         worst = max(worst, excess)
@@ -271,7 +275,7 @@ def test_criterion_6_expansive_presets_behave_as_documented(capsys):
             mred_final = entry["mred"].final_normalized_residual
             bls_final = entry["bls"].final_normalized_residual
             lip = entry["lipschitz"].value
-            gamma_want = default_gamma(built.spectral.value, built.config.tau)
+            gamma_want = default_gamma(built.L, built.config.tau)
             checks = (
                 entry["red"].termination == "diverged"
                 and red_peak > 10.0
@@ -303,8 +307,8 @@ def test_criterion_7_monotone_solver_collapses_to_fixed_step(capsys):
     def compute():
         start = time.perf_counter()
         built = build_experiment(from_dict(experiment_preset("cs_nonexpansive")))
-        a = red_sd_fixed(built.problem, built.x0, built.solver_config)
-        b = mred(built.problem, built.x0, built.solver_config)
+        a = run_solver("red", built.problem, built.x0, built.solver_config)
+        b = run_solver("mred", built.problem, built.x0, built.solver_config)
         same_len = len(a.trace) == len(b.trace)
         worst = max(
             (abs(ra.phi - rb.phi) / max(1.0, abs(ra.phi))

@@ -2,17 +2,19 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import redlab
-from redlab import operators
+from redlab import experiments, operators
 from redlab import (
     CompressiveSensingOperator,
     DctSoftThresholdDenoiser,
@@ -27,9 +29,7 @@ from redlab import (
     TEST_IMAGE_NAMES,
     default_gamma,
     gaussian_kernel,
-    mred,
     named_test_image,
-    red_sd_fixed,
     run_solver,
 )
 from redlab.cli import main
@@ -115,7 +115,6 @@ def test_config_defaults():
         "t": 1000,
         "divergence_cap": 100.0,
         "converge_tol": 0.0,
-        "conventional_armijo": False,
     }
     assert cfg.out == "runs"
 
@@ -308,6 +307,36 @@ def test_cli_overrides_go_through_the_parser(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_cli_run_refuses_to_replace_another_configs_run(tmp_path, capsys):
+    # Both presets write <out>/mred_tau0.1_phantom.  The sidecar records the
+    # --out a run used, not the config file's out.
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "runs")
+    first, second = (
+        write_config(tmp, experiment_preset(name), f"{name}.json")
+        for name in ("deblur_nonexpansive", "cs_nonexpansive")
+    )
+    code = main(["run", "--config", first, "--out", out])
+    assert code != 1
+    run_dir = os.path.join(out, "mred_tau0.1_phantom")
+
+    def digests():
+        return {
+            name: hashlib.sha256(Path(run_dir, name).read_bytes()).hexdigest()
+            for name in ("trace.csv", "sidecar.json", "recon.pgm")
+        }
+
+    before = digests()
+    assert read_sidecar(os.path.join(run_dir, "sidecar.json"))["config"]["out"] == out
+    capsys.readouterr()
+    assert main(["run", "--config", second, "--out", out]) == 1
+    assert "config error: " in capsys.readouterr().err
+    assert digests() == before
+    # The same config reruns into its own directory, with the same bytes.
+    assert main(["run", "--config", first, "--out", out]) == code
+    assert digests() == before
+
+
 def test_cli_sweep_lists_are_the_grid_not_overrides(tmp_path, monkeypatch):
     seen = {}
 
@@ -321,7 +350,7 @@ def test_cli_sweep_lists_are_the_grid_not_overrides(tmp_path, monkeypatch):
             "--tau", "1,0.1", "--solver", "red,mred", "--seed", "7"]
     assert main(args) == 0
     assert seen["taus"] == [1.0, 0.1] and seen["solvers"] == ["red", "mred"]
-    want = from_dict({**SMALL, "noise": {"seed": 7}})
+    want = from_dict({**SMALL, "noise": {"seed": 7}, "out": os.path.join(tmp, "x")})
     assert seen["cfg"] == want
 
 
@@ -389,7 +418,7 @@ COUNTER_FIELDS = (
 def small_result(t=5, psnr_ref=None):
     f = LeastSquaresFidelity(DenseOperator(np.eye(4)), np.ones(4))
     p = REDProblem(f, IdentityDenoiser(4), tau=0.2)
-    return mred(p, np.zeros(4), SolverConfig(gamma=0.5, t=t), psnr_ref=psnr_ref)
+    return run_solver("mred", p, np.zeros(4), SolverConfig(gamma=0.5, t=t), psnr_ref=psnr_ref)
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -461,7 +490,7 @@ def test_build_deblur_starts_from_measurements():
     built = build_experiment(from_dict(copy.deepcopy(SMALL)))
     assert np.array_equal(built.x0, built.y)
     assert built.x0 is not built.y
-    assert built.gamma == 1.0 / (built.spectral.value + 2.0 * 0.1)
+    assert built.gamma == 1.0 / (built.L + 2.0 * 0.1)
 
 
 def test_build_cs_starts_from_backprojection():
@@ -523,22 +552,24 @@ def test_run_experiment_artifacts(tmp_path):
 
 
 def test_run_sidecar_certificates(tmp_path):
-    # Deblur L and a declared denoiser constant are exact; the convnet
-    # declares none, so its certificate is still estimated.
-    out = os.path.join(str(tmp_path), "smoother")
-    run_experiment(from_dict(copy.deepcopy(SMALL)), out)
-    sidecar = read_sidecar(os.path.join(out, "sidecar.json"))
-    assert sidecar["L"]["iterations"] == 0
-    assert sidecar["L"]["converged"] is True
-    assert sidecar["lipschitz"]["converged"] is True
-    assert sidecar["lipschitz"]["method"] == "analytic"
-    raw = copy.deepcopy(SMALL)
-    raw["denoiser"] = {"name": "convnet"}
-    raw["solver"]["t"] = 2
-    out = os.path.join(str(tmp_path), "convnet")
-    run_experiment(from_dict(raw), out)
-    sidecar = read_sidecar(os.path.join(out, "sidecar.json"))
-    assert sidecar["lipschitz"]["method"] == "jacobian_power_iteration"
+    # Every preset's L is the operator's closed form, bit for bit, and its
+    # step is derived from it.  A declared denoiser constant is exact; the
+    # convnet declares none, so its certificate is still estimated.
+    for name in sorted(EXPERIMENT_PRESETS):
+        raw = experiment_preset(name)
+        raw["solver"]["t"] = 2
+        out = os.path.join(str(tmp_path), name)
+        run_experiment(from_dict(raw), out)
+        sidecar = read_sidecar(os.path.join(out, "sidecar.json"))
+        cfg = from_dict(sidecar["config"])
+        L = experiments._build_operator(cfg).exact_spectral_norm_sq()
+        assert type(sidecar["L"]) is float and sidecar["L"] == L
+        assert sidecar["gamma"] == default_gamma(L, cfg.tau)
+        lip = sidecar["lipschitz"]
+        if cfg.denoiser["name"] == "convnet":
+            assert lip["method"] == "jacobian_power_iteration"
+        else:
+            assert (lip["method"], lip["converged"]) == ("analytic", True)
 
 
 def test_sidecar_records_the_blas_thread_count(tmp_path, monkeypatch):
@@ -591,10 +622,10 @@ def test_mred_takes_the_projection_identity_on_cs(preset, monkeypatch):
     raw["solver"]["t"] = 300
     built = build_experiment(from_dict(raw))
     args = (built.problem, built.x0, built.solver_config)
-    new = mred(*args)
+    new = run_solver("mred", *args)
     with monkeypatch.context() as mp:
         mp.setattr(CompressiveSensingOperator, "gram_is_projection", False)
-        old = mred(*args)
+        old = run_solver("mred", *args)
     assert new.termination == old.termination
     assert [r.mode for r in new.trace] == [r.mode for r in old.trace]
     assert [r.backtracks for r in new.trace] == [r.backtracks for r in old.trace]

@@ -18,7 +18,6 @@ from redlab import (
     build_cs_operator,
     gaussian_kernel,
     gaussian_samples,
-    spectral_norm_sq,
 )
 
 from conv_reference import convolve2d_wrap
@@ -315,8 +314,7 @@ def test_cs_rejects_non_integral_arguments(m, n, seed):
 def test_spectral_cs_is_one():
     # Orthonormal rows: A^T A is a projection, so lambda_max is exactly 1.
     op = build_cs_operator(26, 256, seed=77)
-    est = spectral_norm_sq(op)
-    assert (est.value, est.iterations, est.converged) == (1.0, 0, True)
+    assert op.exact_spectral_norm_sq() == 1.0
     # The dense eigenvalues and singular values agree.
     dense = np.linalg.eigvalsh(op.matrix.T @ op.matrix).max()
     assert abs(dense - 1.0) < 1e-12
@@ -341,11 +339,10 @@ def test_spectral_deblur_matches_dft_oracle():
                     )
             mags[p, q] = abs(acc)
     op = DeblurOperator((h, w), k)
-    est = spectral_norm_sq(op)
-    assert est.iterations == 0 and est.converged
-    assert abs(est.value - float(mags.max() ** 2)) < 1e-12
+    L = op.exact_spectral_norm_sq()
+    assert abs(L - float(mags.max() ** 2)) < 1e-12
     # And for a normalized non-negative kernel the max sits at DC and is 1.
-    assert abs(est.value - 1.0) < 1e-12
+    assert abs(L - 1.0) < 1e-12
 
 
 def test_spectral_deblur_exact_equals_power_iteration():
@@ -355,7 +352,7 @@ def test_spectral_deblur_exact_equals_power_iteration():
     op = DeblurOperator((12, 10), gaussian_kernel(5, 1.1))
     dense = np.column_stack([op.forward(e) for e in np.eye(op.n)])
     want = np.linalg.eigvalsh(dense.T @ dense).max()
-    assert abs(want - spectral_norm_sq(op).value) < 1e-10
+    assert abs(want - op.exact_spectral_norm_sq()) < 1e-10
     assert abs(want - np.linalg.svd(dense, compute_uv=False)[0] ** 2) < 1e-10
 
 

@@ -20,9 +20,7 @@ from redlab import (
     SolverConfig,
     default_gamma,
     gaussian_kernel,
-    mred,
-    red_bls,
-    red_sd_fixed,
+    SOLVER_NAMES,
     run_solver,
 )
 from redlab.config import from_dict
@@ -89,11 +87,11 @@ def test_x0_validation():
     p, y, _ = deblur_problem(IdentityDenoiser(N), 0.1)
     cfg = SolverConfig(gamma=0.5, t=1)
     with pytest.raises(ValueError):
-        red_sd_fixed(p, np.zeros(N - 1), cfg)
+        run_solver("red", p, np.zeros(N - 1), cfg)
     bad = y.copy()
     bad[0] = np.nan
     with pytest.raises(ValueError):
-        red_sd_fixed(p, bad, cfg)
+        run_solver("red", p, bad, cfg)
 
 
 # ------------------------------------------------- fixed step: convergence
@@ -107,7 +105,7 @@ def test_red_identity_denoiser_reaches_deconvolution_limit():
     # Run deep: 1/lambda_min of the blur amplifies the leftover residual
     # into iterate error, so the limit check needs a tight tolerance.
     cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=2000, converge_tol=1e-18)
-    res = red_sd_fixed(p, y.copy(), cfg)
+    res = run_solver("red", p, y.copy(), cfg)
     assert res.termination == "converged_tol"
     assert res.final_normalized_residual <= 1e-8
     h, w = SHAPE
@@ -125,7 +123,7 @@ def test_red_identity_denoiser_reaches_deconvolution_limit():
 def test_red_trace_shape_and_modes():
     p, y, x_true = deblur_problem(LinearSmoothingDenoiser(SHAPE, 1.5), 0.1)
     cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=20)
-    res = red_sd_fixed(p, y.copy(), cfg, psnr_ref=x_true)
+    res = run_solver("red", p, y.copy(), cfg, psnr_ref=x_true)
     assert res.termination == "max_iters"
     assert len(res.trace) == 21
     assert [r.k for r in res.trace] == list(range(21))
@@ -141,7 +139,7 @@ def test_red_trace_shape_and_modes():
     mse = float(np.mean((res.x_star - x_true) ** 2))
     assert abs(res.trace[-1].psnr_db - 10.0 * math.log10(1.0 / mse)) < 1e-12
     # A reference equal to the iterate has zero error: +inf dB.
-    at_x0 = red_sd_fixed(p, y.copy(), cfg, psnr_ref=y)
+    at_x0 = run_solver("red", p, y.copy(), cfg, psnr_ref=y)
     assert at_x0.trace[0].psnr_db == math.inf
     assert math.isfinite(at_x0.trace[1].psnr_db)
 
@@ -154,8 +152,8 @@ def test_start_in_solution_set_stays_fixed():
     p = REDProblem(f, IdentityDenoiser(12), tau=0.5)
     x0 = np.zeros(12)
     cfg = SolverConfig(gamma=0.4, t=5)
-    for solve in (red_sd_fixed, red_bls, mred):
-        res = solve(p, x0, cfg)
+    for name in SOLVER_NAMES:
+        res = run_solver(name, p, x0, cfg)
         assert res.termination == "max_iters"
         assert np.array_equal(res.x_star, x0)
         assert all(r.normalized_residual == 0.0 for r in res.trace)
@@ -168,8 +166,8 @@ def test_start_in_solution_set_stays_fixed():
 def test_bls_matches_red_when_norm_never_grows():
     p, y, _ = deblur_problem(LinearSmoothingDenoiser(SHAPE, 1.5), 0.1)
     cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=50)
-    a = red_sd_fixed(p, y.copy(), cfg)
-    b = red_bls(p, y.copy(), cfg)
+    a = run_solver("red", p, y.copy(), cfg)
+    b = run_solver("red_bls", p, y.copy(), cfg)
     assert len(a.trace) == len(b.trace)
     for ra, rb in zip(a.trace, b.trace):
         assert abs(ra.phi - rb.phi) <= 1e-12 * max(1.0, abs(ra.phi))
@@ -186,7 +184,7 @@ def test_bls_matches_red_when_norm_never_grows():
 def test_bls_norm_never_increases():
     p, y, _ = expansive_problem()
     cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=100)
-    res = red_bls(p, y.copy(), cfg)
+    res = run_solver("red_bls", p, y.copy(), cfg)
     norms = [r.g_norm for r in res.trace]
     assert all(b <= a for a, b in zip(norms, norms[1:]))
 
@@ -194,7 +192,7 @@ def test_bls_norm_never_increases():
 def test_bls_expansive_hits_step_floor():
     p, y, _ = expansive_problem()
     cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=200)
-    res = red_bls(p, y.copy(), cfg)
+    res = run_solver("red_bls", p, y.copy(), cfg)
     assert res.termination == "step_floor"
     assert len(res.trace) < 201
     # The returned point is the last accepted iterate, strictly better than
@@ -219,7 +217,7 @@ def test_bls_expansive_hits_step_floor():
 def test_mred_monotone_on_expansive():
     p, y, _ = expansive_problem()
     cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=100)
-    res = mred(p, y.copy(), cfg)
+    res = run_solver("mred", p, y.copy(), cfg)
     assert res.termination == "max_iters"
     ph = phis(res)
     assert all(b <= a * (1.0 + 1e-14) for a, b in zip(ph, ph[1:]))
@@ -229,8 +227,8 @@ def test_mred_monotone_on_expansive():
 def test_mred_beats_norm_backtracking_on_expansive():
     p, y, _ = expansive_problem()
     cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=200)
-    floor = red_bls(p, y.copy(), cfg)
-    mono = mred(p, y.copy(), cfg)
+    floor = run_solver("red_bls", p, y.copy(), cfg)
+    mono = run_solver("mred", p, y.copy(), cfg)
     assert floor.termination == "step_floor"
     assert mono.final_normalized_residual < floor.final_normalized_residual
 
@@ -240,8 +238,8 @@ def test_mred_matches_red_when_trial_always_accepted():
     # test at every iteration, so the hybrid reduces to the fixed-step run.
     p, y, _ = deblur_problem(LinearSmoothingDenoiser(SHAPE, 1.5), 0.1)
     cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=50)
-    a = red_sd_fixed(p, y.copy(), cfg)
-    b = mred(p, y.copy(), cfg)
+    a = run_solver("red", p, y.copy(), cfg)
+    b = run_solver("mred", p, y.copy(), cfg)
     assert len(a.trace) == len(b.trace)
     for ra, rb in zip(a.trace, b.trace):
         assert abs(ra.phi - rb.phi) <= 1e-12 * max(1.0, abs(ra.phi))
@@ -262,7 +260,7 @@ def test_mred_matches_red_when_trial_always_accepted():
 def test_mred_cost_per_iteration_on_expansive():
     p, y, _ = expansive_problem()
     cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=100)
-    res = mred(p, y.copy(), cfg)
+    res = run_solver("mred", p, y.copy(), cfg)
     assert res.termination == "max_iters"
     steps = res.trace[1:]
     c = res.counters
@@ -283,8 +281,8 @@ def test_mred_tiny_theta_matches_norm_backtracking():
     # exactly like the norm backtracking run.
     p, y, _ = deblur_problem(LinearSmoothingDenoiser(SHAPE, 1.5), 0.1)
     cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=40, theta=1e-12)
-    a = red_bls(p, y.copy(), cfg)
-    b = mred(p, y.copy(), cfg)
+    a = run_solver("red_bls", p, y.copy(), cfg)
+    b = run_solver("mred", p, y.copy(), cfg)
     assert len(a.trace) == len(b.trace)
     for ra, rb in zip(a.trace, b.trace):
         assert abs(ra.phi - rb.phi) <= 1e-12 * max(1.0, abs(ra.phi))
@@ -296,38 +294,25 @@ def test_mred_inner_loop_terminates_before_floor():
     # step decays through 60 halvings, so even a tiny epsilon never floors.
     p, y, _ = expansive_problem()
     cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=30, epsilon=1e-20)
-    res = mred(p, y.copy(), cfg)
+    res = run_solver("mred", p, y.copy(), cfg)
     assert res.termination == "max_iters"
     assert max(r.backtracks for r in res.trace) < 60
 
 
-def test_mred_conventional_armijo_also_monotone():
-    p, y, _ = expansive_problem()
-    cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=60, conventional_armijo=True)
-    res = mred(p, y.copy(), cfg)
-    assert res.termination == "max_iters"
-    ph = phis(res)
-    assert all(b <= a * (1.0 + 1e-14) for a, b in zip(ph, ph[1:]))
-    assert any(r.mode == "gradient_step" for r in res.trace)
-
-
 def test_mred_gradient_step_sizes_follow_shrink_schedule():
     p, y, _ = expansive_problem()
-    for conventional in (False, True):
-        # At alpha0 = 16 the fallbacks backtrack up to three times.
-        cfg = SolverConfig(
-            gamma=default_gamma(1.0, 1.0), t=40, alpha0=16.0, conventional_armijo=conventional
-        )
-        res = mred(p, y.copy(), cfg)
-        assert any(r.backtracks >= 2 for r in res.trace)
-        for r in res.trace[1:]:
-            if r.mode == "gradient_step":
-                # Recorded step is alpha0 * beta^(backtracks - 1) in both
-                # orders: the first gradient step has length alpha0.
-                assert r.backtracks >= 1
-                assert abs(r.step_used - cfg.alpha0 * cfg.beta ** (r.backtracks - 1)) < 1e-15
-            else:
-                assert r.step_used == cfg.gamma
+    # At alpha0 = 16 the fallbacks backtrack up to three times.
+    cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=40, alpha0=16.0)
+    res = run_solver("mred", p, y.copy(), cfg)
+    assert any(r.backtracks >= 2 for r in res.trace)
+    for r in res.trace[1:]:
+        if r.mode == "gradient_step":
+            # Recorded step is alpha0 * beta^(backtracks - 1): the first
+            # gradient step has length alpha0.
+            assert r.backtracks >= 1
+            assert abs(r.step_used - cfg.alpha0 * cfg.beta ** (r.backtracks - 1)) < 1e-15
+        else:
+            assert r.step_used == cfg.gamma
 
 
 # ----------------------------------------------------------------- divergence
@@ -336,7 +321,7 @@ def test_mred_gradient_step_sizes_follow_shrink_schedule():
 def test_red_diverges_on_expansive():
     p, y, _ = expansive_problem()
     cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=200)
-    res = red_sd_fixed(p, y.copy(), cfg)
+    res = run_solver("red", p, y.copy(), cfg)
     assert res.termination == "diverged"
     assert res.final_normalized_residual > cfg.divergence_cap
     assert len(res.trace) < 201
@@ -352,7 +337,7 @@ def test_red_nonfinite_iterate_reported_as_divergence():
     # Cap high enough that the overflow check fires first.
     cfg = SolverConfig(gamma=1e8, t=500, divergence_cap=1e300)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = red_sd_fixed(p, y.copy(), cfg)
+        res = run_solver("red", p, y.copy(), cfg)
     assert res.termination == "diverged"
     for r in res.trace:
         assert math.isfinite(r.phi)
@@ -365,8 +350,8 @@ def test_runs_are_bitwise_deterministic():
     den = RandomConvnetDenoiser(SHAPE, 2, 4, 0.8, seed=11)
     p, y, _ = deblur_problem(den, 0.1)
     cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=30)
-    a = mred(p, y.copy(), cfg)
-    b = mred(p, y.copy(), cfg)
+    a = run_solver("mred", p, y.copy(), cfg)
+    b = run_solver("mred", p, y.copy(), cfg)
     assert np.array_equal(a.x_star, b.x_star)
     assert phis(a) == phis(b)
     assert [r.g_norm for r in a.trace] == [r.g_norm for r in b.trace]
@@ -379,12 +364,9 @@ def test_runs_are_bitwise_deterministic():
 def test_run_solver_dispatch():
     p, y, _ = deblur_problem(LinearSmoothingDenoiser(SHAPE, 1.5), 0.1)
     cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=10)
-    for name, fn in (("red", red_sd_fixed), ("red_bls", red_bls), ("mred", mred)):
-        via = run_solver(name, p, y.copy(), cfg)
-        direct = fn(p, y.copy(), cfg)
-        assert via.solver == name
-        assert phis(via) == phis(direct)
-    with pytest.raises(ValueError):
+    for name in SOLVER_NAMES:
+        assert run_solver(name, p, y.copy(), cfg).solver == name
+    with pytest.raises(ValueError, match="unknown solver 'sd'"):
         run_solver("sd", p, y.copy(), cfg)
 
 
