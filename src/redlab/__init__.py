@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 
 from .rng import RngState, gaussian_samples
 from .images import (
-    ImageGrid,
-    Kernel2D,
     TEST_IMAGE_NAMES,
     gaussian_kernel,
     named_test_image,
@@ -24,7 +22,7 @@ from .operators import (
     LinearOperator,
     build_cs_operator,
 )
-from .fidelity import LeastSquaresFidelity, NoiseSpec, add_noise_at_snr
+from .fidelity import LeastSquaresFidelity, add_noise_at_snr
 from .denoisers import (
     Denoiser,
     DctSoftThresholdDenoiser,
@@ -48,8 +46,6 @@ from .solvers import (
 __all__ = [
     "RngState",
     "gaussian_samples",
-    "ImageGrid",
-    "Kernel2D",
     "TEST_IMAGE_NAMES",
     "gaussian_kernel",
     "named_test_image",
@@ -58,7 +54,6 @@ __all__ = [
     "CompressiveSensingOperator",
     "build_cs_operator",
     "LeastSquaresFidelity",
-    "NoiseSpec",
     "add_noise_at_snr",
     "Denoiser",
     "IdentityDenoiser",

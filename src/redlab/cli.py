@@ -5,11 +5,11 @@ Exit codes: 0 success, 1 usage or configuration error, 2 solver diverged,
 """
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, from_dict, load_config, to_dict
 from .experiments import (
+    check_run_dir,
     grad_check,
     lipschitz_report,
     make_data,
@@ -20,7 +20,7 @@ from .experiments import (
 from .presets import build_denoiser
 from .solvers import SOLVER_NAMES
 from .svgplot import plot_residual_curves
-from .traceio import read_aggregate_csv, read_sidecar
+from .traceio import read_aggregate_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,10 +71,7 @@ def _cmd_run(args):
     )
     image_name = cfg.image.get("preset", "pgm")
     out_dir = f"{cfg.out}/{run_dir_name(cfg.solver['name'], cfg.tau, image_name)}"
-    # Several configs map to one run directory; never replace another's run.
-    sidecar = os.path.join(out_dir, "sidecar.json")
-    if os.path.isfile(sidecar) and read_sidecar(sidecar).get("config") != to_dict(cfg):
-        raise ConfigError(f"{out_dir} holds a run of another config; choose another --out")
+    check_run_dir(cfg, out_dir)
     result, _built, metrics = run_experiment(cfg, out_dir)
     print(
         f"solver={metrics['solver']} termination={metrics['termination']} "

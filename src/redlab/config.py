@@ -214,17 +214,13 @@ def from_dict(raw, base_dir="."):
 def to_dict(cfg):
     """Plain-JSON form of a config; from_dict of the result compares equal."""
     image = cfg.image["preset"] if "preset" in cfg.image else dict(cfg.image)
-    snr = cfg.noise["input_snr_db"]
     return {
         "problem": cfg.problem,
         "image": image,
         "shape": list(cfg.shape),
         "image_seed": cfg.image_seed,
         "operator": dict(cfg.operator),
-        "noise": {
-            "input_snr_db": None if snr is None or math.isinf(snr) else snr,
-            "seed": cfg.noise["seed"],
-        },
+        "noise": dict(cfg.noise),
         "denoiser": dict(cfg.denoiser),
         "tau": cfg.tau,
         "solver": dict(cfg.solver),

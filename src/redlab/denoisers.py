@@ -88,6 +88,7 @@ class LinearSmoothingDenoiser(Denoiser):
         h, w = int(shape[0]), int(shape[1])
         radius = int(np.ceil(4.0 * sigma))
         size = 2 * radius + 1
+        # Checked before the kernel is built, whose memory grows with sigma^2.
         if size > min(h, w):
             raise ValueError(
                 f"smoothing kernel size {size} exceeds image extent {h}x{w}"

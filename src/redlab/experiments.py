@@ -17,17 +17,17 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, from_dict, to_dict
+from .config import ConfigError, ExperimentConfig, from_dict, to_dict
 from .denoisers import LipschitzEstimate, estimate_lipschitz
-from .fidelity import LeastSquaresFidelity, NoiseSpec, add_noise_at_snr
-from .images import ImageGrid, TEST_IMAGE_NAMES, gaussian_kernel, named_test_image
+from .fidelity import LeastSquaresFidelity, add_noise_at_snr
+from .images import TEST_IMAGE_NAMES, gaussian_kernel, named_test_image
 from .operators import DeblurOperator, _blas_threads, build_cs_operator
 from .pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
 from .presets import EXPERIMENT_PRESETS, build_denoiser
 from .red import REDProblem
 from .rng import RngState, gaussian_samples
 from .solvers import SolverConfig, default_gamma, run_solver
-from .traceio import write_aggregate_csv, write_sidecar, write_trace_csv
+from .traceio import read_sidecar, write_aggregate_csv, write_sidecar, write_trace_csv
 
 # Reduced effort for the per-run sidecar certification of denoisers without
 # a closed-form constant; the dedicated CLI command uses the estimator
@@ -53,13 +53,13 @@ class BuiltExperiment:
 
 def _load_true_image(cfg):
     if "preset" in cfg.image:
-        return named_test_image(cfg.image["preset"], cfg.image_seed, cfg.shape).values
+        return named_test_image(cfg.image["preset"], cfg.image_seed, cfg.shape).reshape(-1)
     img = read_pgm(cfg.image["pgm"])
     if img.shape != tuple(cfg.shape):
         raise ValueError(
             f"config shape {tuple(cfg.shape)} does not match PGM shape {img.shape}"
         )
-    return img.values
+    return img.reshape(-1)
 
 
 def _build_operator(cfg):
@@ -79,9 +79,7 @@ def build_experiment(cfg):
     """Construct operator, measurements, denoiser, problem, and solver setup."""
     x_true = _load_true_image(cfg)
     op = _build_operator(cfg)
-    snr = cfg.noise["input_snr_db"]
-    spec = NoiseSpec(math.inf if snr is None else snr, cfg.noise["seed"])
-    y, _e = add_noise_at_snr(op, x_true, spec)
+    y, _e = add_noise_at_snr(op, x_true, cfg.noise["input_snr_db"], cfg.noise["seed"])
     denoiser = build_denoiser(cfg.denoiser, cfg.shape)
     problem = REDProblem(LeastSquaresFidelity(op, y), denoiser, cfg.tau)
     L = op.exact_spectral_norm_sq()
@@ -110,27 +108,37 @@ def build_experiment(cfg):
 
 def _metrics(result):
     last = result.trace[-1]
+    psnr = last.psnr_db
     return {
         "solver": result.solver,
         "termination": result.termination,
         "iterations": len(result.trace) - 1,
         "final_phi": last.phi,
         "final_norm_resid": last.normalized_residual,
-        "final_psnr_db": last.psnr_db,
+        # An exact reconstruction has infinite PSNR, which JSON cannot hold.
+        "final_psnr_db": None if psnr is None or math.isinf(psnr) else psnr,
     }
 
 
-def _certify(denoiser):
-    """The denoiser's Lipschitz certificate for the sidecar.
+def _certify(denoiser, **effort):
+    """The denoiser's Lipschitz certificate.
 
-    A declared closed-form constant is exact; otherwise a reduced-effort
-    Jacobian power iteration.
+    A declared closed-form constant is exact; otherwise a Jacobian power
+    iteration with `effort` (probes, iters), the estimator's defaults when
+    none is given.
     """
     if denoiser.nominal_lipschitz is not None:
         return LipschitzEstimate(denoiser.nominal_lipschitz, "analytic", 0, True)
-    return estimate_lipschitz(
-        denoiser, probes=_RUN_LIPSCHITZ_PROBES, iters=_RUN_LIPSCHITZ_ITERS
-    )
+    return estimate_lipschitz(denoiser, **effort)
+
+
+def check_run_dir(cfg, out_dir):
+    """Refuse, with a ConfigError, a run directory that holds a run of a
+    config other than `cfg`: several configs map to one run directory, and
+    a run never replaces another config's."""
+    sidecar = os.path.join(out_dir, "sidecar.json")
+    if os.path.isfile(sidecar) and read_sidecar(sidecar).get("config") != to_dict(cfg):
+        raise ConfigError(f"{out_dir} holds a run of another config; choose another --out")
 
 
 def run_experiment(cfg, out_dir=None):
@@ -147,8 +155,9 @@ def run_experiment(cfg, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_trace_csv(os.path.join(out_dir, "trace.csv"), result)
-        lip = _certify(built.denoiser)
-        psnr = metrics["final_psnr_db"]
+        lip = _certify(
+            built.denoiser, probes=_RUN_LIPSCHITZ_PROBES, iters=_RUN_LIPSCHITZ_ITERS
+        )
         sidecar = {
             "library_version": __version__,
             "blas_threads": _blas_threads(),
@@ -166,12 +175,11 @@ def run_experiment(cfg, out_dir=None):
             "iterations": metrics["iterations"],
             "final_phi": metrics["final_phi"],
             "final_norm_resid": metrics["final_norm_resid"],
-            "final_psnr_db": None if psnr is None or math.isinf(psnr) else psnr,
+            "final_psnr_db": metrics["final_psnr_db"],
             "counters": asdict(result.counters),
         }
         write_sidecar(os.path.join(out_dir, "sidecar.json"), sidecar)
-        recon = ImageGrid(cfg.shape[0], cfg.shape[1], result.x_star)
-        write_pgm(os.path.join(out_dir, "recon.pgm"), recon)
+        write_pgm(os.path.join(out_dir, "recon.pgm"), result.x_star.reshape(cfg.shape))
     return result, built, metrics
 
 
@@ -205,11 +213,11 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
     Returns {"runs": [...], "failures": [...], "aggregates": [...]}.
     Failures do not stop the sweep.  `out_root/summary.json` holds the runs
     and the failures, with sorted keys and no timing, so reruns write the
-    same bytes.
+    same bytes.  A run directory that holds another config's run raises a
+    ConfigError before any run starts (see check_run_dir).
     """
     if not taus or not solvers:
         raise ValueError("sweep needs at least one tau and one solver")
-    os.makedirs(out_root, exist_ok=True)
     jobs = []
     for tau in taus:
         for solver in solvers:
@@ -221,7 +229,9 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
                     solver={**cfg.solver, "name": solver},
                 )
                 out_dir = os.path.join(out_root, run_dir_name(solver, tau, image_name))
+                check_run_dir(child, out_dir)
                 jobs.append(((tau, solver, image_name), (to_dict(child), out_dir)))
+    os.makedirs(out_root, exist_ok=True)
     outcomes = {}
     failures = []
 
@@ -301,8 +311,14 @@ def grad_check(cfg, probes=20, h=1e-5, seed=0):
 
 
 def lipschitz_report(cfg, method="jacobian_power_iteration"):
-    """Estimate the Lipschitz constant of the configured denoiser."""
+    """The configured denoiser's Lipschitz constant.
+
+    The default method certifies as a run's sidecar does, at the
+    estimator's full effort: a declared closed-form constant is exact.
+    """
     denoiser = build_denoiser(cfg.denoiser, cfg.shape)
+    if method == "jacobian_power_iteration":
+        return _certify(denoiser)
     return estimate_lipschitz(denoiser, method=method)
 
 

@@ -5,9 +5,6 @@ Hessian products to the solvers.  Noise is white Gaussian, rescaled after
 sampling so the realized input SNR matches the request exactly.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rng import RngState, gaussian_samples
@@ -34,34 +31,23 @@ class LeastSquaresFidelity:
         return self.op.gram(v)
 
 
-@dataclass
-class NoiseSpec:
-    """Measurement-noise request: target input SNR in dB plus sampling seed.
-
-    input_snr_db may be math.inf for a noiseless measurement.
-    """
-
-    input_snr_db: float
-    seed: int
-
-
-def add_noise_at_snr(op, x_true, spec):
+def add_noise_at_snr(op, x_true, snr_db, seed):
     """Measure x_true through op and add AWGN at exactly the requested SNR.
 
-    Returns (y, e) with y = A x_true + e.  The sampled noise is rescaled so
-    that 20*log10(||A x_true|| / ||e||) equals spec.input_snr_db to rounding.
+    Returns (y, e) with y = A x_true + e.  The noise is drawn from `seed`
+    and rescaled so that 20*log10(||A x_true|| / ||e||) equals snr_db to
+    rounding; snr_db None means a noiseless measurement, e = 0.
     """
     clean = op.forward(x_true)
     clean_norm = float(np.linalg.norm(clean))
     if clean_norm == 0.0:
         raise ValueError("clean measurement is zero; SNR is undefined")
-    if math.isinf(spec.input_snr_db):
-        e = np.zeros(op.m)
-        return clean.copy(), e
-    w = gaussian_samples(RngState(spec.seed), op.m)
+    if snr_db is None:
+        return clean.copy(), np.zeros(op.m)
+    w = gaussian_samples(RngState(seed), op.m)
     w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
         raise RuntimeError("degenerate noise draw")
-    sigma = clean_norm / (w_norm * 10.0 ** (spec.input_snr_db / 20.0))
+    sigma = clean_norm / (w_norm * 10.0 ** (snr_db / 20.0))
     e = sigma * w
     return clean + e, e

@@ -1,4 +1,4 @@
-"""Image containers, periodic convolution, orthonormal DCT, and test images.
+"""Periodic convolution, orthonormal DCT, and test images.
 
 Repeated periodic convolution with a separable (rank-1) kernel is two
 small GEMMs with circulant matrices; any other kernel goes through real
@@ -7,10 +7,11 @@ FFTs.  Direct summation over shifted runs of one wrap-padded copy
 sums in scipy.signal.convolve2d's order, so its bits are convolve2d's for
 kernels up to 7x7, without importing scipy.signal.
 
-Images are stored as flat row-major float64 vectors with explicit 2D shape
-metadata.  Pixel values are nominally in [0, 1] but are never clipped here;
-clipping happens only at image export so that diverging solver iterates
-remain representable.
+Images and kernels are plain float64 arrays of shape (h, w) and (k, k);
+operators and denoisers work on their flat row-major vectors.  Pixel
+values are nominally in [0, 1] but are never clipped here; clipping
+happens only at image export so that diverging solver iterates remain
+representable.
 """
 
 import functools
@@ -22,78 +23,9 @@ from scipy.linalg import circulant
 from .rng import RngState, gaussian_samples
 
 
-class ImageGrid:
-    """A real-valued image: flat row-major vector plus (height, width).
-
-    The value buffer is frozen after construction.  All values must be
-    finite.
-    """
-
-    def __init__(self, height, width, values):
-        height = int(height)
-        width = int(width)
-        if height < 1 or width < 1:
-            raise ValueError("image dimensions must be positive")
-        values = np.asarray(values, dtype=np.float64).reshape(-1).copy()
-        if values.size != height * width:
-            raise ValueError(
-                f"expected {height * width} values for {height}x{width}, got {values.size}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("image values must be finite")
-        values.flags.writeable = False
-        self.height = height
-        self.width = width
-        self.values = values
-
-    @classmethod
-    def from_2d(cls, arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2D array")
-        return cls(arr.shape[0], arr.shape[1], arr.reshape(-1))
-
-    @property
-    def shape(self):
-        return (self.height, self.width)
-
-    @property
-    def n(self):
-        return self.height * self.width
-
-    def as_2d(self):
-        """Read-only (height, width) view of the values."""
-        return self.values.reshape(self.height, self.width)
-
-    def __repr__(self):
-        return f"ImageGrid({self.height}x{self.width})"
-
-
-class Kernel2D:
-    """Square convolution kernel of odd size, stored row-major."""
-
-    def __init__(self, size, weights):
-        size = int(size)
-        if size < 1 or size % 2 == 0:
-            raise ValueError("kernel size must be odd and positive")
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1).copy()
-        if weights.size != size * size:
-            raise ValueError(f"expected {size * size} weights, got {weights.size}")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("kernel weights must be finite")
-        weights.flags.writeable = False
-        self.size = size
-        self.weights = weights
-
-    def as_2d(self):
-        return self.weights.reshape(self.size, self.size)
-
-    def __repr__(self):
-        return f"Kernel2D(size={self.size})"
-
-
 def gaussian_kernel(size, sigma):
-    """Normalized truncated-Gaussian blur kernel of odd `size`."""
+    """Normalized truncated-Gaussian blur kernel: a read-only (size, size)
+    array, `size` odd."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     size = int(size)
@@ -102,7 +34,9 @@ def gaussian_kernel(size, sigma):
     r = size // 2
     yy, xx = np.mgrid[-r : r + 1, -r : r + 1]
     w = np.exp(-(xx**2 + yy**2) / (2.0 * sigma**2))
-    return Kernel2D(size, (w / w.sum()).reshape(-1))
+    w /= w.sum()
+    w.flags.writeable = False
+    return w
 
 
 def _periodic_conv(stack, taps):
@@ -201,15 +135,21 @@ class CyclicConvolver:
 
     def __init__(self, shape, kernel):
         h, w = int(shape[0]), int(shape[1])
-        if kernel.size > min(h, w):
-            raise ValueError(
-                f"kernel size {kernel.size} exceeds image extent {h}x{w}"
-            )
+        kernel = np.array(kernel, dtype=np.float64)
+        if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
+            raise ValueError(f"kernel must be square of odd size, got shape {kernel.shape}")
+        k = kernel.shape[0]
+        if not np.all(np.isfinite(kernel)):
+            raise ValueError("kernel weights must be finite")
+        if k > min(h, w):
+            raise ValueError(f"kernel size {k} exceeds image extent {h}x{w}")
+        kernel.flags.writeable = False
         self.shape = (h, w)
-        self._kernel = kernel
+        # A frozen copy: the caller's array may change, this one may not.
+        self.kernel = kernel
         factors = None
         if h + w <= _MAX_CIRCULANT_EXTENT_SUM:
-            factors = _rank_one_factors(kernel.as_2d())
+            factors = _rank_one_factors(kernel)
         if factors is None:
             self._circulants = None
             self._khat = rfft2(self._embedded())
@@ -221,10 +161,10 @@ class CyclicConvolver:
     def _embedded(self):
         """The centered kernel wrapped onto the image grid."""
         h, w = self.shape
-        r = self._kernel.size // 2
+        r = self.kernel.shape[0] // 2
         offsets = np.arange(-r, r + 1)
         embed = np.zeros((h, w))
-        np.add.at(embed, (offsets[:, None] % h, offsets % w), self._kernel.as_2d())
+        np.add.at(embed, (offsets[:, None] % h, offsets % w), self.kernel)
         return embed
 
     @functools.cached_property
@@ -271,10 +211,7 @@ def idct2_vals(arr):
     return idctn(arr, type=2, norm="ortho")
 
 
-TEST_IMAGE_NAMES = ("phantom", "ramp", "sinusoid", "checkerboard", "texture", "blocks")
-
-
-def _phantom(h, w):
+def _phantom(h, w, _rng):
     # A few overlapping ellipses at distinct gray levels.
     yy, xx = np.mgrid[0:h, 0:w]
     y = (yy - (h - 1) / 2.0) / (h / 2.0)
@@ -295,19 +232,19 @@ def _phantom(h, w):
     return img
 
 
-def _ramp(h, w):
+def _ramp(h, w, _rng):
     col = np.arange(w) / (w - 1)
     return np.tile(col, (h, 1))
 
 
-def _sinusoid(h, w):
+def _sinusoid(h, w, _rng):
     yy, xx = np.mgrid[0:h, 0:w]
     return 0.5 + 0.25 * np.sin(2.0 * np.pi * 3.0 * xx / w) + 0.25 * np.sin(
         2.0 * np.pi * 2.0 * yy / h
     )
 
 
-def _checkerboard(h, w):
+def _checkerboard(h, w, _rng):
     cell = max(2, min(h, w) // 8)
     yy, xx = np.mgrid[0:h, 0:w]
     return (((yy // cell) + (xx // cell)) % 2).astype(np.float64)
@@ -316,7 +253,7 @@ def _checkerboard(h, w):
 def _texture(h, w, rng):
     noise = gaussian_samples(rng, h * w).reshape(h, w)
     k = gaussian_kernel(7, 1.2)
-    smooth = _periodic_conv(noise, k.as_2d())
+    smooth = _periodic_conv(noise, k)
     lo, hi = smooth.min(), smooth.max()
     if hi == lo:
         return np.full((h, w), 0.5)
@@ -340,17 +277,19 @@ def _blocks(h, w, rng):
 
 # Builders by name, each called as (h, w, rng); only texture and blocks draw.
 _TEST_IMAGE_BUILDERS = {
-    "phantom": lambda h, w, _rng: _phantom(h, w),
-    "ramp": lambda h, w, _rng: _ramp(h, w),
-    "sinusoid": lambda h, w, _rng: _sinusoid(h, w),
-    "checkerboard": lambda h, w, _rng: _checkerboard(h, w),
+    "phantom": _phantom,
+    "ramp": _ramp,
+    "sinusoid": _sinusoid,
+    "checkerboard": _checkerboard,
     "texture": _texture,
     "blocks": _blocks,
 }
+TEST_IMAGE_NAMES = tuple(_TEST_IMAGE_BUILDERS)
 
 
 def named_test_image(name, seed, shape):
-    """One of the six synthetic test images (TEST_IMAGE_NAMES), values in [0, 1].
+    """One of the six synthetic test images (TEST_IMAGE_NAMES): a read-only
+    (h, w) array with values in [0, 1].
 
     Texture and blocks read one stream seeded by `seed`, texture's draw
     first; the other four do not depend on the seed.
@@ -365,4 +304,6 @@ def named_test_image(name, seed, shape):
         # Skip the uniforms the texture's Gaussian draw takes first: two per
         # pair of samples.
         rng.uniform(2 * ((h * w + 1) // 2))
-    return ImageGrid.from_2d(_TEST_IMAGE_BUILDERS[name](h, w, rng))
+    img = _TEST_IMAGE_BUILDERS[name](h, w, rng)
+    img.flags.writeable = False
+    return img

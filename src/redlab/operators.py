@@ -18,7 +18,7 @@ import os
 import numpy as np
 from scipy.linalg import lapack
 
-from .images import CyclicConvolver, Kernel2D
+from .images import CyclicConvolver
 from .rng import RngState, _integral, gaussian_samples
 
 # Row-block size of the dense gram: a block this large stays in a 2 MiB L2
@@ -97,23 +97,14 @@ class LinearOperator:
 
 
 class DeblurOperator(LinearOperator):
-    """Periodic 2D convolution with a fixed blur kernel; square (m == n)."""
+    """Periodic 2D convolution with a fixed (k, k) blur kernel, k odd and at
+    most the image extent; square (m == n)."""
 
     def __init__(self, shape, kernel):
-        h, w = int(shape[0]), int(shape[1])
-        if h < 1 or w < 1:
-            raise ValueError("image shape must be positive")
-        if not isinstance(kernel, Kernel2D):
-            raise ValueError("kernel must be a Kernel2D")
-        if kernel.size > min(h, w):
-            raise ValueError(
-                f"kernel size {kernel.size} exceeds image extent {h}x{w}"
-            )
-        self.shape = (h, w)
-        self.kernel = kernel
-        self._conv = CyclicConvolver((h, w), kernel)
-        self.n = h * w
-        self.m = h * w
+        self._conv = CyclicConvolver(shape, kernel)
+        self.shape = self._conv.shape
+        self.kernel = self._conv.kernel
+        self.n = self.m = self.shape[0] * self.shape[1]
 
     def forward(self, x):
         x = self._check_domain(x)

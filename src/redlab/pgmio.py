@@ -3,20 +3,26 @@
 Writing quantizes [0, 1] pixel values to 16-bit levels, big-endian per the
 PGM format; values outside [0, 1] are clipped first.  Reading also takes
 8-bit files.  Kernel files hold the kernel size on the first line and then size^2 weights
-in row-major order, whitespace separated.
+in row-major order, whitespace separated.  Images and kernels are (h, w) and
+(k, k) float64 arrays; the readers return them read-only.
 """
 
 import numpy as np
 
-from .images import ImageGrid, Kernel2D
-
 
 def write_pgm(path, img):
-    vals = np.clip(img.values, 0.0, 1.0)
+    """Write the 2-D array `img` as a 16-bit PGM."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"expected a 2D image, got shape {img.shape}")
+    # A NaN has no defined level once cast to an integer.
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image values must be finite")
+    vals = np.clip(img, 0.0, 1.0)
     # Round half away from zero so that quantization is platform independent.
     levels = np.floor(vals * 65535 + 0.5).astype(np.int64)
     levels = np.clip(levels, 0, 65535).astype(">u2")
-    header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
+    header = f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(levels.tobytes())
@@ -44,7 +50,8 @@ def _read_pgm_tokens(data, count):
 
 
 def read_pgm(path):
-    """Read a binary PGM into an ImageGrid with values scaled to [0, 1]."""
+    """Read a binary PGM into a read-only (height, width) array of values
+    scaled to [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P5":
@@ -64,19 +71,22 @@ def read_pgm(path):
     if len(raster) != count * dtype.itemsize:
         raise ValueError("truncated PGM raster")
     levels = np.frombuffer(raster, dtype=dtype).astype(np.float64)
-    return ImageGrid(height, width, levels / maxval)
+    img = (levels / maxval).reshape(height, width)
+    img.flags.writeable = False
+    return img
 
 
 def write_kernel_file(path, kernel):
-    lines = [str(kernel.size)]
-    k2 = kernel.as_2d()
-    for row in k2:
+    """Write the square (k, k) array `kernel` as a kernel file."""
+    lines = [str(kernel.shape[0])]
+    for row in kernel:
         lines.append(" ".join(repr(float(v)) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_kernel_file(path):
+    """Read a kernel file into a read-only (size, size) array."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
@@ -95,4 +105,8 @@ def read_kernel_file(path):
         vals = np.array([float(t) for t in weights])
     except ValueError as exc:
         raise ValueError(f"invalid kernel weight: {exc}") from None
-    return Kernel2D(size, vals)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("kernel weights must be finite")
+    kernel = vals.reshape(size, size)
+    kernel.flags.writeable = False
+    return kernel

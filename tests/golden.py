@@ -1,0 +1,96 @@
+"""Golden artifacts: regenerate them and hash them.
+
+The artifacts are the trace, sidecar and reconstruction of each shipped
+preset, every file `make_data` writes, and the whole output of one small
+deblur sweep.  Their bits depend on the numpy, scipy and OpenBLAS builds,
+on the CPU kernel OpenBLAS picks, and on the BLAS thread count, so the
+digests are taken at one thread and stored with the environment they were
+taken in.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py OUT_DIR
+        writes the artifacts under OUT_DIR and prints
+        {"environment": ..., "digests": {relative path: sha256}} as JSON
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --write
+        stores that JSON, from a temporary directory, in golden_digests.json
+        next to this file; a change that alters artifact bits does this and
+        says why
+"""
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+import scipy
+
+from redlab.config import from_dict
+from redlab.experiments import make_data, run_experiment, run_sweep
+from redlab.operators import _blas_threads
+from redlab.presets import PRESET_NAMES, experiment_preset
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+
+
+def _openblas(what):
+    """`openblas_get_<what>` of the OpenBLAS bundled with numpy, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in (f"scipy_openblas_get_{what}64_", f"openblas_get_{what}64_", f"openblas_get_{what}"):
+            if hasattr(lib, name):
+                fn = getattr(lib, name)
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode("ascii").strip()
+    return None
+
+
+def environment():
+    """What the artifact bits depend on besides the code."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas_config": _openblas("config"),
+        "openblas_corename": _openblas("corename"),
+        "blas_threads": _blas_threads(),
+    }
+
+
+def generate(out):
+    """Write every golden artifact under `out`; returns {relative path: sha256}."""
+    for name in PRESET_NAMES:
+        run_experiment(from_dict(experiment_preset(name)), os.path.join(out, "presets", name))
+    make_data(os.path.join(out, "make-data"))
+    sweep = from_dict(experiment_preset("deblur_nonexpansive"))
+    run_sweep(sweep, [0.1], ["mred"], os.path.join(out, "sweep"))
+    digests = {}
+    for root, _dirs, files in os.walk(out):
+        for fname in files:
+            path = os.path.join(root, fname)
+            with open(path, "rb") as fh:
+                rel = os.path.relpath(path, out).replace(os.sep, "/")
+                digests[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def main(argv):
+    if len(argv) != 1:
+        raise SystemExit(__doc__)
+    if argv[0] == "--write":
+        with tempfile.TemporaryDirectory() as tmp:
+            record = {"environment": environment(), "digests": generate(tmp)}
+        with open(DIGESTS, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {len(record['digests'])} digests to {DIGESTS}")
+    else:
+        record = {"environment": environment(), "digests": generate(argv[0])}
+        print(json.dumps(record))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -15,7 +15,6 @@ from redlab import (
     DeblurOperator,
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
-    NoiseSpec,
     REDProblem,
     RngState,
     SolverConfig,
@@ -224,23 +223,23 @@ def test_criterion_5_monotonicity_across_72_runs(capsys):
         for problem in ("deblur", "cs"):
             if problem == "deblur":
                 op = DeblurOperator(SHAPE64, gaussian_kernel(17, 2.0))
-                noise = NoiseSpec(30.0, 42)
+                snr_db = 30.0
             else:
                 op = build_cs_operator(M_CS, N64, 77)
-                noise = NoiseSpec(math.inf, 42)
+                snr_db = None
             L = op.exact_spectral_norm_sq()
             dens = {
                 kind: build_denoiser(spec, SHAPE64)
                 for kind, spec in SUITE_DENOISERS[problem].items()
             }
-            setups[problem] = (op, noise, L, dens)
+            setups[problem] = (op, snr_db, L, dens)
         runs = 0
         violations = 0
         worst = 0.0
-        for problem, (op, noise, L, dens) in setups.items():
+        for problem, (op, snr_db, L, dens) in setups.items():
             for image_name in IMAGE_NAMES:
-                x_true = named_test_image(image_name, 1234, SHAPE64).values
-                y, _ = add_noise_at_snr(op, x_true, noise)
+                x_true = named_test_image(image_name, 1234, SHAPE64).reshape(-1)
+                y, _ = add_noise_at_snr(op, x_true, snr_db, 42)
                 x0 = y.copy() if problem == "deblur" else op.adjoint(y)
                 fid = LeastSquaresFidelity(op, y)
                 for tau in (1.0, 0.1, 0.01):

@@ -68,15 +68,15 @@ def test_smoother_vjp_is_i_minus_w():
     # (I - W)v with W v computed by an explicit independent convolution.
     d = LinearSmoothingDenoiser((16, 16), 1.0)
     v = gaussian_samples(RngState(3), 256)
-    wv = convolve2d_wrap(v.reshape(16, 16), d.kernel.as_2d()).reshape(-1)
+    wv = convolve2d_wrap(v.reshape(16, 16), d.kernel).reshape(-1)
     got = d.residual_vjp(probe(4, 256), v)
     assert np.max(np.abs(got - (v - wv))) < 1e-12
 
 
 def kernel_dft_max(kernel, h, w):
     """max |khat| over the h x w grid, via an embedding built here."""
-    r = kernel.size // 2
-    k2 = kernel.as_2d()
+    r = kernel.shape[0] // 2
+    k2 = kernel
     embed = np.zeros((h, w))
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):

@@ -19,7 +19,6 @@ from redlab import (
     CompressiveSensingOperator,
     DctSoftThresholdDenoiser,
     IdentityDenoiser,
-    ImageGrid,
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
     REDProblem,
@@ -548,7 +547,7 @@ def test_run_experiment_artifacts(tmp_path):
     assert sidecar["lipschitz"]["value"] <= 1.0 + 1e-6
     recon = read_pgm(os.path.join(out, "recon.pgm"))
     assert recon.shape == (32, 32)
-    assert np.max(np.abs(recon.values - np.clip(result.x_star, 0, 1))) <= 0.5 / 65535
+    assert np.max(np.abs(recon.reshape(-1) - np.clip(result.x_star, 0, 1))) <= 0.5 / 65535
 
 
 def test_run_sidecar_certificates(tmp_path):
@@ -778,6 +777,59 @@ def test_cs_runs_share_one_operator_build(tmp_path, monkeypatch):
     assert shared == fresh
 
 
+def test_sweep_refuses_to_replace_another_configs_runs(tmp_path, capsys):
+    # Both presets write <out>/mred_tau0.1_<image>; the second sweep exits 1
+    # and leaves the first one's runs and summary.json as they were.
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "sweep")
+    first, second = (
+        write_config(tmp, experiment_preset(name), f"{name}.json")
+        for name in ("deblur_nonexpansive", "cs_nonexpansive")
+    )
+    argv = ["sweep", "--tau", "0.1", "--solver", "mred", "--out", out, "--config"]
+    assert main(argv + [first]) == 0
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main(argv + [second]) == 1
+    assert "another config" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+    # The same config reruns over its own runs, with the same bytes.
+    assert main(argv + [first]) == 0
+    assert _tree_bytes(out) == before
+
+
+def test_sweep_checks_every_run_dir_before_its_first_run(tmp_path):
+    # Another config's run sits where the sweep's last run would go.
+    out = os.path.join(str(tmp_path), "sweep")
+    other = dataclasses.replace(from_dict(copy.deepcopy(CS_SMALL)), image={"preset": "blocks"})
+    run_experiment(other, os.path.join(out, run_dir_name("mred", 0.1, "blocks")))
+    with pytest.raises(ConfigError):
+        run_sweep(from_dict(copy.deepcopy(SMALL)), [0.1], ["mred"], out)
+    assert os.listdir(out) == [run_dir_name("mred", 0.1, "blocks")]
+
+
+def test_summary_json_is_strict_json_for_an_exact_reconstruction(tmp_path):
+    # A 1x1 kernel, noiseless data and the identity denoiser put x0 at the
+    # fixed point, x_true itself, whose PSNR is infinite.
+    raw = copy.deepcopy(SMALL)
+    raw["operator"] = {"kernel_size": 1, "kernel_sigma": 1.0}
+    raw["noise"] = {"input_snr_db": None}
+    raw["denoiser"] = {"name": "identity"}
+    out = os.path.join(str(tmp_path), "sweep")
+    summary = run_sweep(from_dict(raw), [0.1], ["mred"], out)
+
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    with open(os.path.join(out, "summary.json")) as fh:
+        written = json.load(fh, parse_constant=refuse)
+    assert [run["final_psnr_db"] for run in written["runs"]] == [None] * 6
+    assert written["runs"] == summary["runs"]
+    for run in summary["runs"]:
+        sidecar = read_sidecar(os.path.join(out, run_dir_name("mred", 0.1, run["image"]), "sidecar.json"))
+        assert sidecar["final_psnr_db"] is None
+
+
 def test_sweep_needs_work():
     cfg = from_dict(copy.deepcopy(SMALL))
     with pytest.raises(ValueError):
@@ -807,11 +859,19 @@ def test_grad_check_convnet():
 
 
 def test_lipschitz_report():
+    # The default method certifies as the sidecar does: a declared closed
+    # form is exact and converged.
     raw = copy.deepcopy(SMALL)
     raw["denoiser"] = {"name": "scaled_identity", "scale": 1.6}
     est = lipschitz_report(from_dict(raw))
-    assert abs(est.value - 1.6) <= 1e-6
-    assert est.method == "jacobian_power_iteration"
+    assert (est.value, est.method, est.probes, est.converged) == (1.6, "analytic", 0, True)
+    sampled = lipschitz_report(from_dict(raw), method="pairwise_ratio_sampling")
+    assert sampled.method == "pairwise_ratio_sampling"
+    assert abs(sampled.value - 1.6) <= 1e-6
+    # The convnet declares no constant and keeps the estimator's full effort.
+    raw["denoiser"] = {"name": "convnet"}
+    est = lipschitz_report(from_dict(raw))
+    assert (est.method, est.probes) == ("jacobian_power_iteration", 8)
 
 
 # ------------------------------------------------------------------ make-data
@@ -828,7 +888,7 @@ def test_make_data(tmp_path):
         + [f"{n}.json" for n in EXPERIMENT_PRESETS]
     )
     kernel = read_kernel_file(os.path.join(out, "kernel_17.txt"))
-    assert kernel.size == 17
+    assert kernel.shape == (17, 17)
     img = read_pgm(os.path.join(out, "phantom.pgm"))
     assert img.shape == (64, 64)
     for preset in EXPERIMENT_PRESETS:
@@ -1038,9 +1098,7 @@ def test_cli_lipschitz(tmp_path, capsys):
     code = main(["lipschitz", "--config", path])
     captured = capsys.readouterr()
     assert code == 0
-    value = float(captured.out.split("value=")[1].split()[0])
-    assert abs(value - 1.6) <= 1e-6
-    assert "method=jacobian_power_iteration" in captured.out
+    assert "value=1.6 method=analytic probes=0 converged=True" in captured.out
 
 
 def test_cli_make_data(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from redlab import (
     LeastSquaresFidelity,
-    NoiseSpec,
     RngState,
     add_noise_at_snr,
     build_cs_operator,
@@ -98,7 +97,7 @@ def test_noise_hits_snr_exactly():
     op, _y, _f = small_instance(12)
     x = RngState(13).uniform(op.n)
     for snr in (30.0, 10.0, 0.0, -5.0):
-        y, e = add_noise_at_snr(op, x, NoiseSpec(snr, seed=42))
+        y, e = add_noise_at_snr(op, x, snr, 42)
         clean = op.forward(x)
         realized = 20.0 * math.log10(
             np.linalg.norm(clean) / np.linalg.norm(e)
@@ -108,9 +107,10 @@ def test_noise_hits_snr_exactly():
 
 
 def test_noise_infinite_snr_is_noiseless():
+    # snr_db None is the config's noiseless input.
     op, _y, _f = small_instance(14)
     x = RngState(15).uniform(op.n)
-    y, e = add_noise_at_snr(op, x, NoiseSpec(math.inf, seed=42))
+    y, e = add_noise_at_snr(op, x, None, 42)
     assert np.array_equal(e, np.zeros(op.m))
     assert np.array_equal(y, op.forward(x))
 
@@ -118,14 +118,14 @@ def test_noise_infinite_snr_is_noiseless():
 def test_noise_deterministic():
     op, _y, _f = small_instance(16)
     x = RngState(17).uniform(op.n)
-    y1, _ = add_noise_at_snr(op, x, NoiseSpec(20.0, seed=5))
-    y2, _ = add_noise_at_snr(op, x, NoiseSpec(20.0, seed=5))
+    y1, _ = add_noise_at_snr(op, x, 20.0, 5)
+    y2, _ = add_noise_at_snr(op, x, 20.0, 5)
     assert np.array_equal(y1, y2)
-    y3, _ = add_noise_at_snr(op, x, NoiseSpec(20.0, seed=6))
+    y3, _ = add_noise_at_snr(op, x, 20.0, 6)
     assert not np.array_equal(y1, y3)
 
 
 def test_noise_rejects_zero_measurement():
     op = DenseOperator(np.eye(3))
     with pytest.raises(ValueError):
-        add_noise_at_snr(op, np.zeros(3), NoiseSpec(30.0, seed=0))
+        add_noise_at_snr(op, np.zeros(3), 30.0, 0)

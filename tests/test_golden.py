@@ -1,0 +1,42 @@
+"""Every shipped artifact keeps its bytes: sha256 against tests/golden_digests.json.
+
+The artifacts are regenerated in a child process at one BLAS thread (numpy
+reads OPENBLAS_NUM_THREADS when it loads).  In an environment other than
+the recorded one the bits may legitimately differ, so the test skips and
+names the field that differs.  A change that alters artifact bits on
+purpose regenerates the file with `python tests/golden.py --write` and says
+why.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import redlab
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def test_golden_artifacts_keep_their_bytes(tmp_path):
+    with open(os.path.join(HERE, "golden_digests.json")) as fh:
+        want = json.load(fh)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(redlab.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(HERE, "golden.py"), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    got = json.loads(proc.stdout)
+    for field, recorded in want["environment"].items():
+        here = got["environment"].get(field)
+        if here != recorded:
+            pytest.skip(f"environment differs in {field}: recorded {recorded!r}, here {here!r}")
+    differ = sorted(
+        path
+        for path in want["digests"].keys() | got["digests"].keys()
+        if want["digests"].get(path) != got["digests"].get(path)
+    )
+    assert not differ, f"{len(differ)} artifacts differ from golden_digests.json: {differ}"

@@ -1,4 +1,4 @@
-"""Image containers, periodic convolution, DCT, synthetic images.
+"""Kernel checks, periodic convolution, DCT, synthetic images.
 
 The convolution oracles are a direct O(n*k^2) double loop written here from
 the definition and scipy.signal.convolve2d, both independent of the
@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from redlab import (
-    ImageGrid,
-    Kernel2D,
+    DeblurOperator,
     RngState,
     TEST_IMAGE_NAMES,
     gaussian_kernel,
@@ -45,48 +44,52 @@ def conv_oracle(arr, kern):
 
 
 def rand_image(seed, h, w):
-    return ImageGrid(h, w, gaussian_samples(RngState(seed), h * w))
+    return gaussian_samples(RngState(seed), h * w).reshape(h, w)
 
 
-# ---------------------------------------------------------------- containers
-
-
-def test_image_grid_validation():
-    with pytest.raises(ValueError):
-        ImageGrid(2, 2, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        ImageGrid(0, 2, [])
-    with pytest.raises(ValueError):
-        ImageGrid(1, 2, [1.0, np.nan])
-    img = ImageGrid(2, 3, np.arange(6.0))
-    assert img.shape == (2, 3)
-    assert img.n == 6
-    assert np.array_equal(img.as_2d(), np.arange(6.0).reshape(2, 3))
-
-
-def test_image_grid_values_frozen():
-    img = ImageGrid(2, 2, np.zeros(4))
-    with pytest.raises(ValueError):
-        img.values[0] = 1.0
+# ------------------------------------------------------------------- kernels
 
 
 def test_kernel_validation():
-    with pytest.raises(ValueError):
-        Kernel2D(2, np.zeros(4))  # even size
-    with pytest.raises(ValueError):
-        Kernel2D(3, np.zeros(8))  # wrong count
-    k = Kernel2D(3, np.arange(9.0))
-    assert np.array_equal(k.as_2d(), np.arange(9.0).reshape(3, 3))
+    # The convolver checks every kernel, so the deblur operator, which
+    # builds through it, rejects the same ones.
+    bad = [
+        np.zeros((2, 2)),  # even size
+        np.zeros((3, 5)),  # not square
+        np.zeros(9),  # not 2-D
+        np.zeros((0, 0)),
+        np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]),
+        np.full((3, 3), np.inf),
+    ]
+    for kern in bad:
+        with pytest.raises(ValueError):
+            CyclicConvolver((8, 8), kern)
+        with pytest.raises(ValueError):
+            DeblurOperator((8, 8), kern)
+    # The convolver keeps a frozen copy: the caller's array may change.
+    kern = np.arange(9.0).reshape(3, 3)
+    conv = CyclicConvolver((8, 8), kern)
+    kern[1, 1] = -1.0
+    assert conv.kernel[1, 1] == 4.0
+    assert not conv.kernel.flags.writeable
+
+
+def test_images_and_kernels_are_read_only():
+    arrays = [gaussian_kernel(5, 1.0)]
+    arrays += [named_test_image(name, 7, (32, 32)) for name in TEST_IMAGE_NAMES]
+    for arr in arrays:
+        assert arr.dtype == np.float64 and arr.ndim == 2
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.5
 
 
 def test_gaussian_kernel_normalized():
     k = gaussian_kernel(17, 2.0)
-    assert k.size == 17
-    assert np.all(k.weights >= 0.0)
-    assert abs(k.weights.sum() - 1.0) <= 1e-12
+    assert k.shape == (17, 17)
+    assert np.all(k >= 0.0)
+    assert abs(k.sum() - 1.0) <= 1e-12
     # Symmetric in both axes.
-    k2 = k.as_2d()
-    assert np.allclose(k2, k2[::-1, ::-1], atol=0)
+    assert np.allclose(k, k[::-1, ::-1], atol=0)
     with pytest.raises(ValueError):
         gaussian_kernel(4, 1.0)
     with pytest.raises(ValueError):
@@ -97,7 +100,7 @@ def test_gaussian_kernel_normalized():
 
 
 def test_conv_constant_image_preserved():
-    out = _periodic_conv(np.full((8, 8), 0.37), gaussian_kernel(5, 1.0).as_2d())
+    out = _periodic_conv(np.full((8, 8), 0.37), gaussian_kernel(5, 1.0))
     assert np.allclose(out, 0.37, atol=1e-14)
 
 
@@ -105,9 +108,9 @@ def test_conv_impulse_response():
     # A centered delta stamps the kernel weights around the center.
     arr = np.zeros((7, 7))
     arr[3, 3] = 1.0
-    k = Kernel2D(3, np.arange(1.0, 10.0) / 45.0)
-    out = _periodic_conv(arr, k.as_2d())
-    assert np.allclose(out[2:5, 2:5], k.as_2d(), atol=1e-15)
+    k = np.arange(1.0, 10.0).reshape(3, 3) / 45.0
+    out = _periodic_conv(arr, k)
+    assert np.allclose(out[2:5, 2:5], k, atol=1e-15)
 
 
 def test_conv_matches_double_loop_oracle():
@@ -129,7 +132,7 @@ def test_conv_linearity():
     rng = RngState(3)
     x = gaussian_samples(rng, 36).reshape(6, 6)
     z = gaussian_samples(rng, 36).reshape(6, 6)
-    k = gaussian_kernel(3, 0.8).as_2d()
+    k = gaussian_kernel(3, 0.8)
     lhs = _periodic_conv(2.5 * x - 1.25 * z, k)
     rhs = 2.5 * _periodic_conv(x, k) - 1.25 * _periodic_conv(z, k)
     assert np.allclose(lhs, rhs, atol=1e-12)
@@ -138,7 +141,7 @@ def test_conv_linearity():
 def test_conv_adjoint_is_rotated_kernel():
     # <conv_k(x), u> == <x, conv_flip(k)(u)> for random pairs.
     rng = RngState(21)
-    k = Kernel2D(3, gaussian_samples(rng, 9)).as_2d()
+    k = gaussian_samples(rng, 9).reshape(3, 3)
     for _ in range(20):
         x = gaussian_samples(rng, 48).reshape(6, 8)
         u = gaussian_samples(rng, 48).reshape(6, 8)
@@ -213,13 +216,13 @@ def test_cyclic_convolver_matches_direct():
     a = np.exp(-0.5 * np.linspace(-2.0, 2.0, 17) ** 2)
     a /= a.sum()
     b = np.cos(np.linspace(0.0, 3.0, 17))
-    rank_two = Kernel2D(17, np.outer(a, a) + 1e-9 * np.outer(b, b))
+    rank_two = np.outer(a, a) + 1e-9 * np.outer(b, b)
     cases = [
         # Random kernels take the FFT path.
-        (8, 8, Kernel2D(3, gaussian_samples(rng, 9)), False),
-        (6, 10, Kernel2D(5, gaussian_samples(rng, 25)), False),
-        (9, 9, Kernel2D(9, gaussian_samples(rng, 81)), False),
-        (16, 12, Kernel2D(7, gaussian_samples(rng, 49)), False),
+        (8, 8, gaussian_samples(rng, 9).reshape(3, 3), False),
+        (6, 10, gaussian_samples(rng, 25).reshape(5, 5), False),
+        (9, 9, gaussian_samples(rng, 81).reshape(9, 9), False),
+        (16, 12, gaussian_samples(rng, 49).reshape(7, 7), False),
         # Gaussian kernels take the circulant path.
         (8, 8, gaussian_kernel(3, 0.6), True),
         (6, 10, gaussian_kernel(5, 1.2), True),
@@ -227,7 +230,7 @@ def test_cyclic_convolver_matches_direct():
         (16, 12, gaussian_kernel(7, 1.5), True),
         (64, 64, gaussian_kernel(17, 2.0), True),
         # A separable kernel that is neither symmetric nor of equal factors.
-        (6, 10, Kernel2D(5, np.outer(gaussian_samples(rng, 5), gaussian_samples(rng, 5))), True),
+        (6, 10, np.outer(gaussian_samples(rng, 5), gaussian_samples(rng, 5)), True),
         (1, 5, gaussian_kernel(1, 1.0), True),
         # Past the size limit of dense circulants, a Gaussian takes the FFT path.
         (8, 250, gaussian_kernel(5, 1.0), False),
@@ -236,12 +239,12 @@ def test_cyclic_convolver_matches_direct():
     for h, w, kern, separable in cases:
         conv = CyclicConvolver((h, w), kern)
         assert (conv._circulants is not None) == separable
-        scale = np.sum(np.abs(kern.weights))
+        scale = np.sum(np.abs(kern))
         for _ in range(3):
             arr = gaussian_samples(rng, h * w).reshape(h, w)
-            direct = convolve2d_wrap(arr, kern.as_2d())
+            direct = convolve2d_wrap(arr, kern)
             assert np.max(np.abs(conv.apply(arr) - direct)) <= 1e-12 * scale
-            adj_direct = convolve2d_wrap(arr, kern.as_2d()[::-1, ::-1])
+            adj_direct = convolve2d_wrap(arr, kern[::-1, ::-1])
             assert np.max(np.abs(conv.apply_adjoint(arr) - adj_direct)) <= 1e-12 * scale
             gram = conv.apply_adjoint(conv.apply(arr))
             assert np.max(np.abs(conv.apply_gram(arr) - gram)) <= 1e-12 * scale**2
@@ -260,7 +263,7 @@ def test_dct_constant_image_dc_only():
 
 
 def test_dct_round_trip_and_energy():
-    arr = rand_image(17, 8, 8).as_2d()
+    arr = rand_image(17, 8, 8)
     back = idct2_vals(dct2_vals(arr))
     assert np.max(np.abs(back - arr)) < 1e-12
     assert abs(np.linalg.norm(dct2_vals(arr)) - np.linalg.norm(arr)) < 1e-12
@@ -269,8 +272,7 @@ def test_dct_round_trip_and_energy():
 def test_dct_matches_basis_projection_oracle():
     # Coefficients are inner products with explicit separable cosine bases.
     h = w = 8
-    img = rand_image(23, h, w)
-    arr = img.as_2d()
+    arr = rand_image(23, h, w)
 
     def basis_1d(n, k):
         scale = np.sqrt(1.0 / n) if k == 0 else np.sqrt(2.0 / n)
@@ -287,8 +289,8 @@ def test_dct_matches_basis_projection_oracle():
 def test_dct_orthonormality_preserves_inner_products():
     x = rand_image(4, 8, 8)
     z = rand_image(5, 8, 8)
-    lhs = float(np.sum(dct2_vals(x.as_2d()) * dct2_vals(z.as_2d())))
-    rhs = float(x.values @ z.values)
+    lhs = float(np.sum(dct2_vals(x) * dct2_vals(z)))
+    rhs = float(x.ravel() @ z.ravel())
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -299,15 +301,15 @@ def test_test_images_basics():
     for name in TEST_IMAGE_NAMES:
         img = named_test_image(name, 1234, (64, 64))
         assert img.shape == (64, 64)
-        assert img.values.min() >= 0.0
-        assert img.values.max() <= 1.0
+        assert img.min() >= 0.0
+        assert img.max() <= 1.0
 
 
 def test_test_images_deterministic():
     for name in TEST_IMAGE_NAMES:
         a = named_test_image(name, 99, (32, 32))
         b = named_test_image(name, 99, (32, 32))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", [0, 1234])
@@ -320,17 +322,16 @@ def test_named_test_image_matches_the_full_set(seed, shape):
         full = _TEST_IMAGE_BUILDERS[name](*shape, rng)
         one = named_test_image(name, seed, shape)
         assert one.shape == full.shape
-        assert np.array_equal(one.as_2d(), full)
+        assert np.array_equal(one, full)
 
 
 def test_phantom_has_gray_levels():
     ph = named_test_image("phantom", 0, (64, 64))
-    assert len(np.unique(ph.values)) >= 3
+    assert len(np.unique(ph)) >= 3
 
 
 def test_ramp_shape():
-    ramp = named_test_image("ramp", 0, (64, 64))
-    arr = ramp.as_2d()
+    arr = named_test_image("ramp", 0, (64, 64))
     # Row-constant: every row equals the first.
     assert np.array_equal(arr, np.tile(arr[0], (64, 1)))
     assert arr.min() == 0.0
@@ -339,7 +340,7 @@ def test_ramp_shape():
 
 def test_checkerboard_binary():
     cb = named_test_image("checkerboard", 0, (64, 64))
-    assert set(np.unique(cb.values)) == {0.0, 1.0}
+    assert set(np.unique(cb)) == {0.0, 1.0}
 
 
 def test_image_names_and_errors():
@@ -360,10 +361,10 @@ def test_image_names_and_errors():
 def test_texture_is_bit_equal_to_smoothed_noise_by_convolve2d():
     # The texture is the seed's Gaussian noise smoothed by a 7x7 Gaussian
     # and scaled to [0, 1]; direct summation gives convolve2d's bits.
-    kern = gaussian_kernel(7, 1.2).as_2d()
+    kern = gaussian_kernel(7, 1.2)
     for seed in (0, 1234, 4242, 2**32 - 1):
         noise = gaussian_samples(RngState(seed), 64 * 64).reshape(64, 64)
         smooth = convolve2d_wrap(noise, kern)
         lo, hi = smooth.min(), smooth.max()
         want = (smooth - lo) / (hi - lo)
-        assert np.array_equal(named_test_image("texture", seed, (64, 64)).as_2d(), want)
+        assert np.array_equal(named_test_image("texture", seed, (64, 64)), want)

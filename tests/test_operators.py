@@ -51,11 +51,11 @@ def test_deblur_matches_convolution():
     op = DeblurOperator((8, 9), k)
     x = gaussian_samples(RngState(2), 72)
     via_op = op.forward(x)
-    via_conv = convolve2d_wrap(x.reshape(8, 9), k.as_2d()).reshape(-1)
+    via_conv = convolve2d_wrap(x.reshape(8, 9), k).reshape(-1)
     assert np.max(np.abs(via_op - via_conv)) < 1e-12
     # Adjoint is convolution with the rotated kernel.
     via_adj = op.adjoint(x)
-    via_rot = convolve2d_wrap(x.reshape(8, 9), k.as_2d()[::-1, ::-1]).reshape(-1)
+    via_rot = convolve2d_wrap(x.reshape(8, 9), k[::-1, ::-1]).reshape(-1)
     assert np.max(np.abs(via_adj - via_rot)) < 1e-12
 
 
@@ -326,8 +326,8 @@ def test_spectral_deblur_matches_dft_oracle():
     # computed here by direct summation over shifts.
     h = w = 16
     k = gaussian_kernel(5, 1.5)
-    k2 = k.as_2d()
-    r = k.size // 2
+    k2 = k
+    r = k.shape[0] // 2
     mags = np.zeros((h, w))
     for p in range(h):
         for q in range(w):

@@ -110,8 +110,8 @@ def test_red_identity_denoiser_reaches_deconvolution_limit():
     assert res.final_normalized_residual <= 1e-8
     h, w = SHAPE
     embed = np.zeros(SHAPE)
-    c = kernel.size // 2
-    k2 = kernel.as_2d()
+    c = kernel.shape[0] // 2
+    k2 = kernel
     for dy in range(-c, c + 1):
         for dx in range(-c, c + 1):
             embed[dy % h, dx % w] += k2[c + dy, c + dx]
@@ -393,10 +393,10 @@ def _deblur_closed_form_gap(preset):
     shape = tuple(cfg.shape)
 
     def spectrum(kernel):
-        r = kernel.size // 2
+        r = kernel.shape[0] // 2
         offsets = np.arange(-r, r + 1)
         embed = np.zeros(shape)
-        embed[np.ix_(offsets % shape[0], offsets % shape[1])] = kernel.as_2d()
+        embed[np.ix_(offsets % shape[0], offsets % shape[1])] = kernel
         return np.fft.fft2(embed)
 
     khat = spectrum(built.op.kernel)
