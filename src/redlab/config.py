@@ -169,6 +169,10 @@ def from_dict(raw, base_dir="."):
         operator = _section(op, _OPERATOR["deblur"], "config.operator")
         if operator["kernel_size"] < 1 or operator["kernel_size"] % 2 == 0:
             _fail("config.operator.kernel_size", "must be odd and positive")
+        # Checked here, before the kernel is built: its size grows with k^2.
+        if operator["kernel_size"] > min(shape):
+            h, w = shape
+            _fail("config.operator.kernel_size", f"must not exceed the image extent {h}x{w}")
         if operator["kernel_sigma"] <= 0:
             _fail("config.operator.kernel_sigma", "must be positive")
 

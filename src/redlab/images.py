@@ -1,8 +1,11 @@
 """Periodic convolution, orthonormal DCT, and test images.
 
 Repeated periodic convolution with a separable (rank-1) kernel is two
-small GEMMs with circulant matrices; any other kernel goes through real
-FFTs.  Direct summation over shifted runs of one wrap-padded copy
+small GEMMs with circulant matrices, built in numpy; any other kernel goes
+through scipy.fft's real FFTs.  scipy.fft is imported only where it is
+used, when a convolver on the FFT path or the DCT pair is built: the
+circulant path, the kernel spectrum and the test images need numpy alone.
+Direct summation over shifted runs of one wrap-padded copy
 (_periodic_conv) serves the texture image and the convnet denoiser; it
 sums in scipy.signal.convolve2d's order, so its bits are convolve2d's for
 kernels up to 7x7, without importing scipy.signal.
@@ -17,8 +20,6 @@ representable.
 import functools
 
 import numpy as np
-from scipy.fft import dctn, idctn, irfft2, rfft2
-from scipy.linalg import circulant
 
 from .rng import RngState, gaussian_samples
 
@@ -115,7 +116,8 @@ def _circulant(factor, n):
     r = factor.size // 2
     col = np.zeros(n)
     col[np.arange(-r, r + 1) % n] = factor
-    return circulant(col)
+    # The gather scipy.linalg.circulant makes: entry (i, j) is col[i - j].
+    return col[(np.arange(n)[:, None] - np.arange(n)) % n]
 
 
 class CyclicConvolver:
@@ -126,11 +128,11 @@ class CyclicConvolver:
     with the h x h and w x w circulant matrices of a and b: two small GEMMs
     per apply.  Any other kernel, and an image too large for dense
     circulants, goes through the cached DFT khat of the kernel embedded on
-    the image grid: two real FFTs per apply.  On either path the adjoint is
-    convolution with the 180-degree rotated kernel, and the gram
-    apply_adjoint(apply(.)) is one pass: (C_a^T C_a) X (C_b^T C_b), or one
-    round trip through the real gain |khat|^2.  Matches direct summation
-    (_periodic_conv) to roundoff.
+    the image grid: two real FFTs per apply, by scipy.fft, which only this
+    path imports.  On either path the adjoint is convolution with the
+    180-degree rotated kernel, and the gram apply_adjoint(apply(.)) is one
+    pass: (C_a^T C_a) X (C_b^T C_b), or one round trip through the real
+    gain |khat|^2.  Matches direct summation (_periodic_conv) to roundoff.
     """
 
     def __init__(self, shape, kernel):
@@ -151,6 +153,10 @@ class CyclicConvolver:
         if h + w <= _MAX_CIRCULANT_EXTENT_SUM:
             factors = _rank_one_factors(kernel)
         if factors is None:
+            # scipy's, not numpy's: the two irfft2 differ in the last bit.
+            from scipy.fft import irfft2, rfft2
+
+            self._rfft2, self._irfft2 = rfft2, irfft2
             self._circulants = None
             self._khat = rfft2(self._embedded())
             self._khat_conj = np.conj(self._khat)
@@ -175,20 +181,20 @@ class CyclicConvolver:
 
     def apply(self, arr):
         if self._circulants is None:
-            return irfft2(rfft2(arr) * self._khat, s=self.shape)
+            return self._irfft2(self._rfft2(arr) * self._khat, s=self.shape)
         c_h, c_w = self._circulants
         return c_h @ arr @ c_w.T
 
     def apply_adjoint(self, arr):
         if self._circulants is None:
-            return irfft2(rfft2(arr) * self._khat_conj, s=self.shape)
+            return self._irfft2(self._rfft2(arr) * self._khat_conj, s=self.shape)
         c_h, c_w = self._circulants
         return c_h.T @ arr @ c_w
 
     def apply_gram(self, arr):
         """apply_adjoint(apply(arr)) in one pass."""
         if self._circulants is None:
-            return irfft2(rfft2(arr) * self._gain_sq, s=self.shape)
+            return self._irfft2(self._rfft2(arr) * self._gain_sq, s=self.shape)
         g_h, g_w = self._gram_circulants
         return g_h @ arr @ g_w
 
@@ -199,16 +205,21 @@ class CyclicConvolver:
         depend on the path.  The half spectrum suffices: a real kernel's DFT
         is conjugate symmetric.
         """
-        return float(np.max(np.abs(rfft2(self._embedded())) ** 2))
+        return float(np.max(np.abs(np.fft.rfft2(self._embedded())) ** 2))
 
 
-def dct2_vals(arr):
-    """Orthonormal 2D DCT on a raw 2D array (denoiser internals)."""
-    return dctn(arr, type=2, norm="ortho")
+def orthonormal_dct2():
+    """(forward, inverse) orthonormal 2-D DCT-II of raw 2-D arrays.
 
+    Imports scipy.fft, which numpy has no equivalent of, so the DCT
+    denoiser pays for it when it is built and no other path does.
+    """
+    from scipy.fft import dctn, idctn
 
-def idct2_vals(arr):
-    return idctn(arr, type=2, norm="ortho")
+    return (
+        functools.partial(dctn, type=2, norm="ortho"),
+        functools.partial(idctn, type=2, norm="ortho"),
+    )
 
 
 def _phantom(h, w, _rng):

@@ -7,7 +7,9 @@ row-major vectors, expose `forward`, `adjoint` and the composition `gram`
 (adjoint of forward), give lambda_max(A^T A) in closed form, and are
 immutable after construction.  The circulant operator's `gram` reads its
 data once per product, and so does the dense one when BLAS runs on one
-thread or when it is given a stack of vectors.
+thread or when it is given a stack of vectors.  Neither imports scipy:
+the dense matrix is orthonormalized in numpy, and the circulant operator
+takes scipy.fft only on `CyclicConvolver`'s FFT path.
 """
 
 import ctypes
@@ -16,7 +18,6 @@ import glob
 import os
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .images import CyclicConvolver
 from .rng import RngState, _integral, gaussian_samples
@@ -126,11 +127,13 @@ class DeblurOperator(LinearOperator):
 class CompressiveSensingOperator(LinearOperator):
     """Seeded Gaussian sensing matrix with orthonormal rows (A A^T == I_m).
 
-    The m x n matrix (1 <= m < n) is drawn with variance 1/m and its rows
-    orthonormalized: a reduced QR of the transpose, with the sign of each
-    column fixed so the factor is unique.  A^T A is then the orthogonal
-    projection onto the row space.  The draw is scaled, factored in place
-    and kept in one buffer.
+    The m x n matrix (1 <= m < n) is drawn as G with variance 1/m and its
+    rows orthonormalized: A = L^-1 G with L lower triangular and a positive
+    diagonal, so G A^T = L.  A is the Q of the reduced QR of G^T with
+    positive R, the unique such factor, here found by Cholesky QR done
+    twice in numpy.  A^T A is then the orthogonal projection onto the row
+    space.  The draw is scaled and orthonormalized in place and kept in
+    one buffer; the build holds two more m x m arrays and one row block.
 
     `gram` walks the matrix once, in row blocks B_k that fit in L2, and
     sums B_k^T (B_k v); forward then adjoint would stream it twice.  That
@@ -151,23 +154,22 @@ class CompressiveSensingOperator(LinearOperator):
             raise ValueError("need 1 <= m < n for an undersampled operator")
         matrix = gaussian_samples(RngState(seed), m * n).reshape(m, n)
         matrix /= np.sqrt(m)
-        # LAPACK factors the transpose, an F-ordered buffer, in place.  Both
-        # calls query the optimal workspace: the default one runs the
-        # unblocked algorithm, slower and with other bits.
-        a = matrix.T
-        *_, work, _ = lapack.dgeqrf(a, lwork=-1, overwrite_a=1)
-        a, tau, _, info = lapack.dgeqrf(a, lwork=int(work[0]), overwrite_a=1)
-        signs = np.sign(np.diagonal(a))
-        signs[signs == 0.0] = 1.0
-        _, work, _ = lapack.dorgqr(a, tau, lwork=-1, overwrite_a=1)
-        a, _, info_q = lapack.dorgqr(a, tau, lwork=int(work[0]), overwrite_a=1)
-        if info or info_q:
-            raise np.linalg.LinAlgError(f"QR failed: info {info}, {info_q}")
-        a *= signs
+        # Cholesky QR: with L L^T = G G^T, L^-1 G has orthonormal rows.  The
+        # second pass restores the orthogonality one pass loses to the
+        # squared condition number at high ratios.  The explicit inverse
+        # beats a triangular solve per block.  Each pass overwrites the
+        # matrix in row blocks, bottom-up, so rows above a block still hold
+        # the pass's input, and frees its inverse before the next begins.
+        rows = max(1, _GRAM_BLOCK_BYTES // (matrix.itemsize * n))
+        for _ in range(2):
+            linv = np.linalg.inv(np.linalg.cholesky(matrix @ matrix.T))
+            for j in range(m, 0, -rows):
+                i = max(0, j - rows)
+                matrix[i:j] = linv[i:j, :j] @ matrix[:j]
+            del linv
         matrix.flags.writeable = False
         self.matrix = matrix
         self.m, self.n = m, n
-        rows = max(1, _GRAM_BLOCK_BYTES // (matrix.itemsize * n))
         self._row_blocks = tuple(matrix[i : i + rows] for i in range(0, m, rows))
         self._blocks = self._row_blocks if _blas_threads() == 1 else (matrix,)
 

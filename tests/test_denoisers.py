@@ -18,10 +18,12 @@ from redlab import (
     estimate_lipschitz,
     gaussian_samples,
 )
-from redlab.images import dct2_vals
+from redlab.images import orthonormal_dct2
 from redlab.presets import DENOISER_NAMES, build_denoiser
 
 from conv_reference import convolve2d_wrap
+
+dct2_vals, _ = orthonormal_dct2()
 
 
 def dense_residual_jacobian(d, x, h=1e-6):

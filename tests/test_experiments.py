@@ -184,6 +184,16 @@ def test_config_value_errors():
             from_dict(raw)
 
 
+@pytest.mark.parametrize("shape, size", [([64, 64], 1001), ([64, 64], 65), ([32, 64], 33)])
+def test_config_rejects_a_kernel_wider_than_the_image(shape, size):
+    # Rejected by the parser, before a (size, size) kernel is built.
+    raw = {"problem": "deblur", "shape": shape, "denoiser": {"name": "identity"}}
+    with pytest.raises(ConfigError, match=r"^config\.operator\.kernel_size: must not exceed"):
+        from_dict({**raw, "operator": {"kernel_size": size}})
+    widest = min(shape) - (min(shape) % 2 == 0)
+    assert from_dict({**raw, "operator": {"kernel_size": widest}}).operator["kernel_size"] == widest
+
+
 def test_config_null_snr_means_noiseless():
     cfg = from_dict(
         {
@@ -706,8 +716,11 @@ def test_sweep_matches_individual_runs(tmp_path):
 
 
 def test_sweep_records_failures(tmp_path):
-    raw = copy.deepcopy(SMALL)
-    raw["operator"] = {"kernel_size": 33, "kernel_sigma": 2.0}  # wider than image
+    # A kernel file wider than the image passes the parser, which checks
+    # only kernel_size, and fails in the operator of every run.
+    path = os.path.join(str(tmp_path), "k33.txt")
+    write_kernel_file(path, np.full((33, 33), 1.0 / 33**2))
+    raw = {**copy.deepcopy(SMALL), "operator": {"kernel_path": path}}
     cfg = from_dict(raw)
     summary = run_sweep(cfg, [0.1], ["mred"], os.path.join(str(tmp_path), "s"))
     assert len(summary["failures"]) == 6
@@ -868,6 +881,8 @@ def test_lipschitz_report():
     sampled = lipschitz_report(from_dict(raw), method="pairwise_ratio_sampling")
     assert sampled.method == "pairwise_ratio_sampling"
     assert abs(sampled.value - 1.6) <= 1e-6
+    # A sampled lower bound certifies nothing, even where it is exact.
+    assert not sampled.converged
     # The convnet declares no constant and keeps the estimator's full effort.
     raw["denoiser"] = {"name": "convnet"}
     est = lipschitz_report(from_dict(raw))
@@ -1099,6 +1114,11 @@ def test_cli_lipschitz(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "value=1.6 method=analytic probes=0 converged=True" in captured.out
+    # Sampling finds only a lower bound, here 0.31 for a constant of 1.6.
+    path = write_config(tmp, experiment_preset("cs_expansive"), "cs.json")
+    assert main(["lipschitz", "--config", path, "--method", "pairwise_ratio_sampling"]) == 0
+    out = capsys.readouterr().out
+    assert "method=pairwise_ratio_sampling probes=8 converged=False" in out
 
 
 def test_cli_make_data(tmp_path, capsys):
@@ -1110,27 +1130,33 @@ def test_cli_make_data(tmp_path, capsys):
     assert os.path.isfile(os.path.join(out, "deblur_expansive.json"))
 
 
-def test_scipy_signal_stays_off_the_import_path():
-    # scipy.signal costs about 40 MB and half a second of import time; no
-    # path of the package loads it: not the presets' builds, the six test
-    # images, a sweep, nor make-data.
+def test_scipy_stays_off_the_import_path():
+    # scipy costs about 30 MB and a third of a second of import time
+    # (scipy.signal alone 40 MB and half a second); no path of the package
+    # loads any of it: not the presets' builds with the CS orthonormalization,
+    # a CS run, the six test images, a sweep, nor make-data.
     code = (
         "import sys, tempfile\n"
         "import redlab, redlab.cli\n"
         "from redlab.config import from_dict\n"
-        "from redlab.experiments import build_experiment, make_data, run_sweep\n"
+        "from redlab.experiments import build_experiment, make_data, run_experiment, run_sweep\n"
         "from redlab.presets import EXPERIMENT_PRESETS\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
         "for name in sorted(EXPERIMENT_PRESETS):\n"
         "    build_experiment(from_dict(EXPERIMENT_PRESETS[name]))\n"
-        "print('scipy.signal' in sys.modules)\n"
+        "print(scipy_loaded())\n"
         "for name in redlab.TEST_IMAGE_NAMES:\n"
         "    redlab.named_test_image(name, 0, (32, 32))\n"
         "raw = dict(EXPERIMENT_PRESETS['deblur_nonexpansive'])\n"
         "raw['solver'] = dict(raw['solver'], t=2)\n"
+        "cs = dict(EXPERIMENT_PRESETS['cs_expansive'])\n"
+        "cs['solver'] = dict(cs['solver'], t=2)\n"
         "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    run_experiment(from_dict(cs), tmp + '/cs')\n"
         "    run_sweep(from_dict(raw), [0.1], ['mred'], tmp + '/sweep')\n"
         "    make_data(tmp + '/data')\n"
-        "print('scipy.signal' in sys.modules)\n"
+        "print(scipy_loaded())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(redlab.__file__)))
     env = {**os.environ, "PYTHONPATH": src}

@@ -20,11 +20,12 @@ from redlab.images import (
     _TEST_IMAGE_BUILDERS,
     CyclicConvolver,
     _periodic_conv,
-    dct2_vals,
-    idct2_vals,
+    orthonormal_dct2,
 )
 
 from conv_reference import convolve2d_wrap
+
+dct2_vals, idct2_vals = orthonormal_dct2()
 
 
 def conv_oracle(arr, kern):

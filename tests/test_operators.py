@@ -179,20 +179,26 @@ def test_cs_rows_orthonormal():
 
 def test_cs_operator_orthonormalizes_its_input():
     # The matrix is the sign-fixed reduced QR factor of an independent draw
-    # of the same seeded Gaussian, scaled to variance 1/m.
-    m, n, seed = 30, 200, 9
-    raw = gaussian_samples(RngState(seed), m * n).reshape(m, n) / np.sqrt(m)
-    q, r = np.linalg.qr(raw.T, mode="reduced")
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    want = (q * signs).T
-    op = CompressiveSensingOperator(m, n, seed)
-    assert (op.m, op.n) == (m, n) and op.gram_is_projection
-    assert np.max(np.abs(op.matrix - want)) <= 1e-13
-    # Orthonormal rows spanning the draw's row space.
-    assert np.max(np.abs(op.matrix @ op.matrix.T - np.eye(m))) <= 1e-12
-    assert np.linalg.matrix_rank(raw) == m
-    assert np.max(np.abs(raw - (raw @ op.matrix.T) @ op.matrix)) <= 1e-12 * np.max(np.abs(raw))
+    # of the same seeded Gaussian, scaled to variance 1/m, from one row to
+    # one short of square, where the draw is worst conditioned.
+    for m, n, seed in ((30, 200, 9), (1, 200, 9), (199, 200, 9)):
+        raw = gaussian_samples(RngState(seed), m * n).reshape(m, n) / np.sqrt(m)
+        q, r = np.linalg.qr(raw.T, mode="reduced")
+        signs = np.sign(np.diag(r))
+        signs[signs == 0.0] = 1.0
+        want = (q * signs).T
+        op = CompressiveSensingOperator(m, n, seed)
+        assert (op.m, op.n) == (m, n) and op.gram_is_projection
+        assert np.max(np.abs(op.matrix - want)) <= 1e-13
+        # Orthonormal rows spanning the draw's row space.
+        assert np.max(np.abs(op.matrix @ op.matrix.T - np.eye(m))) <= 1e-12
+        assert np.linalg.matrix_rank(raw) == m
+        assert np.max(np.abs(raw - (raw @ op.matrix.T) @ op.matrix)) <= 1e-12 * np.max(np.abs(raw))
+        # The convention that makes the factor unique: G A^T = R^T is lower
+        # triangular with a positive diagonal.
+        lower = raw @ op.matrix.T
+        assert np.max(np.abs(np.triu(lower, 1))) <= 1e-13
+        assert np.all(np.diag(lower) > 0.0)
 
 
 def test_cs_operator_leaves_its_input_unchanged():
