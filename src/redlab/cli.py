@@ -13,7 +13,7 @@ from .experiments import (
     grad_check,
     lipschitz_report,
     make_data,
-    run_dir_name,
+    run_dir,
     run_experiment,
     run_sweep,
 )
@@ -69,8 +69,7 @@ def _cmd_run(args):
     cfg = _apply_overrides(
         load_config(args.config), args.tau, args.solver, args.seed, args.out
     )
-    image_name = cfg.image.get("preset", "pgm")
-    out_dir = f"{cfg.out}/{run_dir_name(cfg.solver['name'], cfg.tau, image_name)}"
+    out_dir = run_dir(cfg, cfg.out)
     check_run_dir(cfg, out_dir)
     result, _built, metrics = run_experiment(cfg, out_dir)
     print(
@@ -99,10 +98,6 @@ def _cmd_sweep(args):
     cfg = _apply_overrides(load_config(args.config), seed=args.seed, out=args.out)
     taus = _parse_list(args.tau or "1,0.1,0.01", float, "tau")
     solvers = _parse_list(args.solver or ",".join(SOLVER_NAMES), str, "solver")
-    # Each grid point meets the parser's checks before any run starts.
-    for tau in taus:
-        for solver in solvers:
-            _apply_overrides(cfg, tau, solver)
     summary = run_sweep(cfg, taus, solvers, cfg.out, parallel=args.parallel)
     for run in summary["runs"]:
         print(

@@ -10,7 +10,7 @@ to_dict(from_dict(d)) parses back to an equal object.
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .images import TEST_IMAGE_NAMES
 from .presets import DENOISER_NAMES, DENOISERS
@@ -217,19 +217,10 @@ def from_dict(raw, base_dir="."):
 
 def to_dict(cfg):
     """Plain-JSON form of a config; from_dict of the result compares equal."""
-    image = cfg.image["preset"] if "preset" in cfg.image else dict(cfg.image)
-    return {
-        "problem": cfg.problem,
-        "image": image,
-        "shape": list(cfg.shape),
-        "image_seed": cfg.image_seed,
-        "operator": dict(cfg.operator),
-        "noise": dict(cfg.noise),
-        "denoiser": dict(cfg.denoiser),
-        "tau": cfg.tau,
-        "solver": dict(cfg.solver),
-        "out": cfg.out,
-    }
+    d = asdict(cfg)
+    d["image"] = cfg.image.get("preset", d["image"])
+    d["shape"] = list(cfg.shape)
+    return d
 
 
 def load_config(path):

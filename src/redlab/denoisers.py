@@ -358,7 +358,7 @@ def _probe_point(d, rng):
     return rng.uniform(d.n)
 
 
-def estimate_lipschitz(d, method="jacobian_power_iteration", probes=8, iters=300, rng=None):
+def estimate_lipschitz(d, method="jacobian_power_iteration", probes=8, iters=300):
     """Estimate the Lipschitz constant of D over seeded probe points.
 
     jacobian_power_iteration: power iteration on J_D^T J_D at each probe
@@ -371,8 +371,7 @@ def estimate_lipschitz(d, method="jacobian_power_iteration", probes=8, iters=300
         raise ValueError("probes must be at least 1")
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    if rng is None:
-        rng = RngState(0)
+    rng = RngState(0)
     if method == "pairwise_ratio_sampling":
         best = 0.0
         delta = 1e-6

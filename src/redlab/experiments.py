@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,16 +39,11 @@ _RUN_LIPSCHITZ_ITERS = 120
 @dataclass
 class BuiltExperiment:
     config: ExperimentConfig
-    op: object
     x_true: np.ndarray
-    y: np.ndarray
     x0: np.ndarray
-    denoiser: object
     problem: REDProblem
-    solver_name: str
     solver_config: SolverConfig
     L: float
-    gamma: float
 
 
 def _load_true_image(cfg):
@@ -83,27 +78,11 @@ def build_experiment(cfg):
     denoiser = build_denoiser(cfg.denoiser, cfg.shape)
     problem = REDProblem(LeastSquaresFidelity(op, y), denoiser, cfg.tau)
     L = op.exact_spectral_norm_sq()
-    gamma = cfg.solver["gamma"]
-    if gamma is None:
-        gamma = default_gamma(L, cfg.tau)
-    solver_kwargs = {
-        k: v for k, v in cfg.solver.items() if k not in ("name", "gamma")
-    }
-    solver_config = SolverConfig(gamma=gamma, **solver_kwargs)
+    solver = {k: v for k, v in cfg.solver.items() if k != "name"}
+    if solver["gamma"] is None:
+        solver["gamma"] = default_gamma(L, cfg.tau)
     x0 = y.copy() if cfg.problem == "deblur" else op.adjoint(y)
-    return BuiltExperiment(
-        config=cfg,
-        op=op,
-        x_true=x_true,
-        y=y,
-        x0=x0,
-        denoiser=denoiser,
-        problem=problem,
-        solver_name=cfg.solver["name"],
-        solver_config=solver_config,
-        L=L,
-        gamma=gamma,
-    )
+    return BuiltExperiment(cfg, x_true, x0, problem, SolverConfig(**solver), L)
 
 
 def _metrics(result):
@@ -148,7 +127,7 @@ def run_experiment(cfg, out_dir=None):
     """
     built = build_experiment(cfg)
     result = run_solver(
-        built.solver_name, built.problem, built.x0, built.solver_config,
+        cfg.solver["name"], built.problem, built.x0, built.solver_config,
         psnr_ref=built.x_true,
     )
     metrics = _metrics(result)
@@ -156,26 +135,16 @@ def run_experiment(cfg, out_dir=None):
         os.makedirs(out_dir, exist_ok=True)
         write_trace_csv(os.path.join(out_dir, "trace.csv"), result)
         lip = _certify(
-            built.denoiser, probes=_RUN_LIPSCHITZ_PROBES, iters=_RUN_LIPSCHITZ_ITERS
+            built.problem.denoiser, probes=_RUN_LIPSCHITZ_PROBES, iters=_RUN_LIPSCHITZ_ITERS
         )
         sidecar = {
+            **metrics,
             "library_version": __version__,
             "blas_threads": _blas_threads(),
             "config": to_dict(cfg),
-            "solver": built.solver_name,
             "L": built.L,
-            "gamma": built.gamma,
-            "lipschitz": {
-                "value": lip.value,
-                "method": lip.method,
-                "probes": lip.probes,
-                "converged": lip.converged,
-            },
-            "termination": result.termination,
-            "iterations": metrics["iterations"],
-            "final_phi": metrics["final_phi"],
-            "final_norm_resid": metrics["final_norm_resid"],
-            "final_psnr_db": metrics["final_psnr_db"],
+            "gamma": built.solver_config.gamma,
+            "lipschitz": asdict(lip),
             "counters": asdict(result.counters),
         }
         write_sidecar(os.path.join(out_dir, "sidecar.json"), sidecar)
@@ -187,106 +156,90 @@ def _tau_token(tau):
     return repr(float(tau))
 
 
-def run_dir_name(solver, tau, image_name):
-    return f"{solver}_tau{_tau_token(tau)}_{image_name}"
+def run_dir(cfg, root):
+    """The run directory of `cfg` under `root`: <solver>_tau<tau>_<image>,
+    where a PGM image is named `pgm`."""
+    image = cfg.image.get("preset", "pgm")
+    return os.path.join(root, f"{cfg.solver['name']}_tau{_tau_token(cfg.tau)}_{image}")
 
 
-def _sweep_child(payload):
-    """Worker for one sweep run; module-level so it pickles for process pools."""
-    raw, out_dir = payload
-    cfg = from_dict(raw)
-    result, _built, metrics = run_experiment(cfg, out_dir)
-    curve = [(rec.k, rec.normalized_residual) for rec in result.trace]
-    return metrics, curve
+def _sweep_child(cfg, out_dir):
+    """One sweep run: (metrics, residual curve), or the exception it raised.
+
+    Module-level so that it pickles for process pools.
+    """
+    try:
+        result, _built, metrics = run_experiment(cfg, out_dir)
+    except Exception as exc:
+        return exc
+    return metrics, [rec.normalized_residual for rec in result.trace]
 
 
 def _pad_to(curve, length):
     # A finished run keeps its final value: a floored search returns the
     # previous iterate forever, and a diverged one has stopped changing.
-    vals = [v for _k, v in curve]
-    return vals + [vals[-1]] * (length - len(vals))
+    return curve + [curve[-1]] * (length - len(curve))
 
 
 def run_sweep(cfg, taus, solvers, out_root, parallel=False):
     """Cartesian product of taus x solvers x the six synthetic images.
 
     Returns {"runs": [...], "failures": [...], "aggregates": [...]}.
-    Failures do not stop the sweep.  `out_root/summary.json` holds the runs
-    and the failures, with sorted keys and no timing, so reruns write the
-    same bytes.  A run directory that holds another config's run raises a
-    ConfigError before any run starts (see check_run_dir).
+    Every grid point is parsed as a config and its run directory checked
+    (see check_run_dir) before any run starts, so an invalid point, two
+    points that share a run directory, or a directory that holds another
+    config's run raises a ConfigError and writes nothing.  Failed runs do
+    not stop the sweep.  `out_root/summary.json` holds the runs and the
+    failures, with sorted keys and no timing, so reruns write the same bytes.
     """
     if not taus or not solvers:
         raise ValueError("sweep needs at least one tau and one solver")
-    jobs = []
+    raw = to_dict(cfg)
+    grid, jobs = [], {}
     for tau in taus:
         for solver in solvers:
-            for image_name in TEST_IMAGE_NAMES:
-                child = replace(
-                    cfg,
-                    image={"preset": image_name},
-                    tau=float(tau),
-                    solver={**cfg.solver, "name": solver},
+            for image in TEST_IMAGE_NAMES:
+                child = from_dict(
+                    {**raw, "image": image, "tau": tau, "solver": {**raw["solver"], "name": solver}}
                 )
-                out_dir = os.path.join(out_root, run_dir_name(solver, tau, image_name))
+                out_dir = run_dir(child, out_root)
+                if out_dir in jobs:
+                    raise ConfigError(f"two grid points share the run directory {out_dir}")
                 check_run_dir(child, out_dir)
-                jobs.append(((tau, solver, image_name), (to_dict(child), out_dir)))
+                jobs[out_dir] = child
+                grid.append((tau, solver, image))
     os.makedirs(out_root, exist_ok=True)
-    outcomes = {}
-    failures = []
-
-    def fail(key, exc):
-        failures.append({"run": key, "type": type(exc).__name__, "error": str(exc)})
-
     if parallel:
         with ProcessPoolExecutor() as pool:
-            futures = [(key, pool.submit(_sweep_child, payload)) for key, payload in jobs]
-            for key, fut in futures:
-                exc = fut.exception()
-                if exc is not None:
-                    fail(key, exc)
-                else:
-                    outcomes[key] = fut.result()
+            futures = [pool.submit(_sweep_child, c, d) for d, c in jobs.items()]
+            outcomes = [f.exception() or f.result() for f in futures]
     else:
-        for key, payload in jobs:
-            try:
-                outcomes[key] = _sweep_child(payload)
-            except Exception as exc:
-                fail(key, exc)
-    runs = []
-    for key, _payload in jobs:
-        if key in outcomes:
-            tau, solver, image_name = key
-            metrics, _curve = outcomes[key]
-            runs.append({"tau": tau, "solver": solver, "image": image_name, **metrics})
+        outcomes = [_sweep_child(c, d) for d, c in jobs.items()]
+    runs, failures, curves = [], [], {}
+    for key, outcome in zip(grid, outcomes):
+        if isinstance(outcome, BaseException):
+            failures.append({"run": key, "type": type(outcome).__name__, "error": str(outcome)})
+            continue
+        tau, solver, image = key
+        metrics, curve = outcome
+        runs.append({"tau": tau, "solver": solver, "image": image, **metrics})
+        curves.setdefault((tau, solver), []).append(curve)
     aggregates = []
-    for tau in taus:
-        for solver in solvers:
-            curves = [
-                outcomes[(tau, solver, name)][1]
-                for name in TEST_IMAGE_NAMES
-                if (tau, solver, name) in outcomes
-            ]
-            if not curves:
-                continue
-            length = max(len(c) for c in curves)
-            padded = [_pad_to(c, length) for c in curves]
-            rows = [
-                (k, sum(p[k] for p in padded) / len(padded)) for k in range(length)
-            ]
-            path = os.path.join(
-                out_root, f"aggregate_{solver}_tau{_tau_token(tau)}.csv"
-            )
-            write_aggregate_csv(path, tau, solver, rows, len(curves))
-            aggregates.append(path)
+    for (tau, solver), group in curves.items():
+        length = max(len(c) for c in group)
+        padded = [_pad_to(c, length) for c in group]
+        rows = [(k, sum(p[k] for p in padded) / len(padded)) for k in range(length)]
+        path = os.path.join(out_root, f"aggregate_{solver}_tau{_tau_token(tau)}.csv")
+        write_aggregate_csv(path, tau, solver, rows, len(group))
+        aggregates.append(path)
     write_sidecar(
         os.path.join(out_root, "summary.json"), {"runs": runs, "failures": failures}
     )
     return {"runs": runs, "failures": failures, "aggregates": aggregates}
 
 
-def grad_check(cfg, probes=20, h=1e-5, seed=0):
-    """Directional derivative check of the loss gradient at random points.
+def grad_check(cfg, h=1e-5, seed=0):
+    """Directional derivative check of the loss gradient at 20 random points.
 
     Returns (max relative error, per-probe list).  Probe points sit in the
     unit pixel box; directions are unit Gaussian vectors.
@@ -299,7 +252,7 @@ def grad_check(cfg, probes=20, h=1e-5, seed=0):
 
     rng = RngState(seed)
     errs = []
-    for _ in range(probes):
+    for _ in range(20):
         x = rng.uniform(p.n)
         v = gaussian_samples(rng, p.n)
         v = v / np.linalg.norm(v)
@@ -322,14 +275,14 @@ def lipschitz_report(cfg, method="jacobian_power_iteration"):
     return estimate_lipschitz(denoiser, method=method)
 
 
-def make_data(out_dir, seed=1234, shape=(64, 64)):
-    """Emit the six synthetic images (16-bit PGM), the default 17x17 kernel
-    file, and one JSON config per shipped experiment preset."""
+def make_data(out_dir, seed=1234):
+    """Emit the six synthetic 64x64 images (16-bit PGM), the default 17x17
+    kernel file, and one JSON config per shipped experiment preset."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name in TEST_IMAGE_NAMES:
         path = os.path.join(out_dir, f"{name}.pgm")
-        write_pgm(path, named_test_image(name, seed, shape))
+        write_pgm(path, named_test_image(name, seed, (64, 64)))
         written.append(path)
     kpath = os.path.join(out_dir, "kernel_17.txt")
     write_kernel_file(kpath, gaussian_kernel(17, 2.0))

@@ -2,8 +2,8 @@
 
 The artifacts are the trace, sidecar and reconstruction of each shipped
 preset, every file `make_data` writes, and the whole output of one small
-deblur sweep.  Their bits depend on the numpy, scipy and OpenBLAS builds,
-on the CPU kernel OpenBLAS picks, and on the BLAS thread count, so the
+deblur sweep.  Their bits depend on the numpy and OpenBLAS builds, on the
+CPU kernel OpenBLAS picks, and on the BLAS thread count, so the
 digests are taken at one thread and stored with the environment they were
 taken in.
 
@@ -25,7 +25,6 @@ import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 from redlab.config import from_dict
 from redlab.experiments import make_data, run_experiment, run_sweep
@@ -53,7 +52,6 @@ def environment():
     """What the artifact bits depend on besides the code."""
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "openblas_config": _openblas("config"),
         "openblas_corename": _openblas("corename"),
         "blas_threads": _blas_threads(),

@@ -87,7 +87,7 @@ def _expansive_runs(name):
         "red": run_solver("red", built.problem, built.x0, red_cfg),
         "bls": run_solver("red_bls", built.problem, built.x0, base),
         "mred": run_solver("mred", built.problem, built.x0, base),
-        "lipschitz": estimate_lipschitz(built.denoiser),
+        "lipschitz": estimate_lipschitz(built.problem.denoiser),
     }
     entry["elapsed"] = time.perf_counter() - start
     _EXPANSIVE_CACHE[name] = entry
@@ -282,7 +282,7 @@ def test_criterion_6_expansive_presets_behave_as_documented(capsys):
                 and mred_final <= 1e-2
                 and bls_final >= mred_final
                 and lip >= 1.5
-                and built.gamma == gamma_want
+                and built.solver_config.gamma == gamma_want
                 and entry["elapsed"] < 120.0
             )
             ok = ok and checks

@@ -38,7 +38,7 @@ from redlab.experiments import (
     grad_check,
     lipschitz_report,
     make_data,
-    run_dir_name,
+    run_dir,
     run_experiment,
     run_sweep,
 )
@@ -497,9 +497,9 @@ def test_aggregate_csv_round_trip(tmp_path):
 
 def test_build_deblur_starts_from_measurements():
     built = build_experiment(from_dict(copy.deepcopy(SMALL)))
-    assert np.array_equal(built.x0, built.y)
-    assert built.x0 is not built.y
-    assert built.gamma == 1.0 / (built.L + 2.0 * 0.1)
+    assert np.array_equal(built.x0, built.problem.fidelity.y)
+    assert built.x0 is not built.problem.fidelity.y
+    assert built.solver_config.gamma == 1.0 / (built.L + 2.0 * 0.1)
 
 
 def test_build_cs_starts_from_backprojection():
@@ -510,17 +510,17 @@ def test_build_cs_starts_from_backprojection():
         "solver": {"name": "mred", "t": 5},
     }
     built = build_experiment(from_dict(raw))
-    assert built.op.m == round(0.1 * 1024)
-    assert np.array_equal(built.x0, built.op.adjoint(built.y))
+    op, y = built.problem.fidelity.op, built.problem.fidelity.y
+    assert op.m == round(0.1 * 1024)
+    assert np.array_equal(built.x0, op.adjoint(y))
     # Default CS noise is off: measurements are exactly A x_true.
-    assert np.array_equal(built.y, built.op.forward(built.x_true))
+    assert np.array_equal(y, op.forward(built.x_true))
 
 
 def test_build_honors_explicit_gamma():
     raw = copy.deepcopy(SMALL)
     raw["solver"]["gamma"] = 0.125
     built = build_experiment(from_dict(raw))
-    assert built.gamma == 0.125
     assert built.solver_config.gamma == 0.125
 
 
@@ -551,7 +551,7 @@ def test_run_experiment_artifacts(tmp_path):
         sidecar = json.load(fh)
     # The sidecar config reparses to exactly the run's config.
     assert from_dict(sidecar["config"]) == cfg
-    assert sidecar["gamma"] == built.gamma
+    assert sidecar["gamma"] == built.solver_config.gamma
     assert sidecar["iterations"] == metrics["iterations"]
     assert sidecar["counters"]["denoiser_applies"] == result.counters.denoiser_applies
     assert sidecar["lipschitz"]["value"] <= 1.0 + 1e-6
@@ -616,7 +616,7 @@ def test_carried_gradient_keeps_the_residual_exact(preset):
     # traced residual must still be what an exact evaluation of G gives.
     built = build_experiment(from_dict(experiment_preset(preset)))
     p = built.problem
-    res = run_solver(built.solver_name, p, built.x0, built.solver_config)
+    res = run_solver(built.config.solver["name"], p, built.x0, built.solver_config)
     g0 = p.operator_g(built.x0)
     g_star = p.operator_g(res.x_star)
     exact = float(g_star @ g_star) / float(g0 @ g0)
@@ -670,9 +670,15 @@ def test_run_experiment_rewrites_identically(tmp_path):
         assert blob_a == blob_b
 
 
-def test_run_dir_name():
-    assert run_dir_name("mred", 0.1, "phantom") == "mred_tau0.1_phantom"
-    assert run_dir_name("red", 1, "blocks") == "red_tau1.0_blocks"
+def test_run_dir(tmp_path):
+    raw = copy.deepcopy(SMALL)
+    assert run_dir(from_dict(raw), "out") == os.path.join("out", "mred_tau0.1_phantom")
+    cfg = from_dict({**raw, "image": "blocks", "tau": 1, "solver": {"name": "red"}})
+    assert run_dir(cfg, "out") == os.path.join("out", "red_tau1.0_blocks")
+    # A PGM image has no preset name; its runs are named `pgm`.
+    write_pgm(os.path.join(str(tmp_path), "img.pgm"), named_test_image("ramp", 1, (32, 32)))
+    cfg = from_dict({**raw, "image": {"pgm": "img.pgm"}}, base_dir=str(tmp_path))
+    assert run_dir(cfg, "out") == os.path.join("out", "mred_tau0.1_pgm")
 
 
 # --------------------------------------------------------------------- sweeps
@@ -697,7 +703,7 @@ def test_sweep_matches_individual_runs(tmp_path):
                         solver={**cfg.solver, "name": "mred"})
         ref_dir = os.path.join(str(tmp_path), f"ref_{name}")
         run_experiment(child, ref_dir)
-        sweep_dir = os.path.join(out_root, run_dir_name("mred", 0.1, name))
+        sweep_dir = run_dir(child, out_root)
         with open(os.path.join(ref_dir, "trace.csv"), "rb") as fh:
             want = fh.read()
         with open(os.path.join(sweep_dir, "trace.csv"), "rb") as fh:
@@ -735,6 +741,34 @@ def test_sweep_records_failures(tmp_path):
         [0.1, "mred", name] for name in TEST_IMAGE_NAMES
     ]
     assert all(f["type"] == "ValueError" for f in written["failures"])
+    # A process pool records the same failures, with the same bytes.
+    pooled = run_sweep(cfg, [0.1], ["mred"], os.path.join(str(tmp_path), "p"), parallel=True)
+    assert [(f["run"], f["type"]) for f in pooled["failures"]] == [
+        (f["run"], f["type"]) for f in summary["failures"]
+    ]
+    with open(os.path.join(str(tmp_path), "s", "summary.json"), "rb") as fh:
+        want = fh.read()
+    with open(os.path.join(str(tmp_path), "p", "summary.json"), "rb") as fh:
+        assert fh.read() == want
+
+
+@pytest.mark.parametrize(
+    "taus, solvers, match",
+    [
+        ([-1.0], ["mred"], r"config\.tau"),
+        ([0.1], ["nosuch"], r"config\.solver\.name"),
+        ([0.1, 0.1], ["mred"], r"mred_tau0\.1_phantom"),
+        ([1, 1.0], ["mred"], r"mred_tau1\.0_phantom"),
+    ],
+    ids=["negative_tau", "unknown_solver", "repeated_tau", "equal_taus"],
+)
+def test_sweep_refuses_a_bad_grid_before_any_run(tmp_path, taus, solvers, match):
+    # An invalid grid point, or two that share a run directory, raise the
+    # parser's error and write nothing, not even the output root.
+    out = os.path.join(str(tmp_path), "sweep")
+    with pytest.raises(ConfigError, match=match):
+        run_sweep(from_dict(copy.deepcopy(SMALL)), taus, solvers, out)
+    assert not os.path.exists(out)
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -815,10 +849,10 @@ def test_sweep_checks_every_run_dir_before_its_first_run(tmp_path):
     # Another config's run sits where the sweep's last run would go.
     out = os.path.join(str(tmp_path), "sweep")
     other = dataclasses.replace(from_dict(copy.deepcopy(CS_SMALL)), image={"preset": "blocks"})
-    run_experiment(other, os.path.join(out, run_dir_name("mred", 0.1, "blocks")))
+    run_experiment(other, run_dir(other, out))
     with pytest.raises(ConfigError):
         run_sweep(from_dict(copy.deepcopy(SMALL)), [0.1], ["mred"], out)
-    assert os.listdir(out) == [run_dir_name("mred", 0.1, "blocks")]
+    assert os.listdir(out) == ["mred_tau0.1_blocks"]
 
 
 def test_summary_json_is_strict_json_for_an_exact_reconstruction(tmp_path):
@@ -839,7 +873,7 @@ def test_summary_json_is_strict_json_for_an_exact_reconstruction(tmp_path):
     assert [run["final_psnr_db"] for run in written["runs"]] == [None] * 6
     assert written["runs"] == summary["runs"]
     for run in summary["runs"]:
-        sidecar = read_sidecar(os.path.join(out, run_dir_name("mred", 0.1, run["image"]), "sidecar.json"))
+        sidecar = read_sidecar(os.path.join(out, f"mred_tau0.1_{run['image']}", "sidecar.json"))
         assert sidecar["final_psnr_db"] is None
 
 

@@ -399,16 +399,16 @@ def _deblur_closed_form_gap(preset):
         embed[np.ix_(offsets % shape[0], offsets % shape[1])] = kernel
         return np.fft.fft2(embed)
 
-    khat = spectrum(built.op.kernel)
+    khat = spectrum(built.problem.fidelity.op.kernel)
     what = 1.0
-    if isinstance(built.denoiser, LinearSmoothingDenoiser):
-        what = spectrum(built.denoiser.kernel)
+    if isinstance(built.problem.denoiser, LinearSmoothingDenoiser):
+        what = spectrum(built.problem.denoiser.kernel)
         assert np.max(np.abs(what.imag)) < 1e-15
         what = what.real
     else:
-        assert isinstance(built.denoiser, IdentityDenoiser)
+        assert isinstance(built.problem.denoiser, IdentityDenoiser)
     eig = np.abs(khat) ** 2 + built.problem.tau * (1.0 - what)
-    closed = np.fft.ifft2(np.conj(khat) * np.fft.fft2(built.y.reshape(shape)) / eig)
+    closed = np.fft.ifft2(np.conj(khat) * np.fft.fft2(built.problem.fidelity.y.reshape(shape)) / eig)
     assert np.max(np.abs(closed.imag)) < 1e-14
     return _gap_bound(built.problem, result.x_star, closed.real.reshape(-1), float(eig.min()))
 
@@ -431,12 +431,13 @@ def test_cs_nonexpansive_reaches_the_conjugate_gradient_fixed_point():
     # Lanczos gives lambda_min(M) to machine precision.
     cfg = from_dict(experiment_preset("cs_nonexpansive"))
     result, built, _ = run_experiment(cfg)
-    p, op, w = built.problem, built.op, built.denoiser
+    p = built.problem
+    op, w = p.fidelity.op, p.denoiser
     assert isinstance(w, LinearSmoothingDenoiser)
     m = ScipyLinearOperator(
         (p.n, p.n), matvec=lambda v: op.gram(v) + p.tau * (v - w.apply(v)), dtype=float
     )
-    x_cg, info = cg(m, op.adjoint(built.y), rtol=1e-14, atol=0.0)
+    x_cg, info = cg(m, op.adjoint(p.fidelity.y), rtol=1e-14, atol=0.0)
     assert info == 0
     v0 = RngState(0).uniform(p.n)
     lam_min = float(eigsh(m, k=1, which="SA", v0=v0, return_eigenvectors=False)[0])
