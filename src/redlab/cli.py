@@ -1,5 +1,9 @@
 """Command-line front end.
 
+`run` and `sweep` write under `--out DIR` (default `runs`); the directory
+is not part of the config, so one config reruns into one directory under
+any spelling of its path.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 solver diverged,
 3 line search hit its step floor, 4 a check command failed.
 """
@@ -44,12 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _apply_overrides(cfg, tau=None, solver=None, seed=None, out=None):
+def _apply_overrides(cfg, tau=None, solver=None, seed=None):
     """The config with the given command-line values, parsed again so that
     they meet the same checks as the file's."""
     raw = to_dict(cfg)
-    if out is not None:
-        raw["out"] = out
     if tau is not None:
         raw["tau"] = tau
     if solver is not None:
@@ -66,10 +68,8 @@ def _fmt_metric(v):
 
 
 def _cmd_run(args):
-    cfg = _apply_overrides(
-        load_config(args.config), args.tau, args.solver, args.seed, args.out
-    )
-    out_dir = run_dir(cfg, cfg.out)
+    cfg = _apply_overrides(load_config(args.config), args.tau, args.solver, args.seed)
+    out_dir = run_dir(cfg, args.out)
     check_run_dir(cfg, out_dir)
     result, _built, metrics = run_experiment(cfg, out_dir)
     print(
@@ -95,10 +95,10 @@ def _parse_list(text, convert, what):
 
 def _cmd_sweep(args):
     # --tau and --solver are the grid's lists, not overrides.
-    cfg = _apply_overrides(load_config(args.config), seed=args.seed, out=args.out)
+    cfg = _apply_overrides(load_config(args.config), seed=args.seed)
     taus = _parse_list(args.tau or "1,0.1,0.01", float, "tau")
     solvers = _parse_list(args.solver or ",".join(SOLVER_NAMES), str, "solver")
-    summary = run_sweep(cfg, taus, solvers, cfg.out, parallel=args.parallel)
+    summary = run_sweep(cfg, taus, solvers, args.out, parallel=args.parallel)
     for run in summary["runs"]:
         print(
             f"run tau={run['tau']} solver={run['solver']} image={run['image']} "
@@ -180,7 +180,7 @@ def build_parser():
     p_run.add_argument("--tau", type=float)
     p_run.add_argument("--solver", choices=SOLVER_NAMES)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--out")
+    p_run.add_argument("--out", default="runs")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser(
@@ -190,7 +190,7 @@ def build_parser():
     p_sweep.add_argument("--tau", help="comma-separated tau list")
     p_sweep.add_argument("--solver", help="comma-separated solver list")
     p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--out")
+    p_sweep.add_argument("--out", default="runs")
     p_sweep.add_argument("--parallel", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -29,7 +29,6 @@ _TOP = {
     "denoiser": None,
     "tau": 0.1,
     "solver": {},
-    "out": "runs",
 }
 # A deblur operator may instead be {"kernel_path": path}.
 _OPERATOR = {
@@ -126,7 +125,6 @@ class ExperimentConfig:
     denoiser: dict
     tau: float
     solver: dict
-    out: str
 
 
 def from_dict(raw, base_dir="."):
@@ -198,9 +196,6 @@ def from_dict(raw, base_dir="."):
     except ValueError as exc:
         _fail("config.solver", str(exc))
 
-    if not isinstance(top["out"], str):
-        _fail("config.out", "expected a path string")
-
     return ExperimentConfig(
         problem=problem,
         image=image,
@@ -211,7 +206,6 @@ def from_dict(raw, base_dir="."):
         denoiser=denoiser,
         tau=top["tau"],
         solver=solver,
-        out=top["out"],
     )
 
 

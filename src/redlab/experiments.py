@@ -5,13 +5,14 @@ reconstruction quality can be traced per iteration.  Outputs per run: the
 iteration trace CSV, a JSON sidecar sufficient to re-run bit-identically
 (it records the OpenBLAS thread count, `blas_threads`, on which the CS bits
 depend; null where the library is not found), and the reconstruction as a
-16-bit PGM.
+16-bit PGM.  A config says only what a run computes: the caller names the
+directory, and no artifact records it, so a run writes the same bytes
+under any root.
 """
 
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -210,6 +211,9 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
                 grid.append((tau, solver, image))
     os.makedirs(out_root, exist_ok=True)
     if parallel:
+        # Imported here, so that a serial sweep never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             futures = [pool.submit(_sweep_child, c, d) for d, c in jobs.items()]
             outcomes = [f.exception() or f.result() for f in futures]

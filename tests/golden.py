@@ -12,8 +12,9 @@ taken in.
         {"environment": ..., "digests": {relative path: sha256}} as JSON
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --write
         stores that JSON, from a temporary directory, in golden_digests.json
-        next to this file; a change that alters artifact bits does this and
-        says why
+        next to this file, and prints each relative path whose digest
+        changed, was added or was removed against the file it replaces; a
+        change that alters artifact bits does this and says why
 """
 
 import ctypes
@@ -75,15 +76,35 @@ def generate(out):
     return dict(sorted(digests.items()))
 
 
+def digest_changes(old, new):
+    """`changed`, `added` or `removed`, and the path, for each relative path
+    whose digest differs between the {path: sha256} maps `old` and `new`."""
+    lines = []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in old:
+            lines.append(f"added {path}")
+        elif path not in new:
+            lines.append(f"removed {path}")
+        elif old[path] != new[path]:
+            lines.append(f"changed {path}")
+    return lines
+
+
 def main(argv):
     if len(argv) != 1:
         raise SystemExit(__doc__)
     if argv[0] == "--write":
+        old = {}
+        if os.path.isfile(DIGESTS):
+            with open(DIGESTS) as fh:
+                old = json.load(fh)["digests"]
         with tempfile.TemporaryDirectory() as tmp:
             record = {"environment": environment(), "digests": generate(tmp)}
         with open(DIGESTS, "w") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
+        for line in digest_changes(old, record["digests"]):
+            print(line)
         print(f"wrote {len(record['digests'])} digests to {DIGESTS}")
     else:
         record = {"environment": environment(), "digests": generate(argv[0])}

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -115,7 +116,8 @@ def test_config_defaults():
         "divergence_cap": 100.0,
         "converge_tol": 0.0,
     }
-    assert cfg.out == "runs"
+    # Where a run goes is the caller's choice, not part of the config.
+    assert "out" not in to_dict(cfg)
 
 
 def test_config_cs_defaults():
@@ -317,8 +319,8 @@ def test_cli_overrides_go_through_the_parser(tmp_path, capsys):
 
 
 def test_cli_run_refuses_to_replace_another_configs_run(tmp_path, capsys):
-    # Both presets write <out>/mred_tau0.1_phantom.  The sidecar records the
-    # --out a run used, not the config file's out.
+    # Both presets write <out>/mred_tau0.1_phantom.  The sidecar records
+    # no path, so only the config decides.
     tmp = str(tmp_path)
     out = os.path.join(tmp, "runs")
     first, second = (
@@ -336,7 +338,7 @@ def test_cli_run_refuses_to_replace_another_configs_run(tmp_path, capsys):
         }
 
     before = digests()
-    assert read_sidecar(os.path.join(run_dir, "sidecar.json"))["config"]["out"] == out
+    assert "out" not in read_sidecar(os.path.join(run_dir, "sidecar.json"))["config"]
     capsys.readouterr()
     assert main(["run", "--config", second, "--out", out]) == 1
     assert "config error: " in capsys.readouterr().err
@@ -346,11 +348,73 @@ def test_cli_run_refuses_to_replace_another_configs_run(tmp_path, capsys):
     assert digests() == before
 
 
+def test_cli_run_reruns_into_one_directory_under_any_spelling(tmp_path, capsys, monkeypatch):
+    # The directory is not part of the config, so `r2`, `r2/`, `./r2` and
+    # the absolute path all hold the same run; another config is refused.
+    monkeypatch.chdir(tmp_path)
+    tmp = str(tmp_path)
+    first, second = write_config(tmp, SMALL, "a.json"), write_config(tmp, CS_SMALL, "b.json")
+
+    def artifacts():
+        return {
+            os.path.relpath(os.path.join(d, f), "r2"): hashlib.sha256(
+                Path(d, f).read_bytes()
+            ).hexdigest()
+            for d, _dirs, files in os.walk("r2")
+            for f in files
+        }
+
+    seen = []
+    for out in ("r2", "r2/", "./r2", os.path.join(tmp, "r2")):
+        assert main(["run", "--config", first, "--out", out]) == 0
+        seen.append(artifacts())
+    assert sorted(seen[0]) == [
+        os.path.join("mred_tau0.1_phantom", name)
+        for name in ("recon.pgm", "sidecar.json", "trace.csv")
+    ]
+    assert all(digests == seen[0] for digests in seen)
+    capsys.readouterr()
+    assert main(["run", "--config", second, "--out", "r2"]) == 1
+    assert "holds a run of another config" in capsys.readouterr().err
+    assert artifacts() == seen[0]
+
+
+def test_sweep_writes_the_same_bytes_under_any_root(tmp_path, monkeypatch):
+    # No artifact of a sweep records the root it was written under.
+    monkeypatch.chdir(tmp_path)
+    cfg = from_dict({**SMALL, "solver": {"name": "mred", "t": 2}})
+    roots = ("a", os.path.join(str(tmp_path), "b", "c"))
+    files = []
+    for root in roots:
+        run_sweep(cfg, [0.1], ["mred"], root)
+        files.append({
+            os.path.relpath(os.path.join(d, f), root): Path(d, f).read_bytes()
+            for d, _dirs, names in os.walk(root)
+            for f in names
+        })
+    assert files[0] == files[1]
+    sidecars = [data for rel, data in files[0].items() if rel.endswith("sidecar.json")]
+    assert len(sidecars) == len(TEST_IMAGE_NAMES)
+    for data in sidecars:
+        assert "out" not in json.loads(data)["config"]
+        assert str(tmp_path).encode() not in data
+
+
+def test_config_file_with_out_is_refused(tmp_path, capsys, monkeypatch):
+    # `out` is an unknown key like any other; --out names the directory.
+    monkeypatch.chdir(tmp_path)
+    path = write_config(str(tmp_path), {**SMALL, "out": "runs"})
+    for cmd in ("run", "sweep"):
+        assert main([cmd, "--config", path]) == 1
+        assert "config error: config: unknown key(s) ['out']" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_cli_sweep_lists_are_the_grid_not_overrides(tmp_path, monkeypatch):
     seen = {}
 
     def fake_sweep(cfg, taus, solvers, out_root, parallel=False):
-        seen.update(cfg=cfg, taus=taus, solvers=solvers)
+        seen.update(cfg=cfg, taus=taus, solvers=solvers, out_root=out_root)
         return {"runs": [], "failures": [], "aggregates": []}
 
     monkeypatch.setattr("redlab.cli.run_sweep", fake_sweep)
@@ -359,8 +423,10 @@ def test_cli_sweep_lists_are_the_grid_not_overrides(tmp_path, monkeypatch):
             "--tau", "1,0.1", "--solver", "red,mred", "--seed", "7"]
     assert main(args) == 0
     assert seen["taus"] == [1.0, 0.1] and seen["solvers"] == ["red", "mred"]
-    want = from_dict({**SMALL, "noise": {"seed": 7}, "out": os.path.join(tmp, "x")})
-    assert seen["cfg"] == want
+    assert seen["cfg"] == from_dict({**SMALL, "noise": {"seed": 7}})
+    assert seen["out_root"] == os.path.join(tmp, "x")
+    assert main(args[:3] + args[5:]) == 0
+    assert seen["out_root"] == "runs"
 
 
 def test_cli_run_names_tau_when_the_default_step_rounds_to_zero(tmp_path, capsys):
@@ -1164,22 +1230,24 @@ def test_cli_make_data(tmp_path, capsys):
     assert os.path.isfile(os.path.join(out, "deblur_expansive.json"))
 
 
-def test_scipy_stays_off_the_import_path():
-    # scipy costs about 30 MB and a third of a second of import time
-    # (scipy.signal alone 40 MB and half a second); no path of the package
-    # loads any of it: not the presets' builds with the CS orthonormalization,
-    # a CS run, the six test images, a sweep, nor make-data.
+@functools.cache
+def _modules_loaded_by_serial_paths():
+    """Two lists of the scipy, multiprocessing and concurrent modules that a
+    child process holds: after importing the package and building every
+    preset, and after also drawing the six test images, a CS run, a serial
+    sweep and make-data."""
     code = (
-        "import sys, tempfile\n"
+        "import json, sys, tempfile\n"
         "import redlab, redlab.cli\n"
         "from redlab.config import from_dict\n"
         "from redlab.experiments import build_experiment, make_data, run_experiment, run_sweep\n"
         "from redlab.presets import EXPERIMENT_PRESETS\n"
-        "def scipy_loaded():\n"
-        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "def loaded():\n"
+        "    watched = ('scipy', 'multiprocessing', 'concurrent')\n"
+        "    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in watched)))\n"
         "for name in sorted(EXPERIMENT_PRESETS):\n"
         "    build_experiment(from_dict(EXPERIMENT_PRESETS[name]))\n"
-        "print(scipy_loaded())\n"
+        "loaded()\n"
         "for name in redlab.TEST_IMAGE_NAMES:\n"
         "    redlab.named_test_image(name, 0, (32, 32))\n"
         "raw = dict(EXPERIMENT_PRESETS['deblur_nonexpansive'])\n"
@@ -1190,11 +1258,29 @@ def test_scipy_stays_off_the_import_path():
         "    run_experiment(from_dict(cs), tmp + '/cs')\n"
         "    run_sweep(from_dict(raw), [0.1], ['mred'], tmp + '/sweep')\n"
         "    make_data(tmp + '/data')\n"
-        "print(scipy_loaded())\n"
+        "loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(redlab.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "False"]
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def test_scipy_stays_off_the_import_path():
+    # scipy costs about 30 MB and a third of a second of import time
+    # (scipy.signal alone 40 MB and half a second); no path of the package
+    # loads any of it: not the presets' builds with the CS orthonormalization,
+    # a CS run, the six test images, a sweep, nor make-data.
+    loaded = _modules_loaded_by_serial_paths()
+    assert len(loaded) == 2
+    assert [[m for m in mods if m.split(".")[0] == "scipy"] for mods in loaded] == [[], []]
+
+
+def test_serial_paths_do_not_load_multiprocessing():
+    # Loading the process pool costs every process about 1.5 MB; only a
+    # parallel sweep needs it.
+    for mods in _modules_loaded_by_serial_paths():
+        assert "concurrent.futures.process" not in mods
+        assert not [m for m in mods if m.split(".")[0] == "multiprocessing"]

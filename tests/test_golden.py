@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import redlab
+from golden import digest_changes
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -40,3 +41,10 @@ def test_golden_artifacts_keep_their_bytes(tmp_path):
         if want["digests"].get(path) != got["digests"].get(path)
     )
     assert not differ, f"{len(differ)} artifacts differ from golden_digests.json: {differ}"
+
+
+def test_digest_changes_names_each_differing_path():
+    old = {"a": "1", "b": "2", "c": "3"}
+    new = {"a": "1", "b": "9", "d": "4"}
+    assert digest_changes(old, new) == ["changed b", "removed c", "added d"]
+    assert digest_changes(old, old) == []
