@@ -1,8 +1,10 @@
 """Golden artifacts: regenerate them and hash them.
 
 The artifacts are the trace, sidecar and reconstruction of each shipped
-preset, every file `make_data` writes, and the whole output of one small
-deblur sweep.  Their bits depend on the numpy and OpenBLAS builds, on the
+preset and of two runs that no preset reaches (the `dct_threshold`
+denoiser, and a 96x192 deblur, whose h + w > 256 takes the FFT path),
+every file `make_data` writes, and the whole output of one small deblur
+sweep.  Their bits depend on the numpy and OpenBLAS builds, on the
 CPU kernel OpenBLAS picks, and on the BLAS thread count, so the
 digests are taken at one thread and stored with the environment they were
 taken in.
@@ -59,10 +61,21 @@ def environment():
     }
 
 
+def _extra_runs():
+    """Configs for the code paths no preset reaches, by directory name."""
+    dct = experiment_preset("deblur_nonexpansive")
+    dct["denoiser"] = {"name": "dct_threshold"}
+    fft = experiment_preset("deblur_nonexpansive")
+    fft["shape"] = [96, 192]
+    return {"dct_threshold": dct, "fft_path": fft}
+
+
 def generate(out):
     """Write every golden artifact under `out`; returns {relative path: sha256}."""
     for name in PRESET_NAMES:
         run_experiment(from_dict(experiment_preset(name)), os.path.join(out, "presets", name))
+    for name, cfg in _extra_runs().items():
+        run_experiment(from_dict(cfg), os.path.join(out, "paths", name))
     make_data(os.path.join(out, "make-data"))
     sweep = from_dict(experiment_preset("deblur_nonexpansive"))
     run_sweep(sweep, [0.1], ["mred"], os.path.join(out, "sweep"))
