@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .images import TEST_IMAGE_NAMES
+from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES
 from .presets import DENOISER_NAMES, DENOISERS
 from .solvers import SOLVER_NAMES, SolverConfig
 
@@ -150,6 +150,10 @@ def from_dict(raw, base_dir="."):
     shape = tuple(_like(v, 1, "config.shape") for v in shape)
     if min(shape) < 1:
         _fail("config.shape", "dimensions must be positive")
+    # Here, not only when the image is drawn, so that a sweep fails before any run.
+    if "preset" in image and min(shape) < MIN_TEST_IMAGE_EXTENT:
+        m = MIN_TEST_IMAGE_EXTENT
+        _fail("config.shape", f"a named test image is at least {m}x{m}")
 
     op = top["operator"]
     if problem == "cs":

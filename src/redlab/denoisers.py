@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .images import CyclicConvolver, _periodic_conv, gaussian_kernel, orthonormal_dct2
+from .images import CyclicConvolver, _dct_matrix, _periodic_conv, gaussian_kernel
 from .rng import RngState, _integral, gaussian_samples
 
 
@@ -165,22 +165,24 @@ class DctSoftThresholdDenoiser(Denoiser):
         self.smoothing_mu = float(smoothing_mu)
         self.smooth = smoothing_mu > 0
         self.n = h * w
-        self._dct, self._idct = orthonormal_dct2()
+        self._c_h, self._c_w = _dct_matrix(h), _dct_matrix(w)
+
+    def _dct(self, x):
+        return (self._c_h @ x.reshape(self.shape) @ self._c_w.T).reshape(-1)
+
+    def _idct(self, c):
+        return (self._c_h.T @ c.reshape(self.shape) @ self._c_w).reshape(-1)
 
     def apply(self, x):
         x = self._check(x)
-        c = self._dct(x.reshape(self.shape)).reshape(-1)
-        s, _ = _smoothed_soft_threshold(c, self.threshold, self.smoothing_mu)
-        return self._idct(s.reshape(self.shape)).reshape(-1)
+        s, _ = _smoothed_soft_threshold(self._dct(x), self.threshold, self.smoothing_mu)
+        return self._idct(s)
 
     def residual_vjp(self, x, v):
         x = self._check(x)
         v = self._check(v)
-        c = self._dct(x.reshape(self.shape)).reshape(-1)
-        _, d = _smoothed_soft_threshold(c, self.threshold, self.smoothing_mu)
-        cv = self._dct(v.reshape(self.shape)).reshape(-1)
-        jv = self._idct((d * cv).reshape(self.shape)).reshape(-1)
-        return v - jv
+        _, d = _smoothed_soft_threshold(self._dct(x), self.threshold, self.smoothing_mu)
+        return v - self._idct(d * self._dct(v))
 
 
 class ScaledDenoiser(Denoiser):

@@ -1,14 +1,12 @@
-"""Periodic convolution, orthonormal DCT, and test images.
+"""Periodic convolution, the orthonormal DCT matrix, and test images.
 
 Repeated periodic convolution with a separable (rank-1) kernel is two
-small GEMMs with circulant matrices, built in numpy; any other kernel goes
-through scipy.fft's real FFTs.  scipy.fft is imported only where it is
-used, when a convolver on the FFT path or the DCT pair is built: the
-circulant path, the kernel spectrum and the test images need numpy alone.
-Direct summation over shifted runs of one wrap-padded copy
+small GEMMs with circulant matrices; any other kernel goes through real
+FFTs.  The orthonormal 2-D DCT-II is two GEMMs with the cosine matrix, in
+the same form.  Direct summation over shifted runs of one wrap-padded copy
 (_periodic_conv) serves the texture image and the convnet denoiser; it
 sums in scipy.signal.convolve2d's order, so its bits are convolve2d's for
-kernels up to 7x7, without importing scipy.signal.
+kernels up to 7x7.  Everything here is numpy alone.
 
 Images and kernels are plain float64 arrays of shape (h, w) and (k, k);
 operators and denoisers work on their flat row-major vectors.  Pixel
@@ -120,6 +118,17 @@ def _circulant(factor, n):
     return col[(np.arange(n)[:, None] - np.arange(n)) % n]
 
 
+def _dct_matrix(n):
+    """Orthonormal DCT-II matrix, C[k, j] = s_k cos(pi k (2j + 1) / 2n) with
+    s_0 = sqrt(1/n) and s_k = sqrt(2/n); k (2j + 1) is reduced mod 4n first.
+    The 2-D transform of X is C_h X C_w^T, and its inverse C_h^T X C_w."""
+    k = np.arange(n)
+    c = np.cos(np.pi / (2 * n) * (k[:, None] * (2 * k + 1) % (4 * n)))
+    c *= np.sqrt(2.0 / n)
+    c[0] = np.sqrt(1.0 / n)
+    return c
+
+
 class CyclicConvolver:
     """Repeated periodic convolution with one kernel, set up once.
 
@@ -128,11 +137,11 @@ class CyclicConvolver:
     with the h x h and w x w circulant matrices of a and b: two small GEMMs
     per apply.  Any other kernel, and an image too large for dense
     circulants, goes through the cached DFT khat of the kernel embedded on
-    the image grid: two real FFTs per apply, by scipy.fft, which only this
-    path imports.  On either path the adjoint is convolution with the
-    180-degree rotated kernel, and the gram apply_adjoint(apply(.)) is one
-    pass: (C_a^T C_a) X (C_b^T C_b), or one round trip through the real
-    gain |khat|^2.  Matches direct summation (_periodic_conv) to roundoff.
+    the image grid: two real FFTs per apply.  On either path the adjoint is
+    convolution with the 180-degree rotated kernel, and the gram
+    apply_adjoint(apply(.)) is one pass: (C_a^T C_a) X (C_b^T C_b), or one
+    round trip through the real gain |khat|^2.  Matches direct summation
+    (_periodic_conv) to roundoff.
     """
 
     def __init__(self, shape, kernel):
@@ -153,12 +162,8 @@ class CyclicConvolver:
         if h + w <= _MAX_CIRCULANT_EXTENT_SUM:
             factors = _rank_one_factors(kernel)
         if factors is None:
-            # scipy's, not numpy's: the two irfft2 differ in the last bit.
-            from scipy.fft import irfft2, rfft2
-
-            self._rfft2, self._irfft2 = rfft2, irfft2
             self._circulants = None
-            self._khat = rfft2(self._embedded())
+            self._khat = np.fft.rfft2(self._embedded())
             self._khat_conj = np.conj(self._khat)
             self._gain_sq = np.abs(self._khat) ** 2
         else:
@@ -181,20 +186,20 @@ class CyclicConvolver:
 
     def apply(self, arr):
         if self._circulants is None:
-            return self._irfft2(self._rfft2(arr) * self._khat, s=self.shape)
+            return np.fft.irfft2(np.fft.rfft2(arr) * self._khat, s=self.shape)
         c_h, c_w = self._circulants
         return c_h @ arr @ c_w.T
 
     def apply_adjoint(self, arr):
         if self._circulants is None:
-            return self._irfft2(self._rfft2(arr) * self._khat_conj, s=self.shape)
+            return np.fft.irfft2(np.fft.rfft2(arr) * self._khat_conj, s=self.shape)
         c_h, c_w = self._circulants
         return c_h.T @ arr @ c_w
 
     def apply_gram(self, arr):
         """apply_adjoint(apply(arr)) in one pass."""
         if self._circulants is None:
-            return self._irfft2(self._rfft2(arr) * self._gain_sq, s=self.shape)
+            return np.fft.irfft2(np.fft.rfft2(arr) * self._gain_sq, s=self.shape)
         g_h, g_w = self._gram_circulants
         return g_h @ arr @ g_w
 
@@ -206,20 +211,6 @@ class CyclicConvolver:
         is conjugate symmetric.
         """
         return float(np.max(np.abs(np.fft.rfft2(self._embedded())) ** 2))
-
-
-def orthonormal_dct2():
-    """(forward, inverse) orthonormal 2-D DCT-II of raw 2-D arrays.
-
-    Imports scipy.fft, which numpy has no equivalent of, so the DCT
-    denoiser pays for it when it is built and no other path does.
-    """
-    from scipy.fft import dctn, idctn
-
-    return (
-        functools.partial(dctn, type=2, norm="ortho"),
-        functools.partial(idctn, type=2, norm="ortho"),
-    )
 
 
 def _phantom(h, w, _rng):
@@ -296,6 +287,8 @@ _TEST_IMAGE_BUILDERS = {
     "blocks": _blocks,
 }
 TEST_IMAGE_NAMES = tuple(_TEST_IMAGE_BUILDERS)
+# The smallest height and width a test image is drawn at.
+MIN_TEST_IMAGE_EXTENT = 32
 
 
 def named_test_image(name, seed, shape):
@@ -308,8 +301,8 @@ def named_test_image(name, seed, shape):
     if name not in TEST_IMAGE_NAMES:
         raise ValueError(f"unknown test image {name!r}; valid: {TEST_IMAGE_NAMES}")
     h, w = int(shape[0]), int(shape[1])
-    if h < 32 or w < 32:
-        raise ValueError("test image shape must be at least 32x32")
+    if min(h, w) < MIN_TEST_IMAGE_EXTENT:
+        raise ValueError(f"test image sides must be at least {MIN_TEST_IMAGE_EXTENT}")
     rng = RngState(seed)
     if name == "blocks":
         # Skip the uniforms the texture's Gaussian draw takes first: two per

@@ -7,9 +7,7 @@ row-major vectors, expose `forward`, `adjoint` and the composition `gram`
 (adjoint of forward), give lambda_max(A^T A) in closed form, and are
 immutable after construction.  The circulant operator's `gram` reads its
 data once per product, and so does the dense one when BLAS runs on one
-thread or when it is given a stack of vectors.  Neither imports scipy:
-the dense matrix is orthonormalized in numpy, and the circulant operator
-takes scipy.fft only on `CyclicConvolver`'s FFT path.
+thread or when it is given a stack of vectors.  Both need numpy alone.
 """
 
 import ctypes

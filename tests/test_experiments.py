@@ -44,7 +44,7 @@ from redlab.experiments import (
     run_sweep,
 )
 from redlab.pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
-from redlab.presets import EXPERIMENT_PRESETS, experiment_preset
+from redlab.presets import EXPERIMENT_PRESETS, PRESET_NAMES, experiment_preset
 from redlab.svgplot import plot_residual_curves
 from redlab.traceio import (
     read_aggregate_csv,
@@ -184,6 +184,33 @@ def test_config_value_errors():
     for raw in bad:
         with pytest.raises(ConfigError):
             from_dict(raw)
+
+
+def test_config_rejects_a_named_image_below_32x32(tmp_path, capsys):
+    # Rejected by the parser, so a sweep fails before any run and writes
+    # nothing, rather than failing each run in named_test_image.
+    tmp = str(tmp_path)
+    raw = {
+        "problem": "deblur",
+        "shape": [16, 16],
+        "operator": {"kernel_size": 3, "kernel_sigma": 0.6},
+        "denoiser": {"name": "identity"},
+    }
+    message = r"^config\.shape: a named test image is at least 32x32$"
+    for shape in ([16, 16], [31, 64], [64, 31]):
+        with pytest.raises(ConfigError, match=message):
+            from_dict({**raw, "shape": shape})
+    assert from_dict({**raw, "shape": [32, 32]}).shape == (32, 32)
+    out = os.path.join(tmp, "out")
+    assert main(["sweep", "--config", write_config(tmp, raw), "--out", out]) == 1
+    assert "config error: config.shape" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # A 16x16 PGM is a valid run, but a sweep swaps in the named images.
+    write_pgm(os.path.join(tmp, "small.pgm"), np.full((16, 16), 0.5))
+    cfg = from_dict({**raw, "image": {"pgm": "small.pgm"}}, base_dir=tmp)
+    with pytest.raises(ConfigError, match=r"^config\.shape"):
+        run_sweep(cfg, [0.1], ["mred"], out)
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("shape, size", [([64, 64], 1001), ([64, 64], 65), ([32, 64], 33)])
@@ -1232,10 +1259,10 @@ def test_cli_make_data(tmp_path, capsys):
 
 @functools.cache
 def _modules_loaded_by_serial_paths():
-    """Two lists of the scipy, multiprocessing and concurrent modules that a
-    child process holds: after importing the package and building every
-    preset, and after also drawing the six test images, a CS run, a serial
-    sweep and make-data."""
+    """Two lists of the multiprocessing and concurrent modules that a child
+    process holds: after importing the package and building every preset,
+    and after also drawing the six test images, a CS run, a serial sweep
+    and make-data."""
     code = (
         "import json, sys, tempfile\n"
         "import redlab, redlab.cli\n"
@@ -1243,7 +1270,7 @@ def _modules_loaded_by_serial_paths():
         "from redlab.experiments import build_experiment, make_data, run_experiment, run_sweep\n"
         "from redlab.presets import EXPERIMENT_PRESETS\n"
         "def loaded():\n"
-        "    watched = ('scipy', 'multiprocessing', 'concurrent')\n"
+        "    watched = ('multiprocessing', 'concurrent')\n"
         "    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in watched)))\n"
         "for name in sorted(EXPERIMENT_PRESETS):\n"
         "    build_experiment(from_dict(EXPERIMENT_PRESETS[name]))\n"
@@ -1268,14 +1295,86 @@ def _modules_loaded_by_serial_paths():
     return [json.loads(line) for line in out.stdout.splitlines()]
 
 
+# Run in a child process where a meta-path finder refuses every scipy
+# import: every CLI command on every preset's config as make-data writes
+# it, on a dct_threshold config and on a config whose 3x3 kernel file is
+# of rank 2, which takes the FFT path.  Each config gets t = 3.  Prints the
+# blocked imports, the scipy modules loaded, and each command's exit code.
+_NO_SCIPY_CLI = """\
+import importlib.abc, json, os, sys, tempfile
+
+blocked = []
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            blocked.append(name)
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+
+import numpy as np
+
+from redlab.cli import main
+from redlab.pgmio import write_kernel_file
+from redlab.presets import PRESET_NAMES
+
+codes = {}
+with tempfile.TemporaryDirectory() as tmp:
+    data = os.path.join(tmp, "data")
+    codes["make-data"] = main(["make-data", "--out", data])
+    configs = {}
+    for name in PRESET_NAMES:
+        with open(os.path.join(data, name + ".json")) as fh:
+            configs[name] = json.load(fh)
+    base = configs["deblur_nonexpansive"]
+    configs["dct_threshold"] = dict(base, denoiser={"name": "dct_threshold"})
+    kpath = os.path.join(tmp, "cross.txt")
+    write_kernel_file(kpath, np.array([[0.0, 0.1, 0.0], [0.1, 0.6, 0.1], [0.0, 0.1, 0.0]]))
+    configs["fft_path"] = dict(base, operator={"kernel_path": kpath})
+    for name, raw in configs.items():
+        raw["solver"] = dict(raw["solver"], t=3)
+        path = os.path.join(tmp, name + ".json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out = os.path.join(tmp, "out", name)
+        sweep = os.path.join(tmp, "sweep", name)
+        codes[name] = [
+            main(["run", "--config", path, "--out", out]),
+            main(["sweep", "--config", path, "--tau", "0.1", "--solver", "mred", "--out", sweep]),
+            main(["plot", os.path.join(sweep, "aggregate_mred_tau0.1.csv"),
+                  "--out", os.path.join(sweep, "plot.svg")]),
+            main(["grad-check", "--config", path]),
+            main(["lipschitz", "--config", path]),
+        ]
+print(json.dumps({
+    "blocked": blocked,
+    "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "codes": codes,
+}))
+"""
+
+
 def test_scipy_stays_off_the_import_path():
-    # scipy costs about 30 MB and a third of a second of import time
-    # (scipy.signal alone 40 MB and half a second); no path of the package
-    # loads any of it: not the presets' builds with the CS orthonormalization,
-    # a CS run, the six test images, a sweep, nor make-data.
-    loaded = _modules_loaded_by_serial_paths()
-    assert len(loaded) == 2
-    assert [[m for m in mods if m.split(".")[0] == "scipy"] for mods in loaded] == [[], []]
+    # The package needs numpy alone: scipy is a test extra, not a runtime
+    # dependency, and would cost about 30 MB and a third of a second of
+    # import time (scipy.signal another 40 MB and half a second).
+    src = os.path.dirname(os.path.dirname(os.path.abspath(redlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CLI], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["blocked"] == [] and report["loaded"] == []
+    # Every command exits 0: at t = 3 no run diverges or hits its floor.
+    codes = report["codes"]
+    assert codes.pop("make-data") == 0
+    assert sorted(codes) == sorted(PRESET_NAMES + ("dct_threshold", "fft_path"))
+    assert all(c == [0, 0, 0, 0, 0] for c in codes.values()), codes
 
 
 def test_serial_paths_do_not_load_multiprocessing():

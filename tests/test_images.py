@@ -7,6 +7,7 @@ production code path.
 
 import numpy as np
 import pytest
+from scipy.fft import dctn, idctn
 
 from redlab import (
     DeblurOperator,
@@ -19,13 +20,20 @@ from redlab import (
 from redlab.images import (
     _TEST_IMAGE_BUILDERS,
     CyclicConvolver,
+    _dct_matrix,
     _periodic_conv,
-    orthonormal_dct2,
 )
 
 from conv_reference import convolve2d_wrap
 
-dct2_vals, idct2_vals = orthonormal_dct2()
+
+def dct2_vals(arr):
+    """Orthonormal 2-D DCT-II as the DCT denoiser computes it."""
+    return _dct_matrix(arr.shape[0]) @ arr @ _dct_matrix(arr.shape[1]).T
+
+
+def idct2_vals(coeffs):
+    return _dct_matrix(coeffs.shape[0]).T @ coeffs @ _dct_matrix(coeffs.shape[1])
 
 
 def conv_oracle(arr, kern):
@@ -285,6 +293,17 @@ def test_dct_matches_basis_projection_oracle():
             oracle[p, q] = float(np.outer(basis_1d(h, p), basis_1d(w, q)).ravel() @ arr.ravel())
     got = dct2_vals(arr)
     assert np.max(np.abs(got - oracle)) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (6, 9), (16, 16), (64, 64), (96, 192), (256, 7)])
+def test_dct_matches_scipy(shape):
+    for n in shape:
+        c = _dct_matrix(n)
+        assert np.max(np.abs(c @ c.T - np.eye(n))) < 1e-14
+    arr = rand_image(31, *shape)
+    c2 = dct2_vals(arr)
+    assert np.max(np.abs(c2 - dctn(arr, type=2, norm="ortho"))) < 1e-13
+    assert np.max(np.abs(idct2_vals(c2) - idctn(c2, type=2, norm="ortho"))) < 1e-13
 
 
 def test_dct_orthonormality_preserves_inner_products():

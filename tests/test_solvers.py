@@ -10,6 +10,7 @@ from scipy.sparse.linalg import cg, eigsh
 
 from redlab import (
     DeblurOperator,
+    Denoiser,
     IdentityDenoiser,
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
@@ -313,6 +314,70 @@ def test_mred_gradient_step_sizes_follow_shrink_schedule():
             assert abs(r.step_used - cfg.alpha0 * cfg.beta ** (r.backtracks - 1)) < 1e-15
         else:
             assert r.step_used == cfg.gamma
+
+
+class _QuadraticDenoiser(Denoiser):
+    """D(x) = x + (x - c - x^2) on R^1.  With A = I, y = 0 and tau = 1,
+    G(x) = c + x^2 and grad phi(x) = 2 x G(x), which is exactly 0 at x = 0."""
+
+    n = 1
+    symmetric_jacobian = True
+    smooth = True
+
+    def __init__(self, c):
+        self.c = c
+
+    def apply(self, x):
+        x = self._check(x)
+        return x + (x - self.c - x * x)
+
+    def residual_vjp(self, x, v):
+        return (2.0 * self._check(x) - 1.0) * self._check(v)
+
+
+def scalar_problem(denoiser, y):
+    """A = I on R^1, tau = 1."""
+    fidelity = LeastSquaresFidelity(DenseOperator(np.eye(1)), np.array([y]))
+    return REDProblem(fidelity, denoiser, 1.0)
+
+
+def test_mred_stops_at_a_stationary_point_of_phi():
+    # At x = 0, G = 0.5 but grad phi = 0: the trial x - gamma G raises phi,
+    # and no gradient step can lower it, so the run stops at once rather
+    # than idle through zero-length gradient steps until t.
+    p = scalar_problem(_QuadraticDenoiser(0.5), 0.0)
+    cfg = SolverConfig(gamma=default_gamma(1.0, 1.0), t=20)
+    res = run_solver("mred", p, np.zeros(1), cfg)
+    assert res.termination == "step_floor"
+    assert len(res.trace) == 1
+    assert res.trace[0].phi == 0.125
+
+
+def test_mred_trial_needs_sufficient_decrease_not_just_decrease():
+    # G(x) = x - 1 from x = 0: phi = 0.5 and |grad phi|^2 = 1.  The trial at
+    # gamma = 0.1 lowers phi to 0.81 phi, but the Armijo test at theta =
+    # 0.15 asks for phi - 0.15 = 0.7 phi, so the step falls back to a
+    # gradient step of length 1, which lands on the solution.
+    p = scalar_problem(IdentityDenoiser(1), 1.0)
+    cfg = SolverConfig(gamma=0.1, theta=0.15, t=1)
+    res = run_solver("mred", p, np.zeros(1), cfg)
+    first = res.trace[1]
+    assert (first.mode, first.backtracks, first.step_used) == ("gradient_step", 1, 1.0)
+    assert first.phi == 0.0
+
+
+def test_stop_rules_are_inclusive_and_strict_at_their_bounds():
+    # converge_tol stops a run whose residual equals it; divergence_cap
+    # stops only a residual above it.
+    p, y, _ = deblur_problem(LinearSmoothingDenoiser(SHAPE, 1.5), 0.1)
+    cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=1)
+    nr = run_solver("red", p, y.copy(), cfg).trace[1].normalized_residual
+    assert 0.0 < nr < 1.0
+    tol = run_solver("red", p, y.copy(), SolverConfig(gamma=cfg.gamma, t=5, converge_tol=nr))
+    assert (tol.termination, len(tol.trace)) == ("converged_tol", 2)
+    cap = run_solver("red", p, y.copy(), SolverConfig(gamma=cfg.gamma, t=1, divergence_cap=nr))
+    assert cap.termination == "max_iters"
+    assert cap.trace[1].normalized_residual == nr
 
 
 # ----------------------------------------------------------------- divergence
