@@ -82,7 +82,8 @@ def build_experiment(cfg):
     solver = {k: v for k, v in cfg.solver.items() if k != "name"}
     if solver["gamma"] is None:
         solver["gamma"] = default_gamma(L, cfg.tau)
-    x0 = y.copy() if cfg.problem == "deblur" else op.adjoint(y)
+    # A CS run starts from the back-projection A^T y, which the fidelity keeps.
+    x0 = y.copy() if cfg.problem == "deblur" else problem.fidelity.b.copy()
     return BuiltExperiment(cfg, x_true, x0, problem, SolverConfig(**solver), L)
 
 

@@ -11,7 +11,11 @@ from .rng import RngState, gaussian_samples
 
 
 class LeastSquaresFidelity:
-    """Quadratic data-fit term 0.5 * ||y - A x||^2 for a linear operator."""
+    """Quadratic data-fit term 0.5 * ||y - A x||^2 for a linear operator.
+
+    Where A^T A is a projection (`op.gram_is_projection`), keeps
+    b = A^T y, so that grad g(x) = A^T A x - b; else b is None.
+    """
 
     def __init__(self, op, y):
         y = np.asarray(y, dtype=np.float64).reshape(-1).copy()
@@ -20,8 +24,13 @@ class LeastSquaresFidelity:
         if not np.all(np.isfinite(y)):
             raise ValueError("measurement values must be finite")
         y.flags.writeable = False
+        b = None
+        if op.gram_is_projection:
+            b = op.adjoint(y)
+            b.flags.writeable = False
         self.op = op
         self.y = y
+        self.b = b
 
     def gradient(self, x):
         return self.op.adjoint(self.op.forward(x) - self.y)

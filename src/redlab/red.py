@@ -22,7 +22,8 @@ class EvalCounters:
     forward plus one adjoint, even where the operator computes it in one
     pass, and so is a product of a whole stack of vectors taken in one
     call.  The two operator counters thus count passes over the operator's
-    data, not vectors.
+    data, not vectors.  A denoiser apply is charged where it is computed,
+    which may be ahead of the G evaluation that uses it.
     """
 
     denoiser_applies: int = 0
@@ -39,7 +40,10 @@ class REDProblem:
     """Bundles fidelity, denoiser, and regularization weight tau.
 
     Immutable and shareable; evaluation methods are pure and report their
-    costs into a caller-owned EvalCounters when one is passed.
+    costs into a caller-owned EvalCounters when one is passed.  Where the
+    operator's A^T A is a projection P, `projection_hessian_g` gives
+    A^T A G(x) from P D(x) and the fidelity's b = A^T y, so a caller that
+    stacks D(x) with another vector gets both products from one pass.
     """
 
     def __init__(self, fidelity, denoiser, tau):
@@ -74,46 +78,58 @@ class REDProblem:
             counters.operator_adjoints += 1
         return self.fidelity.hessian_vp(v)
 
-    def operator_g(self, x, counters=None, grad_g=None):
-        """G(x); costs one denoiser apply.
+    def denoise(self, x, counters=None):
+        """D(x); costs one denoiser apply."""
+        if counters is not None:
+            counters.denoiser_applies += 1
+        return self.denoiser.apply(x)
 
-        The fidelity gradient costs one forward and one adjoint more, unless
-        the caller already holds it and passes it as `grad_g`.
+    def residual_vjp(self, x, v, counters=None):
+        """(I - J_D(x))^T v; costs one residual VJP."""
+        if counters is not None:
+            counters.vjp_evals += 1
+        return self.denoiser.residual_vjp(x, v)
+
+    def operator_g(self, x, counters=None, grad_g=None, dx=None):
+        """G(x) = grad g(x) + tau * (x - D(x)).
+
+        D(x) costs one denoiser apply, unless the caller already holds it
+        and passes it as `dx`.  The fidelity gradient costs one forward and
+        one adjoint more, unless the caller passes it as `grad_g`.
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n:
             raise ValueError(f"expected dimension {self.n}, got {x.size}")
         if grad_g is None:
             grad_g = self.fidelity_gradient(x, counters)
-        gx = grad_g + self.tau * (x - self.denoiser.apply(x))
-        if counters is not None:
-            counters.denoiser_applies += 1
-        return gx
+        if dx is None:
+            dx = self.denoise(x, counters)
+        return grad_g + self.tau * (x - dx)
 
-    def eval_state(self, x, counters=None, g=None, want_hgrad=False):
-        """(phi, grad phi, G, A^T A G, A^T A grad phi) from at most one G evaluation.
+    def projection_hessian_g(self, grad_g, pdx):
+        """A^T A G(x) from P D(x) where A^T A = P is a projection; no operator call.
 
-        G is evaluated unless the caller passes it as `g`.  grad phi is the
-        fidelity Hessian applied to G plus tau times the residual VJP r at x
-        in the direction G; the Hessian product is returned as well, since
-        it also moves the fidelity gradient along a step in the direction G.
+        b = A^T y lies in the range of P, and so does grad g = P x - b, so
+        P G(x) = P grad g + tau * (P x - P D(x)) = (1 + tau) grad g + tau * (b - P D(x)).
+        """
+        return (1.0 + self.tau) * grad_g + self.tau * (self.fidelity.b - pdx)
 
-        The last entry is None unless `want_hgrad` is set and A^T A is a
-        projection P.  Then P grad phi = P G + tau * P r, so one Hessian
-        product of the stack [G, r] gives both, in one pass over A.
+    def eval_state(self, x, counters=None, g=None, hg=None, r=None):
+        """(phi, grad phi, G, A^T A G) from at most one G evaluation.
+
+        grad phi is the fidelity Hessian applied to G plus tau times the
+        residual VJP r at x in the direction G; the Hessian product is
+        returned as well, since it also moves the fidelity gradient along a
+        step in the direction G.  G, A^T A G and r are computed unless the
+        caller passes them as `g`, `hg` and `r`.
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if g is None:
             g = self.operator_g(x, counters)
-        r = self.denoiser.residual_vjp(x, g)
-        hgrad = None
-        if want_hgrad and self.fidelity.op.gram_is_projection:
-            hg, hr = self.fidelity_hessian_vp(np.stack((g, r)), counters)
-            hgrad = hg + self.tau * hr
-        else:
+        if r is None:
+            r = self.residual_vjp(x, g, counters)
+        if hg is None:
             hg = self.fidelity_hessian_vp(g, counters)
-        grad = hg + self.tau * r
         if counters is not None:
-            counters.vjp_evals += 1
             counters.grad_phi_evals += 1
-        return 0.5 * float(g @ g), grad, g, hg, hgrad
+        return 0.5 * float(g @ g), hg + self.tau * r, g, hg

@@ -20,7 +20,11 @@ step below the floor epsilon.
 
 An iteration costs one Hessian product A^T A G and one denoiser apply per
 candidate.  mred adds one residual VJP for grad phi, and a fallback one
-Hessian product of grad phi, unless eval_state took it with A^T A G.
+Hessian product of grad phi.  Where A^T A is a projection, both products
+follow from products of stacks of two vectors, each of which serves the
+iteration that takes it and, when its guess is right, the next one: a run
+whose trials pass makes one pass over A per two iterations, and a run that
+keeps falling back makes one per iteration.
 """
 
 import math
@@ -120,10 +124,19 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     """Run the solver `name`, one of SOLVER_NAMES, from x0.
 
     The loop carries the current point x, its fidelity gradient grad g(x),
-    and G(x).  grad g is evaluated exactly only at x0.  Every later point is
-    x - s*d for a direction d whose A^T A d the loop already holds, and since
-    g is quadratic, grad g(x - s*d) = grad g(x) - s * A^T A d.  A candidate
-    thus costs one denoiser apply and no operator call.
+    D(x) and G(x).  grad g is evaluated exactly only at x0.  Every later
+    point is x - s*d for a direction d whose A^T A d the loop already holds,
+    and since g is quadratic, grad g(x - s*d) = grad g(x) - s * A^T A d.  A
+    candidate thus costs one denoiser apply and no operator call.
+
+    Where A^T A is a projection P, A^T A G(x) follows from P D(x) (see
+    `REDProblem.projection_hessian_g`), and the loop also carries P D(x)
+    once a product has given it.  Each product then takes a stack of two
+    vectors, the second a guess at the next product needed.  After a passed
+    trial (or at the start) the stack is [D(x), D(x - gamma*G)]: the trial
+    point's D is needed anyway, and if the trial passes, the next iteration
+    needs no product.  After a fallback, mred expects another and stacks
+    [G, r] with the residual VJP r, for A^T A grad phi = P G + tau * P r.
     """
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; valid: {SOLVER_NAMES}")
@@ -134,9 +147,12 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
         raise ValueError("x0 must be finite")
     counters = EvalCounters()
     trace = []
+    pairs = p.fidelity.op.gram_is_projection
     grad_g = p.fidelity_gradient(x, counters)
-    g = p.operator_g(x, counters, grad_g)
+    dx = p.denoise(x, counters)
+    g = p.operator_g(x, counters, grad_g, dx)
     g_sq = g0_sq = float(g @ g)
+    pdx = None
 
     def record(k, mode, backtracks, step_used):
         trace.append(
@@ -158,20 +174,34 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     def result(termination):
         return SolveResult(x, trace, termination, name, cfg, counters)
 
-    if name == "mred":
-        phi, grad, _g, hg, hgrad = p.eval_state(x, counters, g)
+    if name == "mred" and not pairs:
+        phi, grad, _g, hg = p.eval_state(x, counters, g)
     record(0, "init", 0, 0.0)
-    gamma = cfg.gamma
+    mode, gamma = "red_step", cfg.gamma
     for k in range(1, cfg.t + 1):
-        if name != "mred":
-            # Every candidate steps along G(x): one Hessian product serves all.
-            hg = p.fidelity_hessian_vp(g, counters)
-        elif k > 1:
-            # A fallback tends to follow a fallback; then A^T A grad phi
-            # comes with the same pass over A where the operator allows it.
-            phi, grad, _g, hg, hgrad = p.eval_state(
-                x, counters, g, want_hgrad=mode == "gradient_step"
-            )
+        # D and P D of the trial point, and P r, where a stack gave them.
+        d_try = pd_try = pr = None
+        if pairs and pdx is None and mode == "red_step":
+            # A passed trial tends to follow a passed trial: D of the next
+            # trial point joins D(x) in one product.
+            x_try = x - gamma * g
+            if np.all(np.isfinite(x_try)):
+                d_try = p.denoise(x_try, counters)
+                pdx, pd_try = p.fidelity_hessian_vp(np.stack((dx, d_try)), counters)
+        if name != "mred" or pairs or k > 1:
+            # (mred's state at x0 without pairing was evaluated for record 0.)
+            hg = None if pdx is None else p.projection_hessian_g(grad_g, pdx)
+            if name != "mred":
+                if hg is None:
+                    # Every candidate steps along G(x): one product serves all.
+                    hg = p.fidelity_hessian_vp(g, counters)
+            else:
+                r = p.residual_vjp(x, g, counters)
+                if hg is None and pairs:
+                    # A fallback tends to follow a fallback: A^T A G and
+                    # P r, for A^T A grad phi, from one product.
+                    hg, pr = p.fidelity_hessian_vp(np.stack((g, r)), counters)
+                phi, grad, _g, hg = p.eval_state(x, counters, g, hg, r)
         if name == "mred":
             if not (math.isfinite(phi) and np.all(np.isfinite(grad))):
                 return result("diverged")
@@ -183,7 +213,8 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
             g_new_sq = math.inf
             if np.all(np.isfinite(x_new)):
                 grad_g_new = grad_g - step * hd
-                g_new = p.operator_g(x_new, counters, grad_g_new)
+                d_new = p.denoise(x_new, counters) if d_try is None else d_try
+                g_new = p.operator_g(x_new, counters, grad_g_new, d_new)
                 g_new_sq = float(g_new @ g_new)
             if math.isfinite(g_new_sq) and (
                 name == "red"
@@ -193,6 +224,8 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
                 break
             if name == "red":
                 return result("diverged")
+            # Any further candidate is another point than the trial.
+            d_try = pd_try = None
             backtracks += 1
             if name == "red_bls":
                 gamma = step = cfg.beta * gamma
@@ -205,14 +238,16 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
                 return result("step_floor")
             if mode == "red_step":
                 # The gradient candidates share one Hessian product.
-                if hgrad is None:
+                if pr is None:
                     hgrad = p.fidelity_hessian_vp(grad, counters)
+                else:
+                    hgrad = hg + p.tau * pr
                 mode, d, hd = "gradient_step", grad, hgrad
             step = alpha
             alpha = cfg.beta * alpha
             if alpha < cfg.epsilon:
                 return result("step_floor")
-        x, grad_g, g, g_sq = x_new, grad_g_new, g_new, g_new_sq
+        x, grad_g, dx, g, g_sq, pdx = x_new, grad_g_new, d_new, g_new, g_new_sq, pd_try
         record(k, mode, backtracks, step)
         nr = trace[-1].normalized_residual
         if nr > cfg.divergence_cap:

@@ -716,37 +716,58 @@ def test_carried_gradient_keeps_the_residual_exact(preset):
     assert abs(exact - res.final_normalized_residual) <= 1e-12
 
 
-@pytest.mark.parametrize("preset", ["cs_nonexpansive", "cs_expansive"])
-def test_mred_takes_the_projection_identity_on_cs(preset, monkeypatch):
-    # After a fallback, eval_state hands back A^T A grad phi from the same
-    # pass over A as A^T A G; the run must be the one without that shortcut.
+def _with_and_without_projection(monkeypatch, solver, preset, t):
+    # The same run through the projection identity and, with
+    # gram_is_projection switched off, through one A^T A G product per
+    # iteration: it must be the same run.
     raw = experiment_preset(preset)
-    raw["solver"]["t"] = 300
+    raw["solver"]["t"] = t
     built = build_experiment(from_dict(raw))
     args = (built.problem, built.x0, built.solver_config)
-    new = run_solver("mred", *args)
+    new = run_solver(solver, *args)
     with monkeypatch.context() as mp:
         mp.setattr(CompressiveSensingOperator, "gram_is_projection", False)
-        old = run_solver("mred", *args)
+        old = run_solver(solver, *args)
     assert new.termination == old.termination
     assert [r.mode for r in new.trace] == [r.mode for r in old.trace]
     assert [r.backtracks for r in new.trace] == [r.backtracks for r in old.trace]
+    assert [r.step_used for r in new.trace] == [r.step_used for r in old.trace]
     for a, b in zip(new.trace, old.trace):
         assert abs(a.phi - b.phi) <= 1e-12 * abs(b.phi)
-    # One pass for grad g at x0 and one per iteration; a fallback adds one
-    # only where the iteration before it was not a fallback.
-    modes = [r.mode for r in new.trace]
-    first_fallbacks = sum(
-        m == "gradient_step" and prev != "gradient_step" for prev, m in zip(modes, modes[1:])
-    )
-    c = new.counters
-    assert c.operator_forwards == c.operator_adjoints == len(modes) + first_fallbacks
+    assert new.counters.denoiser_applies == old.counters.denoiser_applies
+    return new, old
+
+
+@pytest.mark.parametrize("preset", ["cs_nonexpansive", "cs_expansive"])
+def test_mred_takes_the_projection_identity_on_cs(preset, monkeypatch):
+    new, old = _with_and_without_projection(monkeypatch, "mred", preset, 300)
+    c, modes = new.counters, [r.mode for r in new.trace]
+    # One pass for grad g at x0.  An iteration without P D(x) takes it in a
+    # stack with r after a fallback, else with D of the trial point, whose
+    # P D serves the next iteration if the trial passes.  A fallback whose
+    # iteration did not stack r pays one more pass for A^T A grad phi.
+    passes, known, prev = 1, False, "red_step"
+    for m in modes[1:]:
+        stacked = not known
+        passes += stacked + (m == "gradient_step" and not (stacked and prev == "gradient_step"))
+        known = stacked and prev == m == "red_step"
+        prev = m
+    assert c.operator_forwards == c.operator_adjoints == passes
     if preset == "cs_nonexpansive":
-        # No fallback, so no stack: the run keeps its bits.
+        # Every trial passes: one pass per two iterations.
         assert "gradient_step" not in modes
-        assert [r.phi for r in new.trace] == [r.phi for r in old.trace]
+        assert c.operator_forwards == 1 + 150
+        assert old.counters.operator_forwards == 1 + 300
     else:
-        assert modes.count("gradient_step") > first_fallbacks
+        assert modes.count("gradient_step") > 250
+        assert c.operator_forwards <= old.counters.operator_forwards
+
+
+@pytest.mark.parametrize("solver", ["red", "red_bls"])
+@pytest.mark.parametrize("preset", ["cs_nonexpansive", "cs_expansive"])
+def test_fixed_step_solvers_take_the_projection_identity_on_cs(preset, solver, monkeypatch):
+    new, _old = _with_and_without_projection(monkeypatch, solver, preset, 300)
+    assert new.counters.vjp_evals == new.counters.grad_phi_evals == 0
 
 
 def test_run_experiment_rewrites_identically(tmp_path):

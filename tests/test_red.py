@@ -247,26 +247,29 @@ def test_counter_accounting():
     assert c.denoiser_applies == 4
 
 
-def test_eval_state_projection_identity():
-    # With orthonormal rows, one Hessian product of [G, r] also gives
-    # A^T A grad phi; other operators return None and keep their cost.
+def test_projection_hessian_g_identity():
+    # With orthonormal rows, A^T A G(x) follows from P D(x) alone, with no
+    # operator call: b = A^T y and grad g = P x - b lie in the range of P.
     shape = (16, 16)
     op = build_cs_operator(40, 256, seed=3)
-    x_true = RngState(30).uniform(256)
-    p = REDProblem(
-        LeastSquaresFidelity(op, op.forward(x_true)), LinearSmoothingDenoiser(shape, 1.0), tau=0.5
-    )
+    den = LinearSmoothingDenoiser(shape, 1.0)
+    p = REDProblem(LeastSquaresFidelity(op, gaussian_samples(RngState(30), 40)), den, tau=0.5)
     x = RngState(31).uniform(256)
     c = EvalCounters()
-    phi, grad, g, hg, hgrad = p.eval_state(x, c, want_hgrad=True)
+    grad_g = p.fidelity_gradient(x, c)
+    dx = p.denoise(x, c)
+    hg = p.projection_hessian_g(grad_g, p.fidelity_hessian_vp(dx, c))
     assert (c.operator_forwards, c.operator_adjoints, c.denoiser_applies) == (2, 2, 1)
-    ref = p.fidelity_hessian_vp(grad)
-    assert np.max(np.abs(hgrad - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert np.max(np.abs(hg - p.fidelity_hessian_vp(g))) <= 1e-14 * np.max(np.abs(hg))
-    assert p.eval_state(x, c)[4] is None
-    assert c.operator_forwards == 4
-    deblur, _m, _b, _y = smoother_instance(seed=32)
-    assert deblur.eval_state(RngState(33).uniform(64), want_hgrad=True)[4] is None
+    ref = p.fidelity_hessian_vp(p.operator_g(x))
+    assert np.max(np.abs(hg - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # Handed G, D(x), A^T A G and r, the evaluations charge only what they do.
+    g = p.operator_g(x, c, grad_g, dx)
+    r = p.residual_vjp(x, g, c)
+    phi, grad, _g, hg_out = p.eval_state(x, c, g, hg, r)
+    assert hg_out is hg
+    assert np.array_equal(grad, hg + p.tau * r)
+    assert phi == 0.5 * float(g @ g)
+    assert (c.operator_forwards, c.denoiser_applies, c.vjp_evals, c.grad_phi_evals) == (2, 1, 1, 1)
 
 
 def test_counters_optional():

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
 from scipy.sparse.linalg import cg, eigsh
 
 from redlab import (
+    CompressiveSensingOperator,
     DeblurOperator,
     Denoiser,
     IdentityDenoiser,
@@ -22,6 +23,8 @@ from redlab import (
     default_gamma,
     gaussian_kernel,
     SOLVER_NAMES,
+    build_cs_operator,
+    gaussian_samples,
     run_solver,
 )
 from redlab.config import from_dict
@@ -378,6 +381,44 @@ def test_stop_rules_are_inclusive_and_strict_at_their_bounds():
     cap = run_solver("red", p, y.copy(), SolverConfig(gamma=cfg.gamma, t=1, divergence_cap=nr))
     assert cap.termination == "max_iters"
     assert cap.trace[1].normalized_residual == nr
+
+
+# ------------------------------------------------- projection identity on CS
+
+
+@pytest.mark.parametrize(
+    "solver, denoiser, tau, gamma_factor",
+    [
+        # Trials pass now and then between fallbacks, so a trial point's
+        # D and P D are taken ahead and then fail.
+        ("mred", ScaledDenoiser(LinearSmoothingDenoiser(SHAPE, 1.0), 1.6), 0.5, 1.0),
+        # Too long a step: the first trial and its shrunk successor fail.
+        ("red_bls", LinearSmoothingDenoiser(SHAPE, 1.0), 1.0, 10.0),
+    ],
+)
+def test_a_failed_trial_leaves_no_product_behind(solver, denoiser, tau, gamma_factor, monkeypatch):
+    # A stack that took D and P D of a trial point ahead serves no other
+    # candidate and no later iteration once that trial fails.
+    op = build_cs_operator(40, N, seed=3)
+    y = op.forward(RngState(30).uniform(N)) + 0.01 * gaussian_samples(RngState(5), 40)
+    p = REDProblem(LeastSquaresFidelity(op, y), denoiser, tau)
+    cfg = SolverConfig(gamma=gamma_factor * default_gamma(1.0, tau), t=100)
+    new = run_solver(solver, p, op.adjoint(y), cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(CompressiveSensingOperator, "gram_is_projection", False)
+        old = run_solver(solver, p, op.adjoint(y), cfg)
+    modes = "".join("g" if r.mode == "gradient_step" else "r" for r in new.trace[1:])
+    if solver == "mred":
+        # After a fallback, a passed trial, then a failed speculative one.
+        assert modes.count("grg") >= 5
+    else:
+        assert new.trace[1].backtracks == 2
+    assert new.termination == old.termination == "max_iters"
+    assert [(r.mode, r.backtracks, r.step_used) for r in new.trace] == [
+        (r.mode, r.backtracks, r.step_used) for r in old.trace
+    ]
+    for a, b in zip(new.trace, old.trace):
+        assert abs(a.phi - b.phi) <= 1e-12 * b.phi
 
 
 # ----------------------------------------------------------------- divergence
