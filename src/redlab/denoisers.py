@@ -57,7 +57,7 @@ class IdentityDenoiser(Denoiser):
     nominal_lipschitz = 1.0
 
     def __init__(self, n):
-        n = int(n)
+        n = _integral(n, "dimension")
         if n < 1:
             raise ValueError("dimension must be positive")
         self.n = n
@@ -83,9 +83,9 @@ class LinearSmoothingDenoiser(Denoiser):
     nominal_lipschitz = 1.0
 
     def __init__(self, shape, sigma):
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
-        h, w = int(shape[0]), int(shape[1])
+        if not 0 < sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
+        h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         radius = int(np.ceil(4.0 * sigma))
         size = 2 * radius + 1
         # Checked before the kernel is built, whose memory grows with sigma^2.
@@ -153,13 +153,13 @@ class DctSoftThresholdDenoiser(Denoiser):
     nominal_lipschitz = 1.0
 
     def __init__(self, shape, threshold, smoothing_mu=0.0):
-        if not threshold > 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < threshold < np.inf:
+            raise ValueError("threshold must be positive and finite")
         if not smoothing_mu >= 0:
             raise ValueError("smoothing_mu must be non-negative")
         if smoothing_mu > 0 and smoothing_mu >= threshold:
             raise ValueError("smoothing_mu must be smaller than the threshold")
-        h, w = int(shape[0]), int(shape[1])
+        h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         self.shape = (h, w)
         self.threshold = float(threshold)
         self.smoothing_mu = float(smoothing_mu)
@@ -189,8 +189,8 @@ class ScaledDenoiser(Denoiser):
     """D(x) = s * inner(x); s > 1 over a Lipschitz-1 inner is certified expansive."""
 
     def __init__(self, inner, scale):
-        if not scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < np.inf:
+            raise ValueError("scale must be positive and finite")
         self.inner = inner
         self.scale = float(scale)
         self.n = inner.n
@@ -251,9 +251,9 @@ class RandomConvnetDenoiser(Denoiser):
         channels = _integral(channels, "channels")
         if channels < 1:
             raise ValueError("channels must be positive")
-        if not weight_scale > 0:
-            raise ValueError("weight_scale must be positive")
-        h, w = int(shape[0]), int(shape[1])
+        if not 0 < weight_scale < np.inf:
+            raise ValueError("weight_scale must be positive and finite")
+        h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         if min(h, w) < 3:
             raise ValueError("image extent must be at least 3 for 3x3 kernels")
         rng = RngState(seed)
@@ -369,6 +369,7 @@ def estimate_lipschitz(d, method="jacobian_power_iteration", probes=8, iters=300
     ||D(x) - D(z)|| / ||x - z|| over seeded nearby pairs; a lower bound on
     the true constant for any denoiser, so never reported as converged.
     """
+    probes, iters = _integral(probes, "probes"), _integral(iters, "iters")
     if probes < 1:
         raise ValueError("probes must be at least 1")
     if iters < 1:

@@ -19,15 +19,15 @@ import functools
 
 import numpy as np
 
-from .rng import RngState, gaussian_samples
+from .rng import RngState, _integral, gaussian_samples
 
 
 def gaussian_kernel(size, sigma):
     """Normalized truncated-Gaussian blur kernel: a read-only (size, size)
     array, `size` odd."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    size = int(size)
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
+    size = _integral(size, "kernel size")
     if size % 2 == 0 or size < 1:
         raise ValueError("kernel size must be odd and positive")
     r = size // 2
@@ -145,7 +145,7 @@ class CyclicConvolver:
     """
 
     def __init__(self, shape, kernel):
-        h, w = int(shape[0]), int(shape[1])
+        h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         kernel = np.array(kernel, dtype=np.float64)
         if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
             raise ValueError(f"kernel must be square of odd size, got shape {kernel.shape}")
@@ -300,7 +300,7 @@ def named_test_image(name, seed, shape):
     """
     if name not in TEST_IMAGE_NAMES:
         raise ValueError(f"unknown test image {name!r}; valid: {TEST_IMAGE_NAMES}")
-    h, w = int(shape[0]), int(shape[1])
+    h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
     if min(h, w) < MIN_TEST_IMAGE_EXTENT:
         raise ValueError(f"test image sides must be at least {MIN_TEST_IMAGE_EXTENT}")
     rng = RngState(seed)

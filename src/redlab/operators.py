@@ -5,9 +5,9 @@ compressive sensing (`CompressiveSensingOperator(m, n, seed)`, the one
 dense operator, which draws and owns its matrix).  Both map flat
 row-major vectors, expose `forward`, `adjoint` and the composition `gram`
 (adjoint of forward), give lambda_max(A^T A) in closed form, and are
-immutable after construction.  The circulant operator's `gram` reads its
-data once per product, and so does the dense one when BLAS runs on one
-thread or when it is given a stack of vectors.  Both need numpy alone.
+immutable after construction.  Each `gram` reads its operator's data once
+per product, and the dense one reads it once for a whole stack of vectors.
+Both need numpy alone.
 """
 
 import ctypes
@@ -134,13 +134,9 @@ class CompressiveSensingOperator(LinearOperator):
     one buffer; the build holds two more m x m arrays and one row block.
 
     `gram` walks the matrix once, in row blocks B_k that fit in L2, and
-    sums B_k^T (B_k v); forward then adjoint would stream it twice.  That
-    holds for one core.  A threaded BLAS reads the whole matrix from every
-    core faster than one core reads it once, and does not thread products
-    as small as a block, so then a single vector sees the matrix as one
-    block.  A (k, n) stack V always walks the row blocks, as the sum of
-    (V B_k^T) B_k: every block serves all k rows while it is in cache,
-    which beats k threaded products at any thread count.
+    sums (V B_k^T) B_k for a (k, n) stack V: every block serves all k rows
+    while it is in cache, where forward then adjoint would stream the
+    matrix twice per row.  A vector is a stack of one row.
     """
 
     gram_is_projection = True
@@ -169,7 +165,6 @@ class CompressiveSensingOperator(LinearOperator):
         self.matrix = matrix
         self.m, self.n = m, n
         self._row_blocks = tuple(matrix[i : i + rows] for i in range(0, m, rows))
-        self._blocks = self._row_blocks if _blas_threads() == 1 else (matrix,)
 
     def forward(self, x):
         return self.matrix @ self._check_domain(x)
@@ -180,18 +175,13 @@ class CompressiveSensingOperator(LinearOperator):
     def gram(self, v):
         """A^T A v for a vector v, or row by row for a (k, n) stack."""
         v = np.asarray(v, dtype=np.float64)
-        if v.ndim == 2:
-            if v.shape[1] != self.n:
-                raise ValueError(f"expected rows of dimension {self.n}, got {v.shape[1]}")
-            out = np.zeros(v.shape)
-            for block in self._row_blocks:
-                out += (v @ block.T) @ block
-            return out
-        v = self._check_domain(v)
-        out = np.zeros(self.n)
-        for block in self._blocks:
-            out += block.T @ (block @ v)
-        return out
+        rows = v if v.ndim == 2 else self._check_domain(v)[None]
+        if rows.shape[1] != self.n:
+            raise ValueError(f"expected rows of dimension {self.n}, got {rows.shape[1]}")
+        out = np.zeros(rows.shape)
+        for block in self._row_blocks:
+            out += (rows @ block.T) @ block
+        return out if v.ndim == 2 else out[0]
 
     def exact_spectral_norm_sq(self):
         # A projection has eigenvalues 0 and 1.
@@ -210,7 +200,7 @@ def build_cs_operator(m, n, seed):
 
 # One entry: the matrix grows with n^2 (13.4 MB at 64x64, ratio 0.1), and
 # every caller uses one matrix at a time.  The thread count is part of the
-# key because the operator fixes its gram blocking when it is built.
+# key because the QR's bits depend on it.
 @functools.lru_cache(maxsize=1)
 def _cs_operator(m, n, seed, _threads):
     return CompressiveSensingOperator(m, n, seed)

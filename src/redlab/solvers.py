@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .red import EvalCounters
+from .rng import _integral
 
 SOLVER_NAMES = ("red", "red_bls", "mred")
 
@@ -52,6 +53,9 @@ class SolverConfig:
     converge_tol: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma", "alpha0", "epsilon", "divergence_cap", "converge_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not self.alpha0 > 0:
@@ -62,9 +66,9 @@ class SolverConfig:
             raise ValueError("theta must lie in (0, 1/2)")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if int(self.t) != self.t or self.t < 1:
+        self.t = _integral(self.t, "t")
+        if self.t < 1:
             raise ValueError("t must be an integer >= 1")
-        self.t = int(self.t)
         if not self.divergence_cap > 0:
             raise ValueError("divergence_cap must be positive")
         if not self.converge_tol >= 0:
@@ -127,7 +131,10 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     D(x) and G(x).  grad g is evaluated exactly only at x0.  Every later
     point is x - s*d for a direction d whose A^T A d the loop already holds,
     and since g is quadratic, grad g(x - s*d) = grad g(x) - s * A^T A d.  A
-    candidate thus costs one denoiser apply and no operator call.
+    candidate thus costs one denoiser apply and no operator call.  Row 0 of
+    the trace is charged with grad g(x0) and D(x0) alone: every other
+    evaluation at a point, mred's grad phi too, is made in the iteration
+    that leaves it.
 
     Where A^T A is a projection P, A^T A G(x) follows from P D(x) (see
     `REDProblem.projection_hessian_g`), and the loop also carries P D(x)
@@ -174,8 +181,6 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     def result(termination):
         return SolveResult(x, trace, termination, name, cfg, counters)
 
-    if name == "mred" and not pairs:
-        phi, grad, _g, hg = p.eval_state(x, counters, g)
     record(0, "init", 0, 0.0)
     mode, gamma = "red_step", cfg.gamma
     for k in range(1, cfg.t + 1):
@@ -188,24 +193,20 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
             if np.all(np.isfinite(x_try)):
                 d_try = p.denoise(x_try, counters)
                 pdx, pd_try = p.fidelity_hessian_vp(np.stack((dx, d_try)), counters)
-        if name != "mred" or pairs or k > 1:
-            # (mred's state at x0 without pairing was evaluated for record 0.)
-            hg = None if pdx is None else p.projection_hessian_g(grad_g, pdx)
-            if name != "mred":
-                if hg is None:
-                    # Every candidate steps along G(x): one product serves all.
-                    hg = p.fidelity_hessian_vp(g, counters)
-            else:
-                r = p.residual_vjp(x, g, counters)
-                if hg is None and pairs:
-                    # A fallback tends to follow a fallback: A^T A G and
-                    # P r, for A^T A grad phi, from one product.
-                    hg, pr = p.fidelity_hessian_vp(np.stack((g, r)), counters)
-                phi, grad, _g, hg = p.eval_state(x, counters, g, hg, r)
+        hg = None if pdx is None else p.projection_hessian_g(grad_g, pdx)
         if name == "mred":
+            r = p.residual_vjp(x, g, counters)
+            if hg is None and pairs:
+                # A fallback tends to follow a fallback: A^T A G and
+                # P r, for A^T A grad phi, from one product.
+                hg, pr = p.fidelity_hessian_vp(np.stack((g, r)), counters)
+            phi, grad, _g, hg = p.eval_state(x, counters, g, hg, r)
             if not (math.isfinite(phi) and np.all(np.isfinite(grad))):
                 return result("diverged")
             gp_sq = float(grad @ grad)
+        elif hg is None:
+            # Every candidate steps along G(x): one product serves all.
+            hg = p.fidelity_hessian_vp(g, counters)
         alpha = cfg.alpha0
         mode, backtracks, step, d, hd = "red_step", 0, gamma, g, hg
         while True:

@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from redlab import (
     DeblurOperator,
@@ -216,6 +217,7 @@ def test_criterion_4_cs_spectral_constant_and_step(capsys):
     _criterion(capsys, 4, compute)
 
 
+@pytest.mark.slow
 def test_criterion_5_monotonicity_across_72_runs(capsys):
     def compute():
         start = time.perf_counter()

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from redlab import (
     REDProblem,
     RngState,
     ScaledDenoiser,
+    SOLVER_NAMES,
     SolverConfig,
     TEST_IMAGE_NAMES,
     default_gamma,
@@ -768,6 +770,56 @@ def test_mred_takes_the_projection_identity_on_cs(preset, monkeypatch):
 def test_fixed_step_solvers_take_the_projection_identity_on_cs(preset, solver, monkeypatch):
     new, _old = _with_and_without_projection(monkeypatch, solver, preset, 300)
     assert new.counters.vjp_evals == new.counters.grad_phi_evals == 0
+
+
+@pytest.mark.parametrize(
+    "preset, solver, termination, widths",
+    [
+        ("cs_nonexpansive", "red", "max_iters", {2: 150}),
+        ("cs_nonexpansive", "red_bls", "max_iters", {2: 150}),
+        ("cs_nonexpansive", "mred", "max_iters", {2: 150}),
+        ("cs_expansive", "red", "diverged", {2: 11}),
+        ("cs_expansive", "red_bls", "step_floor", {2: 2}),
+        ("cs_expansive", "mred", "max_iters", {2: 299, "vector": 1}),
+    ],
+)
+def test_cs_grams_are_two_row_stacks(preset, solver, termination, widths, monkeypatch):
+    # The CS gram has one loop, tuned for stacks: a vector runs through it
+    # as a stack of one row.  That costs more than a single product only at
+    # two BLAS threads, and only mred's first fallback on cs_expansive takes
+    # one.  Any change that brings back single-vector traffic shows here.
+    raw = experiment_preset(preset)
+    raw["solver"].update(name=solver, t=300)
+    built = build_experiment(from_dict(raw))
+    calls = Counter()
+    gram = CompressiveSensingOperator.gram
+
+    def counting_gram(op, v):
+        calls[len(v) if np.ndim(v) == 2 else "vector"] += 1
+        return gram(op, v)
+
+    monkeypatch.setattr(CompressiveSensingOperator, "gram", counting_gram)
+    res = run_solver(solver, built.problem, built.x0, built.solver_config)
+    assert res.termination == termination
+    assert dict(calls) == widths
+
+
+@pytest.mark.parametrize("solver", SOLVER_NAMES)
+@pytest.mark.parametrize("preset", ["deblur_nonexpansive", "cs_nonexpansive"])
+def test_row_zero_charges_only_the_start(preset, solver):
+    # Nothing is evaluated before row 0 but D(x0) and grad g(x0); mred's
+    # grad phi at x0 is charged to row 1, as every later one is.
+    raw = experiment_preset(preset)
+    raw["solver"].update(name=solver, t=1)
+    built = build_experiment(from_dict(raw))
+    res = run_solver(solver, built.problem, built.x0, built.solver_config)
+    assert vars(res.trace[0].counters) == {
+        "denoiser_applies": 1,
+        "vjp_evals": 0,
+        "operator_forwards": 1,
+        "operator_adjoints": 1,
+        "grad_phi_evals": 0,
+    }
 
 
 def test_run_experiment_rewrites_identically(tmp_path):

@@ -21,6 +21,7 @@ from golden import digest_changes
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
+@pytest.mark.slow
 def test_golden_artifacts_keep_their_bytes(tmp_path):
     with open(os.path.join(HERE, "golden_digests.json")) as fh:
         want = json.load(fh)

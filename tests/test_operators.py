@@ -67,49 +67,49 @@ def test_deblur_matches_convolution():
         (1, 4096),
     ],
 )
-def test_matrix_gram_matches_adjoint_of_forward(m, n, monkeypatch):
+def test_matrix_gram_matches_adjoint_of_forward(m, n):
     rng = RngState(n)
     vs = [gaussian_samples(rng, n) for _ in range(3)]
-    # A vector takes the row blocks when BLAS runs on one thread; a stack
-    # takes them always.
-    for threads in (1, 2):
-        monkeypatch.setattr(operators, "_blas_threads", lambda: threads)
-        op = CompressiveSensingOperator(m, n, seed=m)
-        mat = op.matrix
-        assert sum(b.shape[0] for b in op._row_blocks) == m
-        assert all(np.shares_memory(b, mat) for b in op._row_blocks)
-        blocks = op._row_blocks if threads == 1 else [mat]
-        for v in vs:
-            ref = op.adjoint(op.forward(v))
-            assert np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
-            assert np.array_equal(op.gram(v), sum(b.T @ (b @ v) for b in blocks))
-        for k in (1, 2, 3):
-            got = op.gram(np.stack(vs[:k]))
-            assert got.shape == (k, n)
-            for row, v in zip(got, vs):
-                # Bound by the rounding scale |A|^T |A| |v| of any summation
-                # order; max |ref| is no such scale where a row's dot product
-                # cancels, as the single row of m = 1 does to 1e-3 of |a| |v|.
-                scale = np.max(np.abs(mat).T @ (np.abs(mat) @ np.abs(v)))
-                assert np.max(np.abs(row - op.gram(v))) <= 1e-15 * scale
-        with pytest.raises(ValueError):
-            op.gram(np.zeros((2, n + 1)))
+    op = CompressiveSensingOperator(m, n, seed=m)
+    mat = op.matrix
+    assert sum(b.shape[0] for b in op._row_blocks) == m
+    assert all(np.shares_memory(b, mat) for b in op._row_blocks)
+    for v in vs:
+        ref = op.adjoint(op.forward(v))
+        assert np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # A vector is a stack of one row.
+        assert np.array_equal(op.gram(v), sum((v[None] @ b.T) @ b for b in op._row_blocks)[0])
+    for k in (1, 2, 3):
+        got = op.gram(np.stack(vs[:k]))
+        assert got.shape == (k, n)
+        for row, v in zip(got, vs):
+            # Bound by the rounding scale |A|^T |A| |v| of any summation
+            # order; max |ref| is no such scale where a row's dot product
+            # cancels, as the single row of m = 1 does to 1e-3 of |a| |v|.
+            scale = np.max(np.abs(mat).T @ (np.abs(mat) @ np.abs(v)))
+            assert np.max(np.abs(row - op.gram(v))) <= 1e-15 * scale
+    with pytest.raises(ValueError):
+        op.gram(np.zeros((2, n + 1)))
 
 
-def test_blas_thread_probe_selects_row_blocks():
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_matrix_gram_of_a_vector_is_its_one_row_stack(threads):
     # numpy reads OPENBLAS_NUM_THREADS when it loads, so ask a new process.
-    if operators._blas_threads() is None:
-        pytest.skip("numpy here does not bundle OpenBLAS")
     code = (
-        "from redlab import CompressiveSensingOperator; "
-        "print(len(CompressiveSensingOperator(50, 4096, 3)._blocks))"
+        "import numpy as np; "
+        "from redlab import CompressiveSensingOperator, RngState, gaussian_samples; "
+        "op = CompressiveSensingOperator(50, 4096, 3); "
+        "v = gaussian_samples(RngState(4), 4096); "
+        "ref = op.adjoint(op.forward(v)); "
+        "print(np.array_equal(op.gram(v), op.gram(v[None])[0]), "
+        "np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref)))"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(operators.__file__)))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "3"
+    assert out.stdout.split() == ["True", "True"]
 
 
 def test_blas_thread_probe_looks_up_its_library_once(monkeypatch):
@@ -135,15 +135,6 @@ def test_blas_thread_probe_looks_up_its_library_once(monkeypatch):
         setter(first)
     assert operators._blas_threads() == first
     assert len(patterns) == 1
-
-
-@pytest.mark.parametrize("threads", [2, None])
-def test_matrix_gram_is_one_block_unless_blas_is_single_threaded(threads, monkeypatch):
-    monkeypatch.setattr(operators, "_blas_threads", lambda: threads)
-    op = CompressiveSensingOperator(50, 4096, seed=3)
-    assert len(op._blocks) == 1 and op._blocks[0].shape == op.matrix.shape
-    v = gaussian_samples(RngState(4), op.n)
-    assert np.array_equal(op.gram(v), op.adjoint(op.forward(v)))
 
 
 @pytest.mark.parametrize("shape, ksize", [((8, 9), 5), ((64, 64), 17)])
@@ -269,8 +260,10 @@ def test_cs_operator_is_shared_per_arguments():
 
 
 def test_cs_operator_cache_keys_on_blas_threads(monkeypatch):
-    # The gram blocking is fixed at construction, so a shared operator must
-    # be the one a fresh build would give at the current thread count.
+    # The QR's bits depend on the thread count, so a shared operator must
+    # be the one a fresh build would give at the current thread count.  The
+    # patch changes only the key, not the count the QR runs at, so the two
+    # builds hold the same bits.
     built = {}
     for threads in (1, 2):
         monkeypatch.setattr(operators, "_blas_threads", lambda: threads)
@@ -279,15 +272,13 @@ def test_cs_operator_cache_keys_on_blas_threads(monkeypatch):
     one, two = built[1], built[2]
     assert one is not two
     assert np.array_equal(one.matrix, two.matrix)
-    assert one._blocks == one._row_blocks and len(one._blocks) == 3
-    assert len(two._blocks) == 1 and two._blocks[0] is two.matrix
 
 
 def test_cs_operator_is_immutable():
     op = build_cs_operator(50, 4096, seed=5)
-    assert set(vars(op)) == {"matrix", "m", "n", "_row_blocks", "_blocks"}
-    assert isinstance(op._row_blocks, tuple) and isinstance(op._blocks, tuple)
-    for arr in (op.matrix, *op._row_blocks, *op._blocks):
+    assert set(vars(op)) == {"matrix", "m", "n", "_row_blocks"}
+    assert isinstance(op._row_blocks, tuple)
+    for arr in (op.matrix, *op._row_blocks):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0

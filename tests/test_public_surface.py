@@ -1,8 +1,25 @@
 """Every public function, class and method of redlab is reached by the
-package itself or by the benchmark harness, not only by tests."""
+package itself or by the benchmark harness, not only by tests; and the
+public entry points reject sizes and parameters they cannot honour."""
 
 import ast
+import math
 from pathlib import Path
+
+import pytest
+
+from redlab import (
+    DctSoftThresholdDenoiser,
+    DeblurOperator,
+    IdentityDenoiser,
+    LinearSmoothingDenoiser,
+    RandomConvnetDenoiser,
+    ScaledDenoiser,
+    SolverConfig,
+    estimate_lipschitz,
+    gaussian_kernel,
+    named_test_image,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "redlab"
@@ -57,3 +74,46 @@ def test_no_public_name_is_used_only_by_tests():
     used = set().union(*(_uses(p) for p in users))
     unused = sorted(q for q, name in defined.items() if name not in used and q not in EXEMPT)
     assert unused == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gaussian_kernel(3.5, 1.0),
+        lambda: IdentityDenoiser(4096.7),
+        lambda: named_test_image("phantom", 0, (64.5, 64)),
+        lambda: DeblurOperator((64, 64.5), gaussian_kernel(3, 1.0)),
+        lambda: LinearSmoothingDenoiser((64.5, 64), 1.0),
+        lambda: DctSoftThresholdDenoiser((64.5, 64), 0.1),
+        lambda: RandomConvnetDenoiser((64.5, 64), 2, 4, 1.0, 0),
+        lambda: estimate_lipschitz(IdentityDenoiser(16), probes=2.5),
+        lambda: estimate_lipschitz(IdentityDenoiser(16), iters=2.5),
+        lambda: SolverConfig(gamma=1, t=10.5),
+    ],
+)
+def test_non_integral_sizes_are_rejected(build):
+    # A size is never truncated to an integer.
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: SolverConfig(gamma=1, t=v),
+        lambda v: SolverConfig(gamma=v),
+        lambda v: SolverConfig(gamma=1, alpha0=v),
+        lambda v: SolverConfig(gamma=1, epsilon=v),
+        lambda v: SolverConfig(gamma=1, divergence_cap=v),
+        lambda v: SolverConfig(gamma=1, converge_tol=v),
+        lambda v: gaussian_kernel(3, v),
+        lambda v: LinearSmoothingDenoiser((64, 64), v),
+        lambda v: DctSoftThresholdDenoiser((64, 64), v),
+        lambda v: ScaledDenoiser(IdentityDenoiser(16), v),
+        lambda v: RandomConvnetDenoiser((64, 64), 2, 4, v, 0),
+    ],
+)
+def test_non_finite_parameters_are_rejected(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
