@@ -4,8 +4,9 @@
 is not part of the config, so one config reruns into one directory under
 any spelling of its path.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 solver diverged,
-3 line search hit its step floor, 4 a check command failed.
+Exit codes: 0 success, 1 usage or configuration error or a sweep with a
+failed run, 2 solver diverged, 3 line search hit its step floor, 4 a check
+command failed.
 """
 
 import argparse
@@ -13,7 +14,6 @@ import sys
 
 from .config import ConfigError, from_dict, load_config, to_dict
 from .experiments import (
-    check_run_dir,
     grad_check,
     lipschitz_report,
     make_data,
@@ -70,7 +70,6 @@ def _fmt_metric(v):
 def _cmd_run(args):
     cfg = _apply_overrides(load_config(args.config), args.tau, args.solver, args.seed)
     out_dir = run_dir(cfg, args.out)
-    check_run_dir(cfg, out_dir)
     result, _built, metrics = run_experiment(cfg, out_dir)
     print(
         f"solver={metrics['solver']} termination={metrics['termination']} "
@@ -153,7 +152,7 @@ def _cmd_grad_check(args):
 
 def _cmd_lipschitz(args):
     cfg = load_config(args.config)
-    est = lipschitz_report(cfg, method=args.method)
+    est = lipschitz_report(build_denoiser(cfg.denoiser, cfg.shape))
     print(
         f"denoiser={cfg.denoiser['name']} value={repr(est.value)} "
         f"method={est.method} probes={est.probes} converged={est.converged}"
@@ -210,11 +209,6 @@ def build_parser():
         "lipschitz", help="estimate the configured denoiser's Lipschitz constant"
     )
     p_lip.add_argument("--config", required=True)
-    p_lip.add_argument(
-        "--method",
-        choices=("jacobian_power_iteration", "pairwise_ratio_sampling"),
-        default="jacobian_power_iteration",
-    )
     p_lip.set_defaults(func=_cmd_lipschitz)
 
     p_data = sub.add_parser(

@@ -355,19 +355,11 @@ class LipschitzEstimate:
     converged: bool
 
 
-def _probe_point(d, rng):
-    # Operating points in the unit pixel box where the denoisers run.
-    return rng.uniform(d.n)
-
-
-def estimate_lipschitz(d, method="jacobian_power_iteration", probes=8, iters=300):
+def estimate_lipschitz(d, probes=8, iters=300):
     """Estimate the Lipschitz constant of D over seeded probe points.
 
-    jacobian_power_iteration: power iteration on J_D^T J_D at each probe
-    point (needs both Jacobian products), returning the largest singular
-    value found.  pairwise_ratio_sampling: largest difference quotient
-    ||D(x) - D(z)|| / ||x - z|| over seeded nearby pairs; a lower bound on
-    the true constant for any denoiser, so never reported as converged.
+    Power iteration on J_D^T J_D at each probe point (needs both Jacobian
+    products), returning the largest singular value found.
     """
     probes, iters = _integral(probes, "probes"), _integral(iters, "iters")
     if probes < 1:
@@ -375,26 +367,13 @@ def estimate_lipschitz(d, method="jacobian_power_iteration", probes=8, iters=300
     if iters < 1:
         raise ValueError("iters must be at least 1")
     rng = RngState(0)
-    if method == "pairwise_ratio_sampling":
-        best = 0.0
-        delta = 1e-6
-        for _ in range(probes):
-            x = _probe_point(d, rng)
-            u = gaussian_samples(rng, d.n)
-            u = u / np.linalg.norm(u)
-            z = x + delta * u
-            ratio = float(np.linalg.norm(d.apply(x) - d.apply(z)) / np.linalg.norm(x - z))
-            best = max(best, ratio)
-        return LipschitzEstimate(best, method, probes, False)
-    if method != "jacobian_power_iteration":
-        raise ValueError(f"unknown method {method!r}")
     best = 0.0
     all_converged = True
     for _ in range(probes):
-        x = _probe_point(d, rng)
+        # Operating points in the unit pixel box where the denoisers run.
+        x = rng.uniform(d.n)
         v = gaussian_samples(rng, d.n)
-        nv = np.linalg.norm(v)
-        v = v / nv
+        v = v / np.linalg.norm(v)
         estimate = 0.0
         converged = False
         for _k in range(iters):
@@ -414,4 +393,6 @@ def estimate_lipschitz(d, method="jacobian_power_iteration", probes=8, iters=300
             v = w / nw
         best = max(best, estimate)
         all_converged = all_converged and converged
-    return LipschitzEstimate(float(np.sqrt(max(best, 0.0))), method, probes, all_converged)
+    return LipschitzEstimate(
+        float(np.sqrt(max(best, 0.0))), "jacobian_power_iteration", probes, all_converged
+    )

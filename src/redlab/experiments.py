@@ -101,8 +101,9 @@ def _metrics(result):
     }
 
 
-def _certify(denoiser, **effort):
-    """The denoiser's Lipschitz certificate.
+def lipschitz_report(denoiser, **effort):
+    """The denoiser's Lipschitz certificate, as a run's sidecar and
+    `redlab lipschitz` report it.
 
     A declared closed-form constant is exact; otherwise a Jacobian power
     iteration with `effort` (probes, iters), the estimator's defaults when
@@ -125,8 +126,12 @@ def check_run_dir(cfg, out_dir):
 def run_experiment(cfg, out_dir=None):
     """Run one experiment; optionally persist trace, sidecar, reconstruction.
 
-    Returns (SolveResult, BuiltExperiment, metrics dict).
+    Returns (SolveResult, BuiltExperiment, metrics dict).  Given an
+    `out_dir` that holds another config's run, raises a ConfigError (see
+    check_run_dir) before anything is built or written.
     """
+    if out_dir is not None:
+        check_run_dir(cfg, out_dir)
     built = build_experiment(cfg)
     result = run_solver(
         cfg.solver["name"], built.problem, built.x0, built.solver_config,
@@ -136,7 +141,7 @@ def run_experiment(cfg, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_trace_csv(os.path.join(out_dir, "trace.csv"), result)
-        lip = _certify(
+        lip = lipschitz_report(
             built.problem.denoiser, probes=_RUN_LIPSCHITZ_PROBES, iters=_RUN_LIPSCHITZ_ITERS
         )
         sidecar = {
@@ -266,18 +271,6 @@ def grad_check(cfg, h=1e-5, seed=0):
         scale = max(abs(d_analytic), abs(d_fd), 1e-12)
         errs.append(abs(d_analytic - d_fd) / scale)
     return max(errs), errs
-
-
-def lipschitz_report(cfg, method="jacobian_power_iteration"):
-    """The configured denoiser's Lipschitz constant.
-
-    The default method certifies as a run's sidecar does, at the
-    estimator's full effort: a declared closed-form constant is exact.
-    """
-    denoiser = build_denoiser(cfg.denoiser, cfg.shape)
-    if method == "jacobian_power_iteration":
-        return _certify(denoiser)
-    return estimate_lipschitz(denoiser, method=method)
 
 
 def make_data(out_dir, seed=1234):

@@ -46,7 +46,7 @@ from redlab.experiments import (
     run_sweep,
 )
 from redlab.pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
-from redlab.presets import EXPERIMENT_PRESETS, PRESET_NAMES, experiment_preset
+from redlab.presets import EXPERIMENT_PRESETS, PRESET_NAMES, build_denoiser, experiment_preset
 from redlab.svgplot import plot_residual_curves
 from redlab.traceio import (
     read_aggregate_csv,
@@ -375,6 +375,24 @@ def test_cli_run_refuses_to_replace_another_configs_run(tmp_path, capsys):
     # The same config reruns into its own directory, with the same bytes.
     assert main(["run", "--config", first, "--out", out]) == code
     assert digests() == before
+
+
+def test_run_experiment_refuses_to_replace_another_configs_run(tmp_path, monkeypatch):
+    # The library call refuses as `redlab run` does, before it builds.
+    raw = experiment_preset("deblur_nonexpansive")
+    raw["solver"]["t"] = 3
+    out_dir = str(tmp_path / "run")
+    run_experiment(from_dict(raw), out_dir)
+    names = ("trace.csv", "sidecar.json", "recon.pgm")
+    before = {name: Path(out_dir, name).read_bytes() for name in names}
+
+    def no_build(cfg):
+        raise AssertionError("built a run that check_run_dir refuses")
+
+    monkeypatch.setattr(experiments, "build_experiment", no_build)
+    with pytest.raises(ConfigError, match="holds a run of another config"):
+        run_experiment(from_dict({**raw, "tau": 0.5}), out_dir)
+    assert {name: Path(out_dir, name).read_bytes() for name in names} == before
 
 
 def test_cli_run_reruns_into_one_directory_under_any_spelling(tmp_path, capsys, monkeypatch):
@@ -1072,20 +1090,12 @@ def test_grad_check_convnet():
 
 
 def test_lipschitz_report():
-    # The default method certifies as the sidecar does: a declared closed
-    # form is exact and converged.
-    raw = copy.deepcopy(SMALL)
-    raw["denoiser"] = {"name": "scaled_identity", "scale": 1.6}
-    est = lipschitz_report(from_dict(raw))
+    # The certificate of the sidecar and of `redlab lipschitz`: a declared
+    # closed form is exact and converged.
+    est = lipschitz_report(build_denoiser({"name": "scaled_identity", "scale": 1.6}, (32, 32)))
     assert (est.value, est.method, est.probes, est.converged) == (1.6, "analytic", 0, True)
-    sampled = lipschitz_report(from_dict(raw), method="pairwise_ratio_sampling")
-    assert sampled.method == "pairwise_ratio_sampling"
-    assert abs(sampled.value - 1.6) <= 1e-6
-    # A sampled lower bound certifies nothing, even where it is exact.
-    assert not sampled.converged
     # The convnet declares no constant and keeps the estimator's full effort.
-    raw["denoiser"] = {"name": "convnet"}
-    est = lipschitz_report(from_dict(raw))
+    est = lipschitz_report(build_denoiser({"name": "convnet"}, (32, 32)))
     assert (est.method, est.probes) == ("jacobian_power_iteration", 8)
 
 
@@ -1314,11 +1324,9 @@ def test_cli_lipschitz(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "value=1.6 method=analytic probes=0 converged=True" in captured.out
-    # Sampling finds only a lower bound, here 0.31 for a constant of 1.6.
-    path = write_config(tmp, experiment_preset("cs_expansive"), "cs.json")
-    assert main(["lipschitz", "--config", path, "--method", "pairwise_ratio_sampling"]) == 0
-    out = capsys.readouterr().out
-    assert "method=pairwise_ratio_sampling probes=8 converged=False" in out
+    # One certificate path: the command takes no --method.
+    assert main(["lipschitz", "--config", path, "--method", "jacobian_power_iteration"]) == 1
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_cli_make_data(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""The README's Python examples run as written, and its config schema is the
-parser's."""
+"""The README's Python examples run as written, and its config schema and
+command table are the parsers'."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
+from redlab.cli import build_parser
 from redlab.config import from_dict, to_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,3 +25,17 @@ def test_readme_config_schema_lists_the_parsed_deblur_defaults():
     documented = json.loads(re.sub(r"//.*$", "", block, flags=re.M))
     defaults = from_dict({"problem": "deblur", "denoiser": {"name": "smoother"}})
     assert documented == to_dict(defaults)
+
+
+def test_readme_command_table_lists_the_parsed_options():
+    rows = re.findall(r"^\| `redlab ([\w-]+)([^`]*)` \|", README.read_text(), re.M)
+    documented = {cmd: set(re.findall(r"--[\w-]+", usage)) for cmd, usage in rows}
+    assert len(documented) == len(rows)
+    (commands,) = [
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    parsed = {
+        cmd: {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for cmd, sub in commands.items()
+    }
+    assert documented == parsed
