@@ -13,7 +13,8 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES
-from .presets import DENOISER_NAMES, DENOISERS
+from .presets import DENOISER_NAMES, DENOISERS, build_denoiser
+from .rng import RngState
 from .solvers import SOLVER_NAMES, SolverConfig
 
 _PROBLEMS = ("deblur", "cs")
@@ -101,6 +102,14 @@ def _section(d, defaults, path):
     return out
 
 
+def _seed(v, path):
+    """Fail unless `v` seeds an RngState."""
+    try:
+        RngState(v)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 def _file(v, base_dir, path):
     """Absolute path of an existing file, so the config round-trips from any
     directory."""
@@ -154,6 +163,7 @@ def from_dict(raw, base_dir="."):
     if "preset" in image and min(shape) < MIN_TEST_IMAGE_EXTENT:
         m = MIN_TEST_IMAGE_EXTENT
         _fail("config.shape", f"a named test image is at least {m}x{m}")
+    _seed(top["image_seed"], "config.image_seed")
 
     op = top["operator"]
     if problem == "cs":
@@ -162,6 +172,7 @@ def from_dict(raw, base_dir="."):
         ratio, n = operator["ratio"], shape[0] * shape[1]
         if not (0.0 < ratio < 1.0 and 1 <= round(ratio * n) < n):
             _fail("config.operator.ratio", f"must lie in (0, 1) and give 1 <= m < n = {n}")
+        _seed(operator["seed"], "config.operator.seed")
     elif isinstance(op, dict) and "kernel_path" in op:
         if len(op) > 1:
             _fail("config.operator", "kernel_path excludes every other key")
@@ -179,12 +190,19 @@ def from_dict(raw, base_dir="."):
             _fail("config.operator.kernel_sigma", "must be positive")
 
     noise = _section(top["noise"], _NOISE[problem], "config.noise")
+    _seed(noise["seed"], "config.noise.seed")
 
     den = top["denoiser"]
     name = den.get("name") if isinstance(den, dict) else None
     if name not in DENOISER_NAMES:
         _fail("config.denoiser", f"expected an object with a 'name' in {DENOISER_NAMES}")
     denoiser = _section(den, {"name": name, **DENOISERS[name][0]}, "config.denoiser")
+    # Built here, as SolverConfig is below, so that its constructor's checks
+    # fail at the boundary and a sweep fails before any run.
+    try:
+        build_denoiser(denoiser, shape)
+    except ValueError as exc:
+        _fail("config.denoiser", str(exc))
 
     if top["tau"] <= 0:
         _fail("config.tau", "must be positive")

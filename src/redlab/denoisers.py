@@ -6,10 +6,10 @@ analytic products with the Jacobian of its residual map R(x) = x - D(x):
     residual_vjp(x, v) = (I - J_D(x))^T v
     residual_jvp(x, v) = (I - J_D(x)) v
 
-The `smooth` flag marks denoisers whose products match finite differences
-everywhere; `symmetric_jacobian` marks those where the two products agree.
-The family spans certified-nonexpansive (smoothing, DCT shrinkage) through
-deliberately expansive (scaled variants, a seeded random convnet).
+Every map is differentiable, so both products match finite differences
+everywhere.  The family spans certified-nonexpansive (smoothing, DCT
+shrinkage) through deliberately expansive (scaled variants, a seeded random
+convnet).
 """
 
 from dataclasses import dataclass
@@ -21,11 +21,10 @@ from .rng import RngState, _integral, gaussian_samples
 
 
 class Denoiser:
-    """Base class; subclasses set n and the flags, and implement the maps."""
+    """Base class; subclasses set n, and nominal_lipschitz where a closed
+    form exists, and implement the maps."""
 
     n = 0
-    symmetric_jacobian = False
-    smooth = False
     nominal_lipschitz = None
 
     def apply(self, x):
@@ -35,12 +34,7 @@ class Denoiser:
         raise NotImplementedError
 
     def residual_jvp(self, x, v):
-        # Transpose products coincide exactly when the Jacobian is symmetric.
-        if self.symmetric_jacobian:
-            return self.residual_vjp(x, v)
-        raise RuntimeError(
-            "denoiser has a non-symmetric Jacobian and no forward-mode product"
-        )
+        raise NotImplementedError
 
     def _check(self, x):
         x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -52,8 +46,6 @@ class Denoiser:
 class IdentityDenoiser(Denoiser):
     """D(x) = x; the residual map and all its products vanish."""
 
-    symmetric_jacobian = True
-    smooth = True
     nominal_lipschitz = 1.0
 
     def __init__(self, n):
@@ -70,6 +62,9 @@ class IdentityDenoiser(Denoiser):
         self._check(v)
         return np.zeros(self.n)
 
+    # The Jacobian is symmetric, so the two products coincide.
+    residual_jvp = residual_vjp
+
 
 class LinearSmoothingDenoiser(Denoiser):
     """Periodic Gaussian smoothing: D(x) = W x with W symmetric, ||W|| <= 1.
@@ -78,8 +73,6 @@ class LinearSmoothingDenoiser(Denoiser):
     deviations, so its largest DFT magnitude sits at DC and equals one.
     """
 
-    symmetric_jacobian = True
-    smooth = True
     nominal_lipschitz = 1.0
 
     def __init__(self, shape, sigma):
@@ -111,25 +104,22 @@ class LinearSmoothingDenoiser(Denoiser):
         # Constant symmetric Jacobian W, so the product is v - W v at any x.
         return v - self._smooth_vals(v)
 
+    # The Jacobian is symmetric, so the two products coincide.
+    residual_jvp = residual_vjp
+
 
 def _smoothed_soft_threshold(c, lam, mu):
-    """C^2 soft threshold of coefficients c; returns (values, derivative).
+    """C^2 soft threshold of coefficients c, for 0 < mu < lam; returns
+    (values, derivative).
 
     Outside |c| in (lam - mu, lam + mu) this is the exact soft threshold.
     Inside, the magnitude follows the quartic bridge p(u) = mu*(2w^3 - w^4)
     with w = (u + mu) / (2 mu) and u = |c| - lam, which matches value, slope,
     and curvature at both ends.  The derivative lies in [0, 1].
     """
-    a = np.abs(c)
-    u = a - lam
+    u = np.abs(c) - lam
     out = np.zeros_like(c)
     deriv = np.zeros_like(c)
-    if mu == 0.0:
-        # Kink convention: derivative 0 on the threshold boundary itself.
-        on = u > 0.0
-        out[on] = np.sign(c[on]) * u[on]
-        deriv[on] = 1.0
-        return out, deriv
     hi = u >= mu
     mid = (~hi) & (u > -mu)
     out[hi] = np.sign(c[hi]) * u[hi]
@@ -143,27 +133,22 @@ def _smoothed_soft_threshold(c, lam, mu):
 class DctSoftThresholdDenoiser(Denoiser):
     """Shrinkage of orthonormal DCT coefficients; diagonal symmetric Jacobian.
 
-    smoothing_mu == 0 gives the exact soft threshold (non-smooth at the
-    threshold, flagged accordingly); smoothing_mu > 0 gives a twice
-    continuously differentiable variant and must stay below the threshold
-    so the transition bands do not overlap at zero.
+    A twice continuously differentiable soft threshold: smoothing_mu must be
+    positive, and below the threshold so the transition bands do not
+    overlap at zero.
     """
 
-    symmetric_jacobian = True
     nominal_lipschitz = 1.0
 
-    def __init__(self, shape, threshold, smoothing_mu=0.0):
+    def __init__(self, shape, threshold, smoothing_mu):
         if not 0 < threshold < np.inf:
             raise ValueError("threshold must be positive and finite")
-        if not smoothing_mu >= 0:
-            raise ValueError("smoothing_mu must be non-negative")
-        if smoothing_mu > 0 and smoothing_mu >= threshold:
-            raise ValueError("smoothing_mu must be smaller than the threshold")
+        if not 0 < smoothing_mu < threshold:
+            raise ValueError("smoothing_mu must lie in (0, threshold)")
         h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         self.shape = (h, w)
         self.threshold = float(threshold)
         self.smoothing_mu = float(smoothing_mu)
-        self.smooth = smoothing_mu > 0
         self.n = h * w
         self._c_h, self._c_w = _dct_matrix(h), _dct_matrix(w)
 
@@ -184,6 +169,9 @@ class DctSoftThresholdDenoiser(Denoiser):
         _, d = _smoothed_soft_threshold(self._dct(x), self.threshold, self.smoothing_mu)
         return v - self._idct(d * self._dct(v))
 
+    # The Jacobian is symmetric, so the two products coincide.
+    residual_jvp = residual_vjp
+
 
 class ScaledDenoiser(Denoiser):
     """D(x) = s * inner(x); s > 1 over a Lipschitz-1 inner is certified expansive."""
@@ -194,8 +182,6 @@ class ScaledDenoiser(Denoiser):
         self.inner = inner
         self.scale = float(scale)
         self.n = inner.n
-        self.symmetric_jacobian = inner.symmetric_jacobian
-        self.smooth = inner.smooth
         if inner.nominal_lipschitz is not None:
             self.nominal_lipschitz = self.scale * inner.nominal_lipschitz
 
@@ -215,20 +201,20 @@ class ScaledDenoiser(Denoiser):
 
 def _conv3_sum(stack, taps):
     """Sum over the channel axis of _periodic_conv(stack, taps) for a
-    (c, h, w) stack and (..., c, 3, 3) taps; channels are added one at a
-    time, in order, starting from zero, as a per-channel loop would."""
+    (c, h, w) stack and (c, 3, 3) taps; channels are added one at a time,
+    in order, starting from zero, as a per-channel loop would."""
     planes = _periodic_conv(stack, taps)
-    out = np.zeros(planes.shape[:-3] + planes.shape[-2:])
-    for i in range(planes.shape[-3]):
-        out += planes[..., i, :, :]
+    out = np.zeros(planes.shape[1:])
+    for plane in planes:
+        out += plane
     return out
 
 
 class RandomConvnetDenoiser(Denoiser):
     """D(x) = x - N(x) with N a seeded small convnet; smooth, non-symmetric.
 
-    N chains 3x3 periodic convolutions with tanh between layers (none after
-    the last), single channel in and out.  Weights are fixed Gaussian draws
+    N is two 3x3 periodic convolutions with tanh between them: one channel
+    in, `channels` hidden, one out.  Weights are fixed Gaussian draws
     scaled by weight_scale / sqrt(9 * fan_in), so weight_scale tunes the
     network gain and with it the expansiveness of D.  Jacobian products are
     exact reverse- and forward-mode sweeps through the conv/tanh chain.
@@ -241,13 +227,7 @@ class RandomConvnetDenoiser(Denoiser):
     skip the forward pass.
     """
 
-    symmetric_jacobian = False
-    smooth = True
-
-    def __init__(self, shape, layers, channels, weight_scale, seed):
-        layers = _integral(layers, "layers")
-        if layers not in (2, 3):
-            raise ValueError("layers must be 2 or 3")
+    def __init__(self, shape, channels, weight_scale, seed):
         channels = _integral(channels, "channels")
         if channels < 1:
             raise ValueError("channels must be positive")
@@ -258,7 +238,6 @@ class RandomConvnetDenoiser(Denoiser):
             raise ValueError("image extent must be at least 3 for 3x3 kernels")
         rng = RngState(seed)
         self.shape = (h, w)
-        self.layers = layers
         self.channels = channels
         self.weight_scale = float(weight_scale)
         self.seed = rng.seed
@@ -268,27 +247,16 @@ class RandomConvnetDenoiser(Denoiser):
             scale = weight_scale / np.sqrt(9.0 * fan_in)
             return scale * gaussian_samples(rng, count * 9).reshape(count, 3, 3)
 
-        # Weight stacks: in (c, 3, 3), mid (c_out, c_in, 3, 3), out (c, 3, 3).
+        # Weight stacks, in then out, each (c, 3, 3).
         self._w_in = draw(channels, 1)
-        self._w_mid = None
-        if layers == 3:
-            self._w_mid = draw(channels * channels, channels).reshape(
-                channels, channels, 3, 3
-            )
         self._w_out = draw(channels, channels)
-        for arr in (self._w_in, self._w_mid, self._w_out):
-            if arr is not None:
-                arr.flags.writeable = False
-        # The reverse sweep's stacks: each kernel rotated by 180 degrees, the
-        # middle stack's channel axes swapped so that it sums over c_out.
+        self._w_in.flags.writeable = False
+        self._w_out.flags.writeable = False
+        # The reverse sweep's stacks: each kernel rotated by 180 degrees.
         # Views of read-only arrays, so read-only as well.
         self._w_in_adj = self._w_in[:, ::-1, ::-1]
         self._w_out_adj = self._w_out[:, ::-1, ::-1]
-        self._w_mid_adj = None
-        if layers == 3:
-            self._w_mid_adj = self._w_mid.transpose(1, 0, 2, 3)[..., ::-1, ::-1]
-        # (copy of x, (N(x), first tanh stack, second tanh stack or None)),
-        # replaced whole, never mutated.
+        # (copy of x, (N(x), tanh stack)), replaced whole, never mutated.
         self._last = None
 
     def _forward(self, x):
@@ -307,13 +275,9 @@ class RandomConvnetDenoiser(Denoiser):
         return acts
 
     def _network(self, x2):
-        """(N(x), first tanh stack, second tanh stack or None) for an image."""
-        a1 = np.tanh(_periodic_conv(x2, self._w_in))
-        a2 = None
-        top = a1
-        if self.layers == 3:
-            a2 = top = np.tanh(_conv3_sum(a1, self._w_mid))
-        return _conv3_sum(top, self._w_out), a1, a2
+        """(N(x), tanh stack) for an image."""
+        a = np.tanh(_periodic_conv(x2, self._w_in))
+        return _conv3_sum(a, self._w_out), a
 
     def apply(self, x):
         x = self._check(x)
@@ -324,24 +288,18 @@ class RandomConvnetDenoiser(Denoiser):
         # kernels as the conv adjoints.
         x = self._check(x)
         v = self._check(v)
-        _, a1, a2 = self._forward(x)
+        _, a = self._forward(x)
         g = _periodic_conv(v.reshape(self.shape), self._w_out_adj)
-        if self.layers == 3:
-            g *= 1.0 - a2**2
-            g = _conv3_sum(g, self._w_mid_adj)
-        g *= 1.0 - a1**2
+        g *= 1.0 - a**2
         return _conv3_sum(g, self._w_in_adj).reshape(-1)
 
     def residual_jvp(self, x, v):
         # J_N(x) v: forward sweep reusing the stored tanh outputs.
         x = self._check(x)
         v = self._check(v)
-        _, a1, a2 = self._forward(x)
+        _, a = self._forward(x)
         t = _periodic_conv(v.reshape(self.shape), self._w_in)
-        t *= 1.0 - a1**2
-        if self.layers == 3:
-            t = _conv3_sum(t, self._w_mid)
-            t *= 1.0 - a2**2
+        t *= 1.0 - a**2
         return _conv3_sum(t, self._w_out).reshape(-1)
 
 

@@ -120,7 +120,9 @@ def check_run_dir(cfg, out_dir):
     a run never replaces another config's."""
     sidecar = os.path.join(out_dir, "sidecar.json")
     if os.path.isfile(sidecar) and read_sidecar(sidecar).get("config") != to_dict(cfg):
-        raise ConfigError(f"{out_dir} holds a run of another config; choose another --out")
+        raise ConfigError(
+            f"{out_dir} holds a run of another config; choose another output directory"
+        )
 
 
 def run_experiment(cfg, out_dir=None):

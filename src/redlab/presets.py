@@ -41,10 +41,8 @@ DENOISERS = {
         lambda shape, p: ScaledDenoiser(LinearSmoothingDenoiser(shape, p["sigma"]), p["scale"]),
     ),
     "convnet": (
-        {"layers": 2, "channels": 4, "weight_scale": 0.8, "seed": 11},
-        lambda shape, p: RandomConvnetDenoiser(
-            shape, p["layers"], p["channels"], p["weight_scale"], p["seed"]
-        ),
+        {"channels": 4, "weight_scale": 0.8, "seed": 11},
+        lambda shape, p: RandomConvnetDenoiser(shape, p["channels"], p["weight_scale"], p["seed"]),
     ),
 }
 

@@ -46,7 +46,13 @@ from redlab.experiments import (
     run_sweep,
 )
 from redlab.pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
-from redlab.presets import EXPERIMENT_PRESETS, PRESET_NAMES, build_denoiser, experiment_preset
+from redlab.presets import (
+    DENOISERS,
+    EXPERIMENT_PRESETS,
+    PRESET_NAMES,
+    build_denoiser,
+    experiment_preset,
+)
 from redlab.svgplot import plot_residual_curves
 from redlab.traceio import (
     read_aggregate_csv,
@@ -160,6 +166,11 @@ def test_config_unknown_keys():
         ({**base, "operator": {"sigma": 1.0}}, "config.operator"),
         ({**base, "noise": {"snr": 30}}, "config.noise"),
         ({**base, "solver": {"step": 0.1}}, "config.solver"),
+        # The convnet has two layers, and no key to set them.
+        (
+            {**base, "denoiser": {"name": "convnet", "layers": 2}},
+            "config.denoiser: unknown key(s) ['layers']",
+        ),
     ):
         with pytest.raises(ConfigError) as exc:
             from_dict(raw)
@@ -274,7 +285,7 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, patch, tau_arg):
         ({"name": "dct_threshold", "threshold": [1]}, "threshold"),
         ({"name": "smoother", "sigma": 1e400}, "sigma"),
         ({"name": "smoother", "sigma": True}, "sigma"),
-        ({"name": "convnet", "layers": 2.5}, "layers"),
+        ({"name": "convnet", "channels": 2.5}, "channels"),
     ],
 )
 def test_denoiser_parameters_are_checked_at_the_boundary(tmp_path, capsys, params, key):
@@ -292,6 +303,52 @@ def test_denoiser_parameters_are_checked_at_the_boundary(tmp_path, capsys, param
     assert main(["run", "--config", path, "--out", out]) == 1
     assert f"config error: config.denoiser.{key}: expected" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"name": "smoother", "sigma": 0.0}, "sigma must be positive and finite"),
+        ({"name": "scaled_identity", "scale": 0.0}, "scale must be positive and finite"),
+        ({"name": "smoother", "sigma": 9.0}, "smoothing kernel size 73 exceeds image extent 32x32"),
+        ({"name": "dct_threshold", "smoothing_mu": 0.0}, "smoothing_mu must lie in (0, threshold)"),
+        ({"name": "convnet", "seed": -1}, "seed must fit in an unsigned 64-bit integer"),
+    ],
+    ids=["zero_sigma", "zero_scale", "wide_kernel", "kinked_threshold", "negative_seed"],
+)
+def test_denoiser_is_built_at_parse_time(tmp_path, capsys, params, message):
+    # The parser builds the denoiser, so its constructor's checks are config
+    # errors: a sweep fails before its first run and writes nothing, not
+    # even the output root or summary.json.
+    raw = {**SMALL, "denoiser": params}
+    with pytest.raises(ConfigError) as exc:
+        from_dict(raw)
+    assert str(exc.value) == f"config.denoiser: {message}"
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    assert main(["sweep", "--config", write_config(tmp, raw), "--out", out]) == 1
+    assert f"config error: config.denoiser: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key", ["image_seed", "noise.seed", "operator.seed"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_are_checked_at_parse_time(tmp_path, capsys, key, seed):
+    # Every seed must seed an RngState: an integer in [0, 2^64).
+    raw = copy.deepcopy(CS_SMALL)
+    section, _, name = key.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[name] = seed
+    message = f"config.{key}: seed must fit in an unsigned 64-bit integer"
+    with pytest.raises(ConfigError) as exc:
+        from_dict(raw)
+    assert str(exc.value) == message
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    assert main(["run", "--config", write_config(tmp, raw), "--out", out]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    (raw.setdefault(section, {}) if section else raw)[name] = 2**64 - 1
+    from_dict(raw)
 
 
 def test_denoiser_parameters_are_normalized_by_type():
@@ -390,8 +447,11 @@ def test_run_experiment_refuses_to_replace_another_configs_run(tmp_path, monkeyp
         raise AssertionError("built a run that check_run_dir refuses")
 
     monkeypatch.setattr(experiments, "build_experiment", no_build)
-    with pytest.raises(ConfigError, match="holds a run of another config"):
+    # The message names no command-line option: a library caller has none.
+    message = f"{out_dir} holds a run of another config; choose another output directory"
+    with pytest.raises(ConfigError) as exc:
         run_experiment(from_dict({**raw, "tau": 0.5}), out_dir)
+    assert str(exc.value) == message
     assert {name: Path(out_dir, name).read_bytes() for name in names} == before
 
 
@@ -493,7 +553,7 @@ def test_classes_reject_nan_parameters():
     for make in (
         lambda: gaussian_kernel(5, nan),
         lambda: LinearSmoothingDenoiser((16, 16), nan),
-        lambda: DctSoftThresholdDenoiser((8, 8), nan),
+        lambda: DctSoftThresholdDenoiser((8, 8), nan, 0.02),
         lambda: DctSoftThresholdDenoiser((8, 8), 0.1, nan),
         lambda: ScaledDenoiser(IdentityDenoiser(4), nan),
         lambda: REDProblem(fid, IdentityDenoiser(4), nan),
@@ -1304,15 +1364,32 @@ def test_cli_grad_check_smooth_passes(tmp_path, capsys):
     assert "max_rel_error=" in captured.out
 
 
-def test_cli_grad_check_kinked_denoiser_fails(tmp_path, capsys):
+class _Staircase(IdentityDenoiser):
+    """D(x) = x rounded to a grid of 1e-12: kinked everywhere, with a zero
+    Jacobian between the kinks, yet at any finite step it moves with x."""
+
+    def apply(self, x):
+        return np.round(self._check(x) * 1e12) / 1e12
+
+    def residual_vjp(self, x, v):
+        self._check(x)
+        return self._check(v).copy()
+
+    residual_jvp = residual_vjp
+
+
+def test_cli_grad_check_kinked_denoiser_fails(tmp_path, capsys, monkeypatch):
+    # No flag excuses a plug-in: kinks finer than the difference step show
+    # up as a gradient mismatch.
+    monkeypatch.setitem(DENOISERS, "identity", ({}, lambda shape, p: _Staircase(shape[0] * shape[1])))
     tmp = str(tmp_path)
     raw = copy.deepcopy(SMALL)
-    raw["denoiser"] = {"name": "dct_threshold", "threshold": 0.1, "smoothing_mu": 0.0}
+    raw["denoiser"] = {"name": "identity"}
     path = write_config(tmp, raw)
     code = main(["grad-check", "--config", path])
     captured = capsys.readouterr()
     assert code == 4
-    assert "check failed" in captured.out
+    assert "check failed: gradient mismatch above 1e-5" in captured.out
 
 
 def test_cli_lipschitz(tmp_path, capsys):

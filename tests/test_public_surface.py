@@ -84,8 +84,8 @@ def test_no_public_name_is_used_only_by_tests():
         lambda: named_test_image("phantom", 0, (64.5, 64)),
         lambda: DeblurOperator((64, 64.5), gaussian_kernel(3, 1.0)),
         lambda: LinearSmoothingDenoiser((64.5, 64), 1.0),
-        lambda: DctSoftThresholdDenoiser((64.5, 64), 0.1),
-        lambda: RandomConvnetDenoiser((64.5, 64), 2, 4, 1.0, 0),
+        lambda: DctSoftThresholdDenoiser((64.5, 64), 0.1, 0.02),
+        lambda: RandomConvnetDenoiser((64.5, 64), 4, 1.0, 0),
         lambda: estimate_lipschitz(IdentityDenoiser(16), probes=2.5),
         lambda: estimate_lipschitz(IdentityDenoiser(16), iters=2.5),
         lambda: SolverConfig(gamma=1, t=10.5),
@@ -109,9 +109,10 @@ def test_non_integral_sizes_are_rejected(build):
         lambda v: SolverConfig(gamma=1, converge_tol=v),
         lambda v: gaussian_kernel(3, v),
         lambda v: LinearSmoothingDenoiser((64, 64), v),
-        lambda v: DctSoftThresholdDenoiser((64, 64), v),
+        lambda v: DctSoftThresholdDenoiser((64, 64), v, 0.02),
         lambda v: ScaledDenoiser(IdentityDenoiser(16), v),
-        lambda v: RandomConvnetDenoiser((64, 64), 2, 4, v, 0),
+        lambda v: RandomConvnetDenoiser((64, 64), 4, v, 0),
+        lambda v: DctSoftThresholdDenoiser((64, 64), 0.1, v),
     ],
 )
 def test_non_finite_parameters_are_rejected(build, bad):

@@ -1,5 +1,5 @@
-"""The README's Python examples run as written, and its config schema and
-command table are the parsers'."""
+"""The README's Python examples run as written, and its config schema,
+command table and denoiser table are the parsers'."""
 
 import argparse
 import json
@@ -8,6 +8,7 @@ from pathlib import Path
 
 from redlab.cli import build_parser
 from redlab.config import from_dict, to_dict
+from redlab.presets import DENOISERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +40,11 @@ def test_readme_command_table_lists_the_parsed_options():
         for cmd, sub in commands.items()
     }
     assert documented == parsed
+
+
+def test_readme_denoiser_table_lists_the_parsed_parameters():
+    section = README.read_text().split("\n## Denoisers\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, re.M)
+    documented = {name: set(re.findall(r"`(\w+)`", params)) for name, params in rows}
+    assert len(documented) == len(rows)
+    assert documented == {name: set(defaults) for name, (defaults, _make) in DENOISERS.items()}

@@ -161,7 +161,7 @@ SMOOTH_DENOISER_BUILDERS = {
     "identity": lambda shape: IdentityDenoiser(shape[0] * shape[1]),
     "smoother": lambda shape: LinearSmoothingDenoiser(shape, 1.5),
     "dct_threshold": lambda shape: DctSoftThresholdDenoiser(shape, 0.1, 0.02),
-    "convnet": lambda shape: RandomConvnetDenoiser(shape, 2, 4, 0.8, seed=11),
+    "convnet": lambda shape: RandomConvnetDenoiser(shape, 4, 0.8, seed=11),
 }
 
 
@@ -201,7 +201,7 @@ def test_grad_phi_zero_denoiser_scaling():
     # With D == 0 on the probe set (threshold far above every coefficient),
     # G = (1+tau)x and grad phi = (1+tau)^2 x.
     f = LeastSquaresFidelity(DenseOperator(np.eye(16)), np.zeros(16))
-    p = REDProblem(f, DctSoftThresholdDenoiser((4, 4), 10.0, 0.0), tau=0.5)
+    p = REDProblem(f, DctSoftThresholdDenoiser((4, 4), 10.0, 0.5), tau=0.5)
     x = RngState(19).uniform(16)
     want = (1.5**2) * x
     assert np.max(np.abs(grad_phi(p, x) - want)) < 1e-12

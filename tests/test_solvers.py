@@ -324,8 +324,6 @@ class _QuadraticDenoiser(Denoiser):
     G(x) = c + x^2 and grad phi(x) = 2 x G(x), which is exactly 0 at x = 0."""
 
     n = 1
-    symmetric_jacobian = True
-    smooth = True
 
     def __init__(self, c):
         self.c = c
@@ -336,6 +334,9 @@ class _QuadraticDenoiser(Denoiser):
 
     def residual_vjp(self, x, v):
         return (2.0 * self._check(x) - 1.0) * self._check(v)
+
+    # A 1x1 Jacobian is symmetric.
+    residual_jvp = residual_vjp
 
 
 def scalar_problem(denoiser, y):
@@ -453,7 +454,7 @@ def test_red_nonfinite_iterate_reported_as_divergence():
 
 
 def test_runs_are_bitwise_deterministic():
-    den = RandomConvnetDenoiser(SHAPE, 2, 4, 0.8, seed=11)
+    den = RandomConvnetDenoiser(SHAPE, 4, 0.8, seed=11)
     p, y, _ = deblur_problem(den, 0.1)
     cfg = SolverConfig(gamma=default_gamma(1.0, 0.1), t=30)
     a = run_solver("mred", p, y.copy(), cfg)
