@@ -12,7 +12,9 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES
+from .fidelity import _amplitude_ratio
+from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES, gaussian_kernel
+from .pgmio import read_kernel_file
 from .presets import DENOISER_NAMES, DENOISERS, build_denoiser
 from .rng import RngState
 from .solvers import SOLVER_NAMES, SolverConfig
@@ -110,6 +112,13 @@ def _seed(v, path):
         _fail(path, str(exc))
 
 
+def _fits(size, shape, path):
+    """Fail unless a size x size kernel fits the image."""
+    if size > min(shape):
+        h, w = shape
+        _fail(path, f"must not exceed the image extent {h}x{w}")
+
+
 def _file(v, base_dir, path):
     """Absolute path of an existing file, so the config round-trips from any
     directory."""
@@ -176,20 +185,32 @@ def from_dict(raw, base_dir="."):
     elif isinstance(op, dict) and "kernel_path" in op:
         if len(op) > 1:
             _fail("config.operator", "kernel_path excludes every other key")
-        kernel_path = _file(op["kernel_path"], base_dir, "config.operator.kernel_path")
-        operator = {"kernel_path": kernel_path}
+        path = "config.operator.kernel_path"
+        operator = {"kernel_path": _file(op["kernel_path"], base_dir, path)}
+        # Read here, as the denoiser is built below, so that a kernel the
+        # operator refuses fails at the boundary and a sweep before any run.
+        try:
+            kernel = read_kernel_file(operator["kernel_path"])
+        except (OSError, ValueError) as exc:
+            _fail(path, str(exc))
+        _fits(kernel.shape[0], shape, path)
     else:
         operator = _section(op, _OPERATOR["deblur"], "config.operator")
         if operator["kernel_size"] < 1 or operator["kernel_size"] % 2 == 0:
             _fail("config.operator.kernel_size", "must be odd and positive")
         # Checked here, before the kernel is built: its size grows with k^2.
-        if operator["kernel_size"] > min(shape):
-            h, w = shape
-            _fail("config.operator.kernel_size", f"must not exceed the image extent {h}x{w}")
-        if operator["kernel_sigma"] <= 0:
-            _fail("config.operator.kernel_sigma", "must be positive")
+        _fits(operator["kernel_size"], shape, "config.operator.kernel_size")
+        try:
+            gaussian_kernel(operator["kernel_size"], operator["kernel_sigma"])
+        except ValueError as exc:
+            _fail("config.operator.kernel_sigma", str(exc))
 
     noise = _section(top["noise"], _NOISE[problem], "config.noise")
+    if noise["input_snr_db"] is not None:
+        try:
+            _amplitude_ratio(noise["input_snr_db"])
+        except ValueError as exc:
+            _fail("config.noise.input_snr_db", str(exc))
     _seed(noise["seed"], "config.noise.seed")
 
     den = top["denoiser"]

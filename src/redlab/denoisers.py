@@ -199,17 +199,6 @@ class ScaledDenoiser(Denoiser):
         return v - self.scale * inner_jv
 
 
-def _conv3_sum(stack, taps):
-    """Sum over the channel axis of _periodic_conv(stack, taps) for a
-    (c, h, w) stack and (c, 3, 3) taps; channels are added one at a time,
-    in order, starting from zero, as a per-channel loop would."""
-    planes = _periodic_conv(stack, taps)
-    out = np.zeros(planes.shape[1:])
-    for plane in planes:
-        out += plane
-    return out
-
-
 class RandomConvnetDenoiser(Denoiser):
     """D(x) = x - N(x) with N a seeded small convnet; smooth, non-symmetric.
 
@@ -219,12 +208,12 @@ class RandomConvnetDenoiser(Denoiser):
     network gain and with it the expansiveness of D.  Jacobian products are
     exact reverse- and forward-mode sweeps through the conv/tanh chain.
 
-    Each layer is one _periodic_conv over the stack of its channels; the
-    reverse sweep convolves with the 180-degree rotated weights, stacked
-    once here.  The result equals a per-channel scipy.signal.convolve2d
-    network bit for bit.  The tanh activations of the last point run through
-    N are kept, so products at the point just applied, or at a fixed probe,
-    skip the forward pass.
+    Each layer is one _periodic_conv over the stack of its channels, summed
+    in channel order; the reverse sweep convolves with the 180-degree rotated
+    weights, stacked once here.  The result equals a per-channel
+    scipy.signal.convolve2d network bit for bit.  The tanh activations of
+    the last point run through N are kept, so products at the point just
+    applied, or at a fixed probe, skip the forward pass.
     """
 
     def __init__(self, shape, channels, weight_scale, seed):
@@ -277,7 +266,7 @@ class RandomConvnetDenoiser(Denoiser):
     def _network(self, x2):
         """(N(x), tanh stack) for an image."""
         a = np.tanh(_periodic_conv(x2, self._w_in))
-        return _conv3_sum(a, self._w_out), a
+        return _periodic_conv(a, self._w_out).sum(axis=0), a
 
     def apply(self, x):
         x = self._check(x)
@@ -291,7 +280,7 @@ class RandomConvnetDenoiser(Denoiser):
         _, a = self._forward(x)
         g = _periodic_conv(v.reshape(self.shape), self._w_out_adj)
         g *= 1.0 - a**2
-        return _conv3_sum(g, self._w_in_adj).reshape(-1)
+        return _periodic_conv(g, self._w_in_adj).sum(axis=0).reshape(-1)
 
     def residual_jvp(self, x, v):
         # J_N(x) v: forward sweep reusing the stored tanh outputs.
@@ -300,7 +289,7 @@ class RandomConvnetDenoiser(Denoiser):
         _, a = self._forward(x)
         t = _periodic_conv(v.reshape(self.shape), self._w_in)
         t *= 1.0 - a**2
-        return _conv3_sum(t, self._w_out).reshape(-1)
+        return _periodic_conv(t, self._w_out).sum(axis=0).reshape(-1)
 
 
 @dataclass

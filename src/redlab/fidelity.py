@@ -5,6 +5,8 @@ Hessian products to the solvers.  Noise is white Gaussian, rescaled after
 sampling so the realized input SNR matches the request exactly.
 """
 
+import math
+
 import numpy as np
 
 from .rng import RngState, gaussian_samples
@@ -40,6 +42,20 @@ class LeastSquaresFidelity:
         return self.op.gram(v)
 
 
+def _amplitude_ratio(snr_db):
+    """||A x|| / ||e|| at snr_db: 10^(snr_db / 20), which must be a positive
+    finite float."""
+    try:
+        ratio = 10.0 ** (snr_db / 20.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"input SNR {snr_db!r} dB is out of range: 10^(snr/20) must be a positive finite float"
+        )
+    return ratio
+
+
 def add_noise_at_snr(op, x_true, snr_db, seed):
     """Measure x_true through op and add AWGN at exactly the requested SNR.
 
@@ -57,6 +73,6 @@ def add_noise_at_snr(op, x_true, snr_db, seed):
     w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
         raise RuntimeError("degenerate noise draw")
-    sigma = clean_norm / (w_norm * 10.0 ** (snr_db / 20.0))
+    sigma = clean_norm / (w_norm * _amplitude_ratio(snr_db))
     e = sigma * w
     return clean + e, e

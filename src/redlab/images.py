@@ -1,12 +1,12 @@
 """Periodic convolution, the orthonormal DCT matrix, and test images.
 
-Repeated periodic convolution with a separable (rank-1) kernel is two
-small GEMMs with circulant matrices; any other kernel goes through real
-FFTs.  The orthonormal 2-D DCT-II is two GEMMs with the cosine matrix, in
-the same form.  Direct summation over shifted runs of one wrap-padded copy
-(_periodic_conv) serves the texture image and the convnet denoiser; it
-sums in scipy.signal.convolve2d's order, so its bits are convolve2d's for
-kernels up to 7x7.  Everything here is numpy alone.
+Repeated periodic convolution with one kernel (CyclicConvolver: the blur,
+the smoother and the texture image) is two small GEMMs with circulant
+matrices for a separable (rank-1) kernel; any other kernel goes through
+real FFTs.  The orthonormal 2-D DCT-II is two GEMMs with the cosine matrix,
+in the same form.  Direct summation over shifted runs of one wrap-padded
+copy (_periodic_conv) serves the convnet denoiser's stacks of 3x3 kernels.
+Everything here is numpy alone.
 
 Images and kernels are plain float64 arrays of shape (h, w) and (k, k);
 operators and denoisers work on their flat row-major vectors.  Pixel
@@ -30,9 +30,14 @@ def gaussian_kernel(size, sigma):
     size = _integral(size, "kernel size")
     if size % 2 == 0 or size < 1:
         raise ValueError("kernel size must be odd and positive")
+    # 2.0 * sigma**2 to the bit, without its OverflowError; 0 would make
+    # the weights 0/0, and inf a box rather than a Gaussian.
+    two_var = 2.0 * float(sigma) * float(sigma)
+    if not 0.0 < two_var < np.inf:
+        raise ValueError(f"sigma {sigma!r} is out of range: 2 sigma^2 is not a positive float")
     r = size // 2
     yy, xx = np.mgrid[-r : r + 1, -r : r + 1]
-    w = np.exp(-(xx**2 + yy**2) / (2.0 * sigma**2))
+    w = np.exp(-(xx**2 + yy**2) / two_var)
     w /= w.sum()
     w.flags.writeable = False
     return w
@@ -46,12 +51,10 @@ def _periodic_conv(stack, taps):
     k^2 multiply-adds over one wrap-padded copy with rows of w + 2r
     (r = k // 2) and a spare zero row: the plane shifted by tap (a, b) is
     the contiguous run from (2r - a) (w + 2r) + 2r - b of h rows, the last
-    2r of each row being discarded.  Products are summed in
-    scipy.signal.convolve2d's order (rows ascending into a total from zero;
-    a row of 4 or more taps adds ((t0 + t1) + t2) + t3, then the rest one
-    at a time), so for k <= 7 the bits are those of convolve2d(mode="same",
-    boundary="wrap").  From k = 9 on convolve2d sums in another order, and
-    the two agree to roundoff.
+    2r of each row being discarded.  Each product is added, row-major by
+    tap, into a total from zero; for k <= 3 that is the order of
+    scipy.signal.convolve2d(mode="same", boundary="wrap"), whose bits it
+    then has.
     """
     h, w = stack.shape[-2:]
     k = taps.shape[-1]
@@ -73,19 +76,11 @@ def _periodic_conv(stack, taps):
     shape = np.broadcast_shapes(lead, taps.shape[:-2]) + (size,)
     out = np.zeros(shape)
     tmp = np.empty(shape)
-    # Rows of 4 or more taps sum their first four products into a partial.
-    part = np.empty(shape) if k > 3 else None
     for a in range(k):
         for b in range(k):
             start = (2 * r - a) * wp + 2 * r - b
-            prod = part if part is not None and b == 0 else tmp
-            np.multiply(taps[..., a, b, None], flat[..., start : start + size], out=prod)
-            if part is None or b > 3:
-                out += tmp
-            elif b > 0:
-                part += tmp
-                if b == 3:
-                    out += part
+            np.multiply(taps[..., a, b, None], flat[..., start : start + size], out=tmp)
+            out += tmp
     return out.reshape(shape[:-1] + (h, wp))[..., :w]
 
 
@@ -254,8 +249,7 @@ def _checkerboard(h, w, _rng):
 
 def _texture(h, w, rng):
     noise = gaussian_samples(rng, h * w).reshape(h, w)
-    k = gaussian_kernel(7, 1.2)
-    smooth = _periodic_conv(noise, k)
+    smooth = CyclicConvolver((h, w), gaussian_kernel(7, 1.2)).apply(noise)
     lo, hi = smooth.min(), smooth.max()
     if hi == lo:
         return np.full((h, w), 0.5)

@@ -1,0 +1,94 @@
+"""Boundary fuzz of the config parser: every config either fails to parse
+or runs.
+
+Each numeric key of each shipped preset (the parsed config's, so defaults
+and null numbers count, but not `shape`, whose huge values allocate at
+parse time) is set to each boundary value and to one value drawn from a
+seeded stream, and the config goes through `redlab run`, `redlab sweep`
+(its own tau and solver) and `redlab lipschitz` at t = 3.  A config that
+`from_dict` refuses with a ConfigError must make every command exit 1; any
+other config must run to a termination code, a sweep without a failed run,
+and a certificate.  No exception may escape `cli.main`.
+
+The Lipschitz estimates run at a token effort: the estimator is not the
+boundary under test, and at full effort the convnet's would take minutes.
+"""
+
+import functools
+import json
+import os
+import random
+
+import pytest
+
+from redlab import cli, experiments
+from redlab.config import ConfigError, from_dict, to_dict
+from redlab.presets import PRESET_NAMES, experiment_preset
+
+BOUNDARY = (-1e300, -1e4, -1, 0, 1e-300, 1e300)
+# Exit codes of a run that parsed: success, diverged, step floor.
+RAN = (cli.EXIT_OK, cli.EXIT_DIVERGED, cli.EXIT_STEP_FLOOR)
+
+
+def numeric_keys(raw):
+    """Paths of the number and null leaves of a config, except `shape`."""
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            yield from ((key,) + sub for sub in numeric_keys(value))
+        elif value is None or (type(value) in (int, float) and key != "shape"):
+            yield (key,)
+
+
+def fuzz_values(seed):
+    """The boundary values, then a seeded draw: a sign times 10^u with u
+    uniform in [-300, 300]."""
+    rng = random.Random(seed)
+    return BOUNDARY + (rng.choice((-1, 1)) * 10.0 ** rng.uniform(-300.0, 300.0),)
+
+
+@pytest.mark.slow
+# Values such as 1e300 overflow inside runs that then diverge, as they should.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_config_either_fails_to_parse_or_runs(tmp_path, capsys, monkeypatch, preset):
+    monkeypatch.setattr(experiments, "_RUN_LIPSCHITZ_PROBES", 1)
+    monkeypatch.setattr(experiments, "_RUN_LIPSCHITZ_ITERS", 2)
+    token_effort = functools.partial(experiments.lipschitz_report, probes=1, iters=2)
+    monkeypatch.setattr(cli, "lipschitz_report", token_effort)
+    base = to_dict(from_dict(experiment_preset(preset)))
+    base["solver"]["t"] = 3
+    tmp = str(tmp_path)
+    cases = 0
+    for index, path in enumerate(numeric_keys(base)):
+        for value in fuzz_values(PRESET_NAMES.index(preset) * 1000 + index):
+            raw = json.loads(json.dumps(base))
+            section = raw
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+            where = f"{preset}: config.{'.'.join(path)} = {value!r}"
+            try:
+                from_dict(raw)
+                parsed = True
+            except ConfigError:
+                parsed = False
+            cfg = os.path.join(tmp, f"c{cases}.json")
+            with open(cfg, "w") as fh:
+                json.dump(raw, fh)
+            out = os.path.join(tmp, f"o{cases}")
+            # --tau=... so that argparse reads a negative tau as a value.
+            sweep = [f"--tau={raw['tau']!r}", "--solver", raw["solver"]["name"]]
+            codes = (
+                cli.main(["run", "--config", cfg, "--out", out]),
+                cli.main(["sweep", "--config", cfg, "--out", out + "s"] + sweep),
+                cli.main(["lipschitz", "--config", cfg]),
+            )
+            err = capsys.readouterr().err
+            if parsed:
+                assert codes[0] in RAN and codes[1:] == (0, 0), (where, codes, err)
+            else:
+                assert codes == (1, 1, 1), (where, codes, err)
+                assert err.count("config error: config.") == 3, (where, err)
+                assert not os.path.exists(out) and not os.path.exists(out + "s"), where
+            cases += 1
+    assert cases == 7 * len(list(numeric_keys(base)))

@@ -312,8 +312,10 @@ class PerChannelConvnet:
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (33, 35), (64, 64)])
-@pytest.mark.parametrize("channels", [2, 3])
+@pytest.mark.parametrize("channels", [1, 2, 3, 4, 9])
 def test_convnet_is_bit_equal_to_per_channel_reference(channels, shape):
+    # The one bit-for-bit check of _periodic_conv on 3x3 stacks and of the
+    # channel sum, .sum(axis=0), which must add the planes in channel order.
     d = RandomConvnetDenoiser(shape, channels, 0.9, seed=21)
     ref = PerChannelConvnet(shape, channels, 0.9, 21)
     rng = RngState(22)

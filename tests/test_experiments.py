@@ -236,6 +236,45 @@ def test_config_rejects_a_kernel_wider_than_the_image(shape, size):
     assert from_dict({**raw, "operator": {"kernel_size": widest}}).operator["kernel_size"] == widest
 
 
+@pytest.mark.parametrize(
+    "operator, noise, key",
+    [
+        ({"kernel_size": 9, "kernel_sigma": 1e-300}, {}, "operator.kernel_sigma"),
+        ({"kernel_size": 9, "kernel_sigma": 1e300}, {}, "operator.kernel_sigma"),
+        ({"kernel_size": 9, "kernel_sigma": -1.0}, {}, "operator.kernel_sigma"),
+        ({"kernel_path": "k4.txt"}, {}, "operator.kernel_path"),
+        ({"kernel_path": "k33.txt"}, {}, "operator.kernel_path"),
+        ({"kernel_path": "knan.txt"}, {}, "operator.kernel_path"),
+        ({}, {"input_snr_db": 1e300}, "noise.input_snr_db"),
+        ({}, {"input_snr_db": -1e4}, "noise.input_snr_db"),
+        ({}, {"input_snr_db": -1e300}, "noise.input_snr_db"),
+    ],
+    ids=[
+        "tiny_sigma", "huge_sigma", "negative_sigma", "even_file", "wide_file",
+        "nan_file", "huge_snr", "very_negative_snr", "huge_negative_snr",
+    ],
+)
+def test_kernel_and_noise_scale_are_checked_at_parse_time(tmp_path, capsys, operator, noise, key):
+    # The parser builds the deblur kernel and the noise scale, so each of
+    # these is a config error naming its key, and neither `run` nor `sweep`
+    # writes anything.
+    tmp = str(tmp_path)
+    write_kernel_file(os.path.join(tmp, "k4.txt"), np.full((4, 4), 1.0 / 16))
+    write_kernel_file(os.path.join(tmp, "k33.txt"), np.full((33, 33), 1.0 / 33**2))
+    with open(os.path.join(tmp, "knan.txt"), "w") as fh:
+        fh.write("3\n" + " ".join(["0.1"] * 4 + ["nan"] + ["0.1"] * 4) + "\n")
+    raw = copy.deepcopy(SMALL)
+    raw["operator"] = operator or raw["operator"]
+    raw["noise"] = noise
+    with pytest.raises(ConfigError, match=rf"^config\.{key}: "):
+        from_dict(raw, base_dir=tmp)
+    out = os.path.join(tmp, "out")
+    for command in ("run", "sweep"):
+        assert main([command, "--config", write_config(tmp, raw), "--out", out]) == 1
+        assert f"config error: config.{key}: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_config_null_snr_means_noiseless():
     cfg = from_dict(
         {
@@ -965,13 +1004,22 @@ def test_sweep_matches_individual_runs(tmp_path):
         assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_sweep_records_failures(tmp_path):
-    # A kernel file wider than the image passes the parser, which checks
-    # only kernel_size, and fails in the operator of every run.
-    path = os.path.join(str(tmp_path), "k33.txt")
-    write_kernel_file(path, np.full((33, 33), 1.0 / 33**2))
+def test_sweep_records_failures(tmp_path, monkeypatch):
+    # The kernel file passes the parser, which reads it at every grid point,
+    # and is then replaced by one wider than the image: the sweep's first
+    # makedirs, after its grid is parsed, rewrites it.  So the file changes
+    # under a running sweep, and every run fails in its operator.
+    path = os.path.join(str(tmp_path), "k.txt")
+    write_kernel_file(path, gaussian_kernel(5, 1.0))
     raw = {**copy.deepcopy(SMALL), "operator": {"kernel_path": path}}
     cfg = from_dict(raw)
+    makedirs = os.makedirs
+
+    def widen_kernel_then_makedirs(*args, **kwargs):
+        write_kernel_file(path, np.full((33, 33), 1.0 / 33**2))
+        makedirs(*args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", widen_kernel_then_makedirs)
     summary = run_sweep(cfg, [0.1], ["mred"], os.path.join(str(tmp_path), "s"))
     assert len(summary["failures"]) == 6
     assert not summary["runs"]
@@ -986,6 +1034,7 @@ def test_sweep_records_failures(tmp_path):
     ]
     assert all(f["type"] == "ValueError" for f in written["failures"])
     # A process pool records the same failures, with the same bytes.
+    write_kernel_file(path, gaussian_kernel(5, 1.0))
     pooled = run_sweep(cfg, [0.1], ["mred"], os.path.join(str(tmp_path), "p"), parallel=True)
     assert [(f["run"], f["type"]) for f in pooled["failures"]] == [
         (f["run"], f["type"]) for f in summary["failures"]

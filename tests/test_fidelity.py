@@ -129,3 +129,17 @@ def test_noise_rejects_zero_measurement():
     op = DenseOperator(np.eye(3))
     with pytest.raises(ValueError):
         add_noise_at_snr(op, np.zeros(3), 30.0, 0)
+
+
+@pytest.mark.parametrize("snr", [1e300, -1e4, -1e300])
+def test_noise_rejects_an_snr_whose_scale_is_not_a_positive_float(snr):
+    # 10^(snr/20) overflows above about 6165 dB (an OverflowError) and is 0
+    # below about -6466 dB (a division by zero).
+    op, _y, _f = small_instance(18)
+    x = RngState(19).uniform(op.n)
+    with pytest.raises(ValueError, match="out of range"):
+        add_noise_at_snr(op, x, snr, 42)
+    # The edges of the range still draw finite noise.
+    for edge in (6000.0, -6000.0):
+        y, e = add_noise_at_snr(op, x, edge, 42)
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(e))
