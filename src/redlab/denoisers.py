@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import CyclicConvolver, _dct_matrix, _periodic_conv, gaussian_kernel
-from .rng import RngState, _integral, gaussian_samples
+from .rng import RngState, _integral, _positive, _vector, gaussian_samples
 
 
 class Denoiser:
@@ -37,10 +37,7 @@ class Denoiser:
         raise NotImplementedError
 
     def _check(self, x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.size != self.n:
-            raise ValueError(f"expected dimension {self.n}, got {x.size}")
-        return x
+        return _vector(x, self.n, "denoiser input")
 
 
 class IdentityDenoiser(Denoiser):
@@ -76,8 +73,7 @@ class LinearSmoothingDenoiser(Denoiser):
     nominal_lipschitz = 1.0
 
     def __init__(self, shape, sigma):
-        if not 0 < sigma < np.inf:
-            raise ValueError("sigma must be positive and finite")
+        sigma = _positive(sigma, "sigma")
         h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         radius = int(np.ceil(4.0 * sigma))
         size = 2 * radius + 1
@@ -87,7 +83,7 @@ class LinearSmoothingDenoiser(Denoiser):
                 f"smoothing kernel size {size} exceeds image extent {h}x{w}"
             )
         self.shape = (h, w)
-        self.sigma = float(sigma)
+        self.sigma = sigma
         self.kernel = gaussian_kernel(size, sigma)
         self._conv = CyclicConvolver((h, w), self.kernel)
         self.n = h * w
@@ -141,13 +137,12 @@ class DctSoftThresholdDenoiser(Denoiser):
     nominal_lipschitz = 1.0
 
     def __init__(self, shape, threshold, smoothing_mu):
-        if not 0 < threshold < np.inf:
-            raise ValueError("threshold must be positive and finite")
+        threshold = _positive(threshold, "threshold")
         if not 0 < smoothing_mu < threshold:
             raise ValueError("smoothing_mu must lie in (0, threshold)")
         h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         self.shape = (h, w)
-        self.threshold = float(threshold)
+        self.threshold = threshold
         self.smoothing_mu = float(smoothing_mu)
         self.n = h * w
         self._c_h, self._c_w = _dct_matrix(h), _dct_matrix(w)
@@ -177,10 +172,8 @@ class ScaledDenoiser(Denoiser):
     """D(x) = s * inner(x); s > 1 over a Lipschitz-1 inner is certified expansive."""
 
     def __init__(self, inner, scale):
-        if not 0 < scale < np.inf:
-            raise ValueError("scale must be positive and finite")
         self.inner = inner
-        self.scale = float(scale)
+        self.scale = _positive(scale, "scale")
         self.n = inner.n
         if inner.nominal_lipschitz is not None:
             self.nominal_lipschitz = self.scale * inner.nominal_lipschitz
@@ -220,15 +213,14 @@ class RandomConvnetDenoiser(Denoiser):
         channels = _integral(channels, "channels")
         if channels < 1:
             raise ValueError("channels must be positive")
-        if not 0 < weight_scale < np.inf:
-            raise ValueError("weight_scale must be positive and finite")
+        weight_scale = _positive(weight_scale, "weight_scale")
         h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         if min(h, w) < 3:
             raise ValueError("image extent must be at least 3 for 3x3 kernels")
         rng = RngState(seed)
         self.shape = (h, w)
         self.channels = channels
-        self.weight_scale = float(weight_scale)
+        self.weight_scale = weight_scale
         self.seed = rng.seed
         self.n = h * w
 

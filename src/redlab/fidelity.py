@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .rng import RngState, gaussian_samples
+from .rng import RngState, _vector, gaussian_samples
 
 
 class LeastSquaresFidelity:
@@ -20,9 +20,7 @@ class LeastSquaresFidelity:
     """
 
     def __init__(self, op, y):
-        y = np.asarray(y, dtype=np.float64).reshape(-1).copy()
-        if y.size != op.m:
-            raise ValueError(f"measurement has dimension {y.size}, operator range is {op.m}")
+        y = _vector(y, op.m, "measurement").copy()
         if not np.all(np.isfinite(y)):
             raise ValueError("measurement values must be finite")
         y.flags.writeable = False

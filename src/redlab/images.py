@@ -19,21 +19,20 @@ import functools
 
 import numpy as np
 
-from .rng import RngState, _integral, gaussian_samples
+from .rng import RngState, _integral, _positive, gaussian_samples
 
 
 def gaussian_kernel(size, sigma):
     """Normalized truncated-Gaussian blur kernel: a read-only (size, size)
     array, `size` odd."""
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
+    sigma = _positive(sigma, "sigma")
     size = _integral(size, "kernel size")
     if size % 2 == 0 or size < 1:
         raise ValueError("kernel size must be odd and positive")
     # 2.0 * sigma**2 to the bit, without its OverflowError; 0 would make
     # the weights 0/0, and inf a box rather than a Gaussian.
-    two_var = 2.0 * float(sigma) * float(sigma)
-    if not 0.0 < two_var < np.inf:
+    two_var = 2.0 * sigma * sigma
+    if two_var in (0.0, np.inf):
         raise ValueError(f"sigma {sigma!r} is out of range: 2 sigma^2 is not a positive float")
     r = size // 2
     yy, xx = np.mgrid[-r : r + 1, -r : r + 1]

@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .images import CyclicConvolver
-from .rng import RngState, _integral, gaussian_samples
+from .rng import RngState, _integral, _vector, gaussian_samples
 
 # Row-block size of the dense gram: a block this large stays in a 2 MiB L2
 # cache between its two uses, B v and then B^T (B v).  24 rows at n = 4096.
@@ -83,16 +83,10 @@ class LinearOperator:
         raise NotImplementedError
 
     def _check_domain(self, x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.size != self.n:
-            raise ValueError(f"expected domain dimension {self.n}, got {x.size}")
-        return x
+        return _vector(x, self.n, "domain vector")
 
     def _check_range(self, u):
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        if u.size != self.m:
-            raise ValueError(f"expected range dimension {self.m}, got {u.size}")
-        return u
+        return _vector(u, self.m, "range vector")
 
 
 class DeblurOperator(LinearOperator):
@@ -174,14 +168,13 @@ class CompressiveSensingOperator(LinearOperator):
 
     def gram(self, v):
         """A^T A v for a vector v, or row by row for a (k, n) stack."""
-        v = np.asarray(v, dtype=np.float64)
-        rows = v if v.ndim == 2 else self._check_domain(v)[None]
-        if rows.shape[1] != self.n:
-            raise ValueError(f"expected rows of dimension {self.n}, got {rows.shape[1]}")
+        stack = np.ndim(v) == 2
+        rows = _vector(v, len(v) * self.n if stack else self.n, "gram argument")
+        rows = rows.reshape(-1, self.n)
         out = np.zeros(rows.shape)
         for block in self._row_blocks:
             out += (rows @ block.T) @ block
-        return out if v.ndim == 2 else out[0]
+        return out if stack else out[0]
 
     def exact_spectral_norm_sq(self):
         # A projection has eigenvalues 0 and 1.

@@ -11,7 +11,7 @@ with gradient  A^T A G(x) + tau * (I - J_D(x))^T G(x)  for quadratic g.
 
 from dataclasses import dataclass, replace
 
-import numpy as np
+from .rng import _positive, _vector
 
 
 @dataclass
@@ -47,15 +47,14 @@ class REDProblem:
     """
 
     def __init__(self, fidelity, denoiser, tau):
-        if not 0 < tau < np.inf:
-            raise ValueError("tau must be positive and finite")
+        tau = _positive(tau, "tau")
         if fidelity.op.n != denoiser.n:
             raise ValueError(
                 f"fidelity domain dimension {fidelity.op.n} != denoiser dimension {denoiser.n}"
             )
         self.fidelity = fidelity
         self.denoiser = denoiser
-        self.tau = float(tau)
+        self.tau = tau
 
     @property
     def n(self):
@@ -97,9 +96,7 @@ class REDProblem:
         and passes it as `dx`.  The fidelity gradient costs one forward and
         one adjoint more, unless the caller passes it as `grad_g`.
         """
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.size != self.n:
-            raise ValueError(f"expected dimension {self.n}, got {x.size}")
+        x = _vector(x, self.n, "x")
         if grad_g is None:
             grad_g = self.fidelity_gradient(x, counters)
         if dx is None:
@@ -123,7 +120,6 @@ class REDProblem:
         step in the direction G.  G, A^T A G and r are computed unless the
         caller passes them as `g`, `hg` and `r`.
         """
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
         if g is None:
             g = self.operator_g(x, counters)
         if r is None:

@@ -4,6 +4,9 @@ All randomness in the package flows through :class:`RngState`, a thin
 single-owner wrapper around a seeded 64-bit generator (PCG64).  Identical
 seed and family give an identical sample stream within one build; bit
 compatibility across numpy versions or platforms is not promised.
+
+The package's argument checks live here too, one helper per kind of
+argument.
 """
 
 import numpy as np
@@ -22,6 +25,21 @@ def _integral(value, name="count"):
     if n is None or n != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return n
+
+
+def _positive(value, name):
+    """`value` as a positive finite float."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
+def _vector(x, n, name):
+    """`x` as a flat float64 vector of dimension `n`."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if x.size != n:
+        raise ValueError(f"{name} has {x.size} entries, expected {n}")
+    return x
 
 
 class RngState:

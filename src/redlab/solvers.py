@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .red import EvalCounters
-from .rng import _integral
+from .rng import _integral, _vector
 
 SOLVER_NAMES = ("red", "red_bls", "mred")
 
@@ -147,9 +147,7 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     """
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; valid: {SOLVER_NAMES}")
-    x = np.array(x0, dtype=np.float64).reshape(-1)
-    if x.size != p.n:
-        raise ValueError(f"x0 has dimension {x.size}, problem is {p.n}")
+    x = _vector(x0, p.n, "x0").copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     counters = EvalCounters()
