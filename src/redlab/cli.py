@@ -10,6 +10,7 @@ command failed.
 """
 
 import argparse
+import re
 import sys
 
 from .config import ConfigError, from_dict, load_config, to_dict
@@ -41,6 +42,12 @@ _TERMINATION_EXIT = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-3 and -1e-3,0.1 are values, so that a negative tau reaches the
+        # config check; argparse's own pattern takes plain decimals only.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on usage errors by default; 2 means "diverged" here.
     def error(self, message):
         self.print_usage(sys.stderr)

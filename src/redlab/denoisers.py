@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import CyclicConvolver, _dct_matrix, _periodic_conv, gaussian_kernel
-from .rng import RngState, _integral, _positive, _vector, gaussian_samples
+from .rng import RngState, _integral, _is_real, _positive, _vector, gaussian_samples
 
 
 class Denoiser:
@@ -138,7 +138,7 @@ class DctSoftThresholdDenoiser(Denoiser):
 
     def __init__(self, shape, threshold, smoothing_mu):
         threshold = _positive(threshold, "threshold")
-        if not 0 < smoothing_mu < threshold:
+        if not (_is_real(smoothing_mu) and 0 < smoothing_mu < threshold):
             raise ValueError("smoothing_mu must lie in (0, threshold)")
         h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         self.shape = (h, w)

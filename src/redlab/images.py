@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .rng import RngState, _integral, _positive, gaussian_samples
+from .rng import RngState, _floats, _integral, _positive, gaussian_samples
 
 
 def gaussian_kernel(size, sigma):
@@ -140,7 +140,7 @@ class CyclicConvolver:
 
     def __init__(self, shape, kernel):
         h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
-        kernel = np.array(kernel, dtype=np.float64)
+        kernel = _floats(kernel, "kernel").copy()
         if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
             raise ValueError(f"kernel must be square of odd size, got shape {kernel.shape}")
         k = kernel.shape[0]

@@ -36,6 +36,12 @@ def _blas_threads():
 
 @functools.cache
 def _blas_thread_getter():
+    return _openblas_function("num_threads", ctypes.c_int) or (lambda: None)
+
+
+def _openblas_function(what, restype):
+    """`openblas_get_<what>` of the OpenBLAS bundled with numpy, returning
+    `restype`, or None where not found; each call searches anew."""
     libs = os.path.dirname(os.path.dirname(np.__file__))
     for path in glob.glob(os.path.join(libs, "numpy.libs", "*openblas*")):
         try:
@@ -43,16 +49,16 @@ def _blas_thread_getter():
         except OSError:
             continue
         for name in (
-            "scipy_openblas_get_num_threads64_",
-            "openblas_get_num_threads64_",
-            "openblas_get_num_threads",
+            f"scipy_openblas_get_{what}64_",
+            f"openblas_get_{what}64_",
+            f"openblas_get_{what}",
         ):
             if hasattr(lib, name):
                 fn = getattr(lib, name)
                 fn.argtypes = []
-                fn.restype = ctypes.c_int
+                fn.restype = restype
                 return fn
-    return lambda: None
+    return None
 
 
 class LinearOperator:

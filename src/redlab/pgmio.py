@@ -9,10 +9,12 @@ in row-major order, whitespace separated.  Images and kernels are (h, w) and
 
 import numpy as np
 
+from .rng import _floats
+
 
 def write_pgm(path, img):
     """Write the 2-D array `img` as a 16-bit PGM."""
-    img = np.asarray(img, dtype=np.float64)
+    img = _floats(img, "image")
     if img.ndim != 2:
         raise ValueError(f"expected a 2D image, got shape {img.shape}")
     # A NaN has no defined level once cast to an integer.

@@ -6,7 +6,7 @@ seed and family give an identical sample stream within one build; bit
 compatibility across numpy versions or platforms is not promised.
 
 The package's argument checks live here too, one helper per kind of
-argument.
+argument; each takes values of integer or float kind only (`_is_real`).
 """
 
 import numpy as np
@@ -16,10 +16,18 @@ _FAMILY = "pcg64"
 _CHUNK = 1 << 16
 
 
+def _is_real(value):
+    """Whether `value` is of integer or float kind: a Python or numpy int or
+    float, or an array of them; not a bool, complex number, string or object."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integral(value, name="count"):
     """`value` as an int; a non-integral value is an error, not truncated."""
     try:
-        n = int(value)
+        n = int(value) if _is_real(value) else None
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value:
@@ -29,14 +37,23 @@ def _integral(value, name="count"):
 
 def _positive(value, name):
     """`value` as a positive finite float."""
-    if not 0 < value < np.inf:
+    if not (_is_real(value) and 0 < value < np.inf):
         raise ValueError(f"{name} must be positive and finite")
     return float(value)
 
 
+def _floats(a, name):
+    """The array `a` as float64, without a copy where it already is; NaN
+    and inf pass, for callers that need finite values check for them."""
+    a = np.asarray(a)
+    if not _is_real(a):
+        raise ValueError(f"{name} must be real-valued, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _vector(x, n, name):
-    """`x` as a flat float64 vector of dimension `n`."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    """`x` as a flat float64 vector of dimension `n` (see `_floats`)."""
+    x = _floats(x, name).reshape(-1)
     if x.size != n:
         raise ValueError(f"{name} has {x.size} entries, expected {n}")
     return x

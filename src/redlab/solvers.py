@@ -28,13 +28,13 @@ keeps falling back makes one per iteration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .red import EvalCounters
-from .rng import _integral, _vector
+from .rng import _integral, _is_real, _vector
 
 SOLVER_NAMES = ("red", "red_bls", "mred")
 
@@ -53,6 +53,10 @@ class SolverConfig:
     converge_tol: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not _is_real(value):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         for name in ("gamma", "alpha0", "epsilon", "divergence_cap", "converge_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -150,6 +154,8 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     x = _vector(x0, p.n, "x0").copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
+    if psnr_ref is not None:
+        psnr_ref = _vector(psnr_ref, p.n, "psnr_ref")
     counters = EvalCounters()
     trace = []
     pairs = p.fidelity.op.gram_is_projection

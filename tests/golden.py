@@ -20,7 +20,6 @@ taken in.
 """
 
 import ctypes
-import glob
 import hashlib
 import json
 import os
@@ -31,7 +30,7 @@ import numpy as np
 
 from redlab.config import from_dict
 from redlab.experiments import make_data, run_experiment, run_sweep
-from redlab.operators import _blas_threads
+from redlab.operators import _blas_threads, _openblas_function
 from redlab.presets import PRESET_NAMES, experiment_preset
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
@@ -39,16 +38,8 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_diges
 
 def _openblas(what):
     """`openblas_get_<what>` of the OpenBLAS bundled with numpy, or None."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for name in (f"scipy_openblas_get_{what}64_", f"openblas_get_{what}64_", f"openblas_get_{what}"):
-            if hasattr(lib, name):
-                fn = getattr(lib, name)
-                fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode("ascii").strip()
-    return None
+    fn = _openblas_function(what, ctypes.c_char_p)
+    return None if fn is None else fn().decode("ascii").strip()
 
 
 def environment():

@@ -10,6 +10,7 @@ from scipy.fft import dctn, idctn
 
 from redlab import (
     DctSoftThresholdDenoiser,
+    Denoiser,
     IdentityDenoiser,
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
@@ -440,6 +441,27 @@ def test_nominal_lipschitz_matches_estimate(name):
     d = build_denoiser({"name": name}, (64, 64))
     est = estimate_lipschitz(d)
     assert d.nominal_lipschitz - 1e-3 <= est.value <= d.nominal_lipschitz + 1e-9
+
+
+class _ConstantDenoiser(Denoiser):
+    """D(x) = 0: the Jacobian vanishes and both residual products are v."""
+
+    n = 16
+
+    def apply(self, x):
+        return np.zeros_like(self._check(x))
+
+    def residual_vjp(self, x, v):
+        self._check(x)
+        return self._check(v).copy()
+
+    residual_jvp = residual_vjp
+
+
+def test_lipschitz_of_a_zero_jacobian_is_zero():
+    # J_D^T J_D v = 0 ends the power iteration at its first step.
+    est = estimate_lipschitz(_ConstantDenoiser(), probes=2, iters=5)
+    assert (est.value, est.converged) == (0.0, True)
 
 
 def test_lipschitz_method_validation():

@@ -443,6 +443,28 @@ def test_cli_overrides_go_through_the_parser(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "cmd, tau, message",
+    [
+        ("run", "-1e-3", "config error: config.tau: must be positive"),
+        ("sweep", "-1e-3,0.1", "config error: config.tau: must be positive"),
+        ("run", "-x", "argument --tau: expected one argument"),
+        ("sweep", ",", "config error: empty tau list"),
+        ("sweep", "0.1,x", "config error: invalid tau list '0.1,x'"),
+    ],
+    ids=["run_negative_exponent", "sweep_negative_exponent", "run_option", "sweep_empty", "sweep_invalid"],
+)
+def test_cli_tau_values_meet_the_checks(tmp_path, capsys, cmd, tau, message):
+    # A negative tau in exponent form is a value, not an option, so it meets
+    # the config check; a dash before a letter is still an option.
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    path = write_config(tmp, SMALL)
+    assert main([cmd, "--config", path, "--out", out, "--tau", tau]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_run_refuses_to_replace_another_configs_run(tmp_path, capsys):
     # Both presets write <out>/mred_tau0.1_phantom.  The sidecar records
     # no path, so only the config decides.
@@ -746,6 +768,29 @@ def test_build_rejects_shape_mismatched_pgm(tmp_path):
     raw["operator"] = {"kernel_size": 9, "kernel_sigma": 2.0}
     with pytest.raises(ValueError):
         build_experiment(from_dict(raw, base_dir=tmp))
+
+
+def test_run_from_a_pgm_image(tmp_path):
+    # The true image is the file's 16-bit levels, and a rerun writes the
+    # same bytes.
+    tmp = str(tmp_path)
+    img = named_test_image("texture", 3, (32, 32))
+    write_pgm(os.path.join(tmp, "img.pgm"), img)
+    cfg = from_dict({**SMALL, "image": {"pgm": "img.pgm"}}, base_dir=tmp)
+    out = os.path.join(tmp, "run")
+
+    def digests():
+        return {
+            name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out))
+        }
+
+    _result, built, _metrics = run_experiment(cfg, out)
+    assert np.array_equal(built.x_true, (np.floor(img * 65535 + 0.5) / 65535).reshape(-1))
+    first = digests()
+    assert len(first) == 3
+    run_experiment(cfg, out)
+    assert digests() == first
 
 
 # ---------------------------------------------------------------------- runs

@@ -1,25 +1,33 @@
 """Every public function, class and method of redlab is reached by the
 package itself or by the benchmark harness, not only by tests; and the
-public entry points reject sizes and parameters they cannot honour."""
+public entry points reject sizes, parameters and vectors they cannot honour."""
 
 import ast
 import math
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from redlab import (
+    CompressiveSensingOperator,
     DctSoftThresholdDenoiser,
     DeblurOperator,
     IdentityDenoiser,
+    LeastSquaresFidelity,
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
+    REDProblem,
+    RngState,
     ScaledDenoiser,
     SolverConfig,
     estimate_lipschitz,
     gaussian_kernel,
     named_test_image,
+    run_solver,
 )
+from redlab.pgmio import write_pgm
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "redlab"
@@ -118,3 +126,52 @@ def test_non_integral_sizes_are_rejected(build):
 def test_non_finite_parameters_are_rejected(build, bad):
     with pytest.raises(ValueError):
         build(bad)
+
+
+def _deblur_problem(tau=0.1):
+    op = DeblurOperator((8, 8), gaussian_kernel(3, 1.0))
+    return REDProblem(LeastSquaresFidelity(op, np.ones(64)), IdentityDenoiser(64), tau)
+
+
+COMPLEX = np.ones(64) + 0j
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _deblur_problem().fidelity.op.forward(COMPLEX),
+        lambda: _deblur_problem().fidelity.op.adjoint(COMPLEX),
+        lambda: CompressiveSensingOperator(4, 16, 0).gram(COMPLEX[:16]),
+        lambda: CompressiveSensingOperator(4, 16, 0).gram(np.ones((2, 16)) + 0j),
+        lambda: IdentityDenoiser(64).apply(COMPLEX),
+        lambda: IdentityDenoiser(4).apply(["1", "2", "3", "4"]),
+        lambda: LeastSquaresFidelity(_deblur_problem().fidelity.op, COMPLEX),
+        lambda: _deblur_problem().operator_g(COMPLEX),
+        lambda: run_solver("red", _deblur_problem(), COMPLEX, SolverConfig(gamma=0.5, t=1)),
+        lambda: run_solver("red", _deblur_problem(), np.ones(64), SolverConfig(gamma=0.5, t=1), psnr_ref=0.5),
+        lambda: DeblurOperator((8, 8), np.ones((3, 3)) / 9 + 0j),
+        lambda: write_pgm(os.devnull, np.ones((4, 4)) + 0j),
+        lambda: IdentityDenoiser(True),
+        lambda: gaussian_kernel(True, 1.0),
+        lambda: gaussian_kernel(3, 1.0 + 0j),
+        lambda: RngState(True),
+        lambda: SolverConfig(gamma=True),
+        lambda: SolverConfig(gamma="0.5"),
+        lambda: ScaledDenoiser(IdentityDenoiser(4), "2"),
+        lambda: DctSoftThresholdDenoiser((8, 8), 0.1, "0.02"),
+        lambda: _deblur_problem(tau=True),
+    ],
+    ids=[
+        "forward_complex", "adjoint_complex", "gram_complex", "gram_stack_complex",
+        "apply_complex", "apply_strings", "measurement_complex", "operator_g_complex",
+        "x0_complex", "psnr_ref_scalar", "kernel_complex", "pgm_complex", "dimension_bool",
+        "kernel_size_bool", "sigma_complex", "seed_bool", "gamma_bool", "gamma_string",
+        "scale_string", "smoothing_mu_string", "tau_bool",
+    ],
+)
+def test_non_real_arguments_are_rejected(build):
+    # Only integer and float kinds are taken: a complex vector is not cut to
+    # its real part, nor a string parsed, nor a bool read as 1, nor a
+    # scalar broadcast where a vector is due.
+    with pytest.raises(ValueError):
+        build()

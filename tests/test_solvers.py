@@ -357,6 +357,21 @@ def test_mred_stops_at_a_stationary_point_of_phi():
     assert res.trace[0].phi == 0.125
 
 
+class _NanVjpDenoiser(IdentityDenoiser):
+    """The identity, with a residual VJP that is NaN everywhere."""
+
+    def residual_vjp(self, x, v):
+        return np.full(self.n, np.nan)
+
+
+def test_mred_diverges_on_a_non_finite_grad_phi():
+    # phi(x0) is finite but grad phi is not, so no step can be tested.
+    p, y, _ = deblur_problem(_NanVjpDenoiser(N), 0.1)
+    res = run_solver("mred", p, y.copy(), SolverConfig(gamma=0.5, t=10))
+    assert res.termination == "diverged"
+    assert len(res.trace) == 1
+
+
 def test_mred_trial_needs_sufficient_decrease_not_just_decrease():
     # G(x) = x - 1 from x = 0: phi = 0.5 and |grad phi|^2 = 1.  The trial at
     # gamma = 0.1 lowers phi to 0.81 phi, but the Armijo test at theta =
