@@ -11,11 +11,14 @@ taken in.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py OUT_DIR
         writes the artifacts under OUT_DIR and prints
-        {"environment": ..., "digests": {relative path: sha256}} as JSON
+        {"environment": ..., "digests": {relative path: sha256},
+         "runs": {run directory: {"termination": ..., "iterations": ...}}}
+        as JSON, the runs read from their sidecars
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py --write
         stores that JSON, from a temporary directory, in golden_digests.json
         next to this file, and prints each relative path whose digest
-        changed, was added or was removed against the file it replaces; a
+        changed, was added or was removed against the file it replaces,
+        then each run whose termination or iteration count changed; a
         change that alters artifact bits does this and says why
 """
 
@@ -32,6 +35,7 @@ from redlab.config import from_dict
 from redlab.experiments import make_data, run_experiment, run_sweep
 from redlab.operators import _blas_threads, _openblas_function
 from redlab.presets import PRESET_NAMES, experiment_preset
+from redlab.traceio import read_sidecar
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
@@ -62,7 +66,8 @@ def _extra_runs():
 
 
 def generate(out):
-    """Write every golden artifact under `out`; returns {relative path: sha256}."""
+    """Write every golden artifact under `out`; returns {relative path: sha256}
+    and {run directory: its sidecar's termination and iterations}."""
     for name in PRESET_NAMES:
         run_experiment(from_dict(experiment_preset(name)), os.path.join(out, "presets", name))
     for name, cfg in _extra_runs().items():
@@ -70,14 +75,19 @@ def generate(out):
     make_data(os.path.join(out, "make-data"))
     sweep = from_dict(experiment_preset("deblur_nonexpansive"))
     run_sweep(sweep, [0.1], ["mred"], os.path.join(out, "sweep"))
-    digests = {}
+    digests, runs = {}, {}
     for root, _dirs, files in os.walk(out):
         for fname in files:
             path = os.path.join(root, fname)
             with open(path, "rb") as fh:
                 rel = os.path.relpath(path, out).replace(os.sep, "/")
                 digests[rel] = hashlib.sha256(fh.read()).hexdigest()
-    return dict(sorted(digests.items()))
+            if fname == "sidecar.json":
+                sidecar = read_sidecar(path)
+                runs[os.path.dirname(rel)] = {
+                    key: sidecar[key] for key in ("termination", "iterations")
+                }
+    return dict(sorted(digests.items())), dict(sorted(runs.items()))
 
 
 def digest_changes(old, new):
@@ -94,25 +104,45 @@ def digest_changes(old, new):
     return lines
 
 
+def run_changes(old, new):
+    """The termination and iteration count before and after, for each run
+    directory in both {run directory: {"termination", "iterations"}} maps
+    `old` and `new` whose record differs (a run in one map only shows in
+    `digest_changes` as its sidecar's path)."""
+    return [
+        f"run {path}: {old[path]['termination']} after {old[path]['iterations']}"
+        f" -> {new[path]['termination']} after {new[path]['iterations']}"
+        for path in sorted(old.keys() & new.keys())
+        if old[path] != new[path]
+    ]
+
+
+def record(out):
+    """The JSON record of the artifacts written under `out`."""
+    digests, runs = generate(out)
+    return {"environment": environment(), "digests": digests, "runs": runs}
+
+
 def main(argv):
     if len(argv) != 1:
         raise SystemExit(__doc__)
     if argv[0] == "--write":
-        old = {}
+        old = {"digests": {}, "runs": {}}
         if os.path.isfile(DIGESTS):
             with open(DIGESTS) as fh:
-                old = json.load(fh)["digests"]
+                old = {"runs": {}, **json.load(fh)}
         with tempfile.TemporaryDirectory() as tmp:
-            record = {"environment": environment(), "digests": generate(tmp)}
+            new = record(tmp)
         with open(DIGESTS, "w") as fh:
-            json.dump(record, fh, indent=2)
+            json.dump(new, fh, indent=2)
             fh.write("\n")
-        for line in digest_changes(old, record["digests"]):
+        for line in digest_changes(old["digests"], new["digests"]):
             print(line)
-        print(f"wrote {len(record['digests'])} digests to {DIGESTS}")
+        for line in run_changes(old["runs"], new["runs"]):
+            print(line)
+        print(f"wrote {len(new['digests'])} digests to {DIGESTS}")
     else:
-        record = {"environment": environment(), "digests": generate(argv[0])}
-        print(json.dumps(record))
+        print(json.dumps(record(argv[0])))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import redlab
-from golden import digest_changes
+from golden import digest_changes, run_changes
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -49,3 +49,15 @@ def test_digest_changes_names_each_differing_path():
     new = {"a": "1", "b": "9", "d": "4"}
     assert digest_changes(old, new) == ["changed b", "removed c", "added d"]
     assert digest_changes(old, old) == []
+
+
+def test_run_changes_names_each_changed_run():
+    old = {
+        "a": {"termination": "max_iters", "iterations": 10},
+        "b": {"termination": "step_floor", "iterations": 456},
+        "c": {"termination": "diverged", "iterations": 3},
+    }
+    new = {**old, "b": {"termination": "step_floor", "iterations": 461}}
+    del new["c"]
+    assert run_changes(old, new) == ["run b: step_floor after 456 -> step_floor after 461"]
+    assert run_changes(old, old) == []
