@@ -298,9 +298,8 @@ def named_test_image(name, seed, shape):
         raise ValueError(f"test image sides must be at least {MIN_TEST_IMAGE_EXTENT}")
     rng = RngState(seed)
     if name == "blocks":
-        # Skip the uniforms the texture's Gaussian draw takes first: two per
-        # pair of samples.
-        rng.uniform(2 * ((h * w + 1) // 2))
+        # Step past the texture's draw, which comes first in the stream.
+        gaussian_samples(rng, h * w)
     img = _TEST_IMAGE_BUILDERS[name](h, w, rng)
     img.flags.writeable = False
     return img

@@ -1,9 +1,9 @@
 """Deterministic random sampling.
 
 All randomness in the package flows through :class:`RngState`, a thin
-single-owner wrapper around a seeded 64-bit generator (PCG64).  Identical
-seed and family give an identical sample stream within one build; bit
-compatibility across numpy versions or platforms is not promised.
+single-owner wrapper around numpy's seeded PCG64 generator and samplers.
+Identical seed and family give an identical sample stream within one build;
+bit compatibility across numpy versions or platforms is not promised.
 
 The package's argument checks live here too, one helper per kind of
 argument; each takes values of integer or float kind only (`_is_real`).
@@ -12,8 +12,6 @@ argument; each takes values of integer or float kind only (`_is_real`).
 import numpy as np
 
 _FAMILY = "pcg64"
-# Box-Muller pairs per angle chunk: 512 KiB temporaries at any count.
-_CHUNK = 1 << 16
 
 
 def _is_real(value):
@@ -86,33 +84,11 @@ class RngState:
 
 
 def gaussian_samples(rng, count):
-    """Draw `count` standard-normal samples via Box-Muller.
-
-    The transform consumes ceil(count / 2) radius uniforms, then as many
-    angle uniforms, from `rng`; the stream is deterministic per seed.  The
-    radii are computed in place in the tail of the result; each chunk of
-    pairs is written after its radii are copied out, and ends before the
-    next chunk's radii begin, so no other full-size array is made.  `count`
-    must be an integer >= 1.
+    """Draw `count` standard-normal samples from `rng`'s stream with numpy's
+    own sampler; the stream is deterministic per seed.  `count` must be an
+    integer >= 1.
     """
     count = _integral(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    pairs = (count + 1) // 2
-    out = np.empty(count)
-    r = out[count - pairs :]
-    rng._gen.random(out=r)
-    # 1 - U maps [0,1) to (0,1] so the log is finite.
-    np.subtract(1.0, r, out=r)
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    for lo in range(0, pairs, _CHUNK):
-        hi = min(lo + _CHUNK, pairs)
-        rad = r[lo:hi].copy()
-        ang = rng.uniform(hi - lo)
-        ang *= 2.0 * np.pi
-        np.multiply(rad, np.cos(ang), out=out[2 * lo : 2 * hi : 2])
-        odd = out[2 * lo + 1 : 2 * hi : 2]
-        np.multiply(rad[: odd.size], np.sin(ang[: odd.size]), out=odd)
-    return out
+    return rng._gen.standard_normal(count)

@@ -940,7 +940,7 @@ def test_fixed_step_solvers_take_the_projection_identity_on_cs(preset, solver, m
         ("cs_nonexpansive", "red", "max_iters", {2: 150}),
         ("cs_nonexpansive", "red_bls", "max_iters", {2: 150}),
         ("cs_nonexpansive", "mred", "max_iters", {2: 150}),
-        ("cs_expansive", "red", "diverged", {2: 11}),
+        ("cs_expansive", "red", "diverged", {2: 12}),
         ("cs_expansive", "red_bls", "step_floor", {2: 2}),
         ("cs_expansive", "mred", "max_iters", {2: 299, "vector": 1}),
     ],

@@ -1,4 +1,4 @@
-"""Seeded sampling: determinism, Box-Muller statistics, validation."""
+"""Seeded sampling: determinism, numpy's own samplers, Gaussian statistics, validation."""
 
 import tracemalloc
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from redlab import RngState, gaussian_samples
-from redlab.rng import _CHUNK
 
 
 def test_same_seed_same_stream():
@@ -83,35 +82,22 @@ def test_non_integral_counts_are_rejected():
         assert RngState(0).uniform(good).shape == (3,)
 
 
-def test_gaussian_matches_one_shot_box_muller():
-    # The chunked, in-place transform gives the bits of the textbook one:
-    # all radius uniforms first, then all angle uniforms.
-    for count in (
-        1, 2, 3, 4, 5, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 4 * _CHUNK + 1,
-        1_000_001, 410 * 4096,
-    ):
+def test_gaussian_is_numpys_standard_normal():
+    # The bits of numpy's own sampler on the same PCG64 stream, which ends
+    # at the same point.
+    for count in (1, 2, 3, 4, 5, 131_071, 131_072, 131_073, 262_145, 1_000_001, 410 * 4096):
         rng = RngState(11)
         got = gaussian_samples(rng, count)
-        ref_rng = RngState(11)
-        pairs = (count + 1) // 2
-        u1 = 1.0 - ref_rng.uniform(pairs)
-        u2 = ref_rng.uniform(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
-        want = np.empty(2 * pairs)
-        want[0::2] = r * np.cos(ang)
-        want[1::2] = r * np.sin(ang)
+        ref_gen = np.random.Generator(np.random.PCG64(11))
+        want = ref_gen.standard_normal(count)
         assert got.shape == (count,)
-        assert np.array_equal(got, want[:count])
-        # Both leave the stream at the same point.
-        assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
+        assert np.array_equal(got, want)
+        assert np.array_equal(rng.uniform(4), ref_gen.random(4))
 
 
 def test_gaussian_draw_holds_one_full_size_array():
-    # The radii live in the tail of the result; besides it the draw holds
-    # only chunk-sized temporaries (a copy of the chunk's radii, its angles
-    # and their cosine or sine).
-    for count in (2 * _CHUNK + 1, 410 * 4096):
+    # Besides its result, the draw holds no temporary over 64 KiB.
+    for count in (131_073, 410 * 4096):
         rng = RngState(77)
         tracemalloc.start()
         try:
@@ -119,18 +105,9 @@ def test_gaussian_draw_holds_one_full_size_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - 8 * count <= 4 * 8 * _CHUNK
-
-
-def test_gaussian_odd_count():
-    # Odd counts drop the last half of the final Box-Muller pair.
-    odd = gaussian_samples(RngState(9), 7)
-    even = gaussian_samples(RngState(9), 8)
-    assert odd.shape == (7,)
-    assert np.array_equal(odd, even[:7])
+        assert peak - 8 * count <= 64 * 1024
 
 
 def test_gaussian_finite():
-    # 1 - U keeps the log argument strictly positive, so no infinities.
     s = gaussian_samples(RngState(2), 100_000)
     assert np.all(np.isfinite(s))

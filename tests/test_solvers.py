@@ -415,7 +415,7 @@ def test_stop_rules_are_inclusive_and_strict_at_their_bounds():
 def test_a_failed_trial_leaves_no_product_behind(solver, denoiser, tau, gamma_factor, monkeypatch):
     # A stack that took D and P D of a trial point ahead serves no other
     # candidate and no later iteration once that trial fails.
-    op = build_cs_operator(40, N, seed=3)
+    op = build_cs_operator(40, N, seed=5)
     y = op.forward(RngState(30).uniform(N)) + 0.01 * gaussian_samples(RngState(5), 40)
     p = REDProblem(LeastSquaresFidelity(op, y), denoiser, tau)
     cfg = SolverConfig(gamma=gamma_factor * default_gamma(1.0, tau), t=100)
