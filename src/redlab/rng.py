@@ -9,6 +9,8 @@ The package's argument checks live here too, one helper per kind of
 argument; each takes values of integer or float kind only (`_is_real`).
 """
 
+import sys
+
 import numpy as np
 
 _FAMILY = "pcg64"
@@ -34,8 +36,9 @@ def _integral(value, name="count"):
 
 
 def _positive(value, name):
-    """`value` as a positive finite float."""
-    if not (_is_real(value) and 0 < value < np.inf):
+    """`value` as a positive finite float; an int too large for a float is
+    not finite."""
+    if not (_is_real(value) and 0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be positive and finite")
     return float(value)
 

@@ -28,6 +28,7 @@ keeps falling back makes one per iteration.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -58,7 +59,8 @@ class SolverConfig:
             if f.type is float and not _is_real(value):
                 raise ValueError(f"{f.name} must be a real number, got {value!r}")
         for name in ("gamma", "alpha0", "epsilon", "divergence_cap", "converge_tol"):
-            if not math.isfinite(getattr(self, name)):
+            # Not math.isfinite, which overflows on an int too large for a float.
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")

@@ -128,6 +128,37 @@ def test_non_finite_parameters_are_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["huge", "minus_huge"])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: SolverConfig(gamma=v), "gamma must be"),
+        (lambda v: SolverConfig(gamma=1, alpha0=v), "alpha0 must be"),
+        (lambda v: SolverConfig(gamma=1, beta=v), "beta must"),
+        (lambda v: SolverConfig(gamma=1, theta=v), "theta must"),
+        (lambda v: SolverConfig(gamma=1, epsilon=v), "epsilon must be"),
+        (lambda v: SolverConfig(gamma=1, divergence_cap=v), "divergence_cap must be"),
+        (lambda v: SolverConfig(gamma=1, converge_tol=v), "converge_tol must be"),
+        (lambda v: gaussian_kernel(3, v), "sigma must be positive and finite"),
+        (lambda v: LinearSmoothingDenoiser((64, 64), v), "sigma must be positive and finite"),
+        (lambda v: DctSoftThresholdDenoiser((64, 64), v, 0.02), "threshold must be positive"),
+        (lambda v: DctSoftThresholdDenoiser((64, 64), 0.1, v), "smoothing_mu"),
+        (lambda v: ScaledDenoiser(IdentityDenoiser(4), v), "scale must be positive and finite"),
+        (lambda v: RandomConvnetDenoiser((64, 64), 4, v, 0), "weight_scale must be positive"),
+        (lambda v: _deblur_problem(tau=v), "tau must be positive and finite"),
+    ],
+)
+def test_ints_too_large_for_a_float_are_rejected(build, message, bad):
+    # float() of such an int overflows; the parameter is refused with its
+    # own message, as an infinite one is.
+    with pytest.raises(ValueError, match=message):
+        build(bad)
+
+
+def test_a_huge_iteration_count_is_accepted():
+    assert SolverConfig(gamma=1, t=10**400).t == 10**400
+
+
 def _deblur_problem(tau=0.1):
     op = DeblurOperator((8, 8), gaussian_kernel(3, 1.0))
     return REDProblem(LeastSquaresFidelity(op, np.ones(64)), IdentityDenoiser(64), tau)
