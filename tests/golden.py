@@ -130,7 +130,7 @@ def main(argv):
         old = {"digests": {}, "runs": {}}
         if os.path.isfile(DIGESTS):
             with open(DIGESTS) as fh:
-                old = {"runs": {}, **json.load(fh)}
+                old = json.load(fh)
         with tempfile.TemporaryDirectory() as tmp:
             new = record(tmp)
         with open(DIGESTS, "w") as fh:

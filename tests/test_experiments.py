@@ -199,6 +199,22 @@ def test_config_value_errors():
             from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"operator": 5}, "config.operator: expected an object"),
+        ({"image": {"pgm": 5}}, "config.image.pgm: expected a path string"),
+        ({"image": 5}, "config.image: expected a preset name or {'pgm': path}"),
+        ({"image": {"pgm": "x.pgm", "seed": 1}}, "config.image: expected a preset name"),
+    ],
+    ids=["section_not_object", "pgm_not_string", "image_number", "image_extra_key"],
+)
+def test_config_refuses_malformed_sections(raw, message):
+    with pytest.raises(ConfigError) as exc:
+        from_dict({"problem": "deblur", "denoiser": {"name": "identity"}, **raw})
+    assert message in str(exc.value)
+
+
 def test_config_rejects_a_named_image_below_32x32(tmp_path, capsys):
     # Rejected by the parser, so a sweep fails before any run and writes
     # nothing, rather than failing each run in named_test_image.
@@ -724,6 +740,28 @@ def test_aggregate_csv_round_trip(tmp_path):
         fh.write("# tau=0.1 solver=mred images=6\nk,mean_norm_resid\n")
     with pytest.raises(ValueError):
         read_aggregate_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# tau=0.1 solver mred images=6\nk,mean_norm_resid\n0,1.0\n", "malformed metadata token"),
+        ("# tau=0.1 solver=mred\nk,mean_norm_resid\n0,1.0\n", "incomplete aggregate metadata"),
+        ("# tau=0.1 solver=mred images=6\nk,resid\n0,1.0\n", "unexpected aggregate header"),
+        ("# tau=0.1 solver=mred images=6\nk,mean_norm_resid\n0,1.0,2\n", "malformed row"),
+    ],
+    ids=["metadata_token", "missing_key", "header", "three_fields"],
+)
+def test_malformed_aggregates_are_refused(tmp_path, capsys, text, message):
+    path = os.path.join(str(tmp_path), "agg.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match=message):
+        read_aggregate_csv(path)
+    svg = os.path.join(str(tmp_path), "p.svg")
+    assert main(["plot", path, "--out", svg]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(svg)
 
 
 # ------------------------------------------------------------------ building
@@ -1433,6 +1471,29 @@ def test_cli_sweep_rejects_unknown_solver(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "config error" in captured.err
+
+
+def test_cli_sweep_reports_failed_runs(tmp_path, capsys, monkeypatch):
+    # As in test_sweep_records_failures: the sweep's first makedirs widens
+    # the kernel file past the image, so every run fails in its operator.
+    tmp = str(tmp_path)
+    kernel = os.path.join(tmp, "k.txt")
+    write_kernel_file(kernel, gaussian_kernel(5, 1.0))
+    path = write_config(tmp, {**SMALL, "operator": {"kernel_path": kernel}})
+    makedirs = os.makedirs
+
+    def widen_kernel_then_makedirs(*args, **kwargs):
+        write_kernel_file(kernel, np.full((33, 33), 1.0 / 33**2))
+        makedirs(*args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", widen_kernel_then_makedirs)
+    code = main(["sweep", "--config", path, "--tau", "0.1", "--solver", "mred",
+                 "--out", os.path.join(tmp, "s")])
+    out = capsys.readouterr().out
+    assert code == 1
+    for name in TEST_IMAGE_NAMES:
+        assert f"FAILED (0.1, 'mred', '{name}'): ValueError: kernel size 33" in out
+    assert "sweep complete: 0 runs, 6 failures" in out
 
 
 def test_cli_plot_rejects_mixed_tau(tmp_path, capsys):

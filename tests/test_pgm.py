@@ -129,3 +129,19 @@ def test_kernel_file_malformed(tmp_path):
     p.write_text("3\n1 2 3 4 nan 6 7 8 9\n")
     with pytest.raises(ValueError):
         read_kernel_file(p)
+
+
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        (read_pgm, b"P5\n2 ", "truncated PGM header"),
+        (read_pgm, b"P5\n0 2\n255\n", "invalid PGM dimensions"),
+        (read_kernel_file, b"x\n1\n", "invalid kernel size token"),
+    ],
+    ids=["truncated_header", "zero_width", "kernel_size_token"],
+)
+def test_malformed_headers_are_refused(tmp_path, read, data, message):
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=message):
+        read(path)
