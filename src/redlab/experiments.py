@@ -268,7 +268,7 @@ def grad_check(cfg, h=1e-5, seed=0):
         x = rng.uniform(p.n)
         v = gaussian_samples(rng, p.n)
         v = v / np.linalg.norm(v)
-        d_analytic = float(p.eval_state(x)[1] @ v)
+        d_analytic = float(p.grad_phi(x) @ v)
         d_fd = (phi(x + h * v) - phi(x - h * v)) / (2.0 * h)
         scale = max(abs(d_analytic), abs(d_fd), 1e-12)
         errs.append(abs(d_analytic - d_fd) / scale)

@@ -40,10 +40,7 @@ class REDProblem:
     """Bundles fidelity, denoiser, and regularization weight tau.
 
     Immutable and shareable; evaluation methods are pure and report their
-    costs into a caller-owned EvalCounters when one is passed.  Where the
-    operator's A^T A is a projection P, `projection_hessian_g` gives
-    A^T A G(x) from P D(x) and the fidelity's b = A^T y, so a caller that
-    stacks D(x) with another vector gets both products from one pass.
+    costs into a caller-owned EvalCounters when one is passed.
     """
 
     def __init__(self, fidelity, denoiser, tau):
@@ -89,43 +86,19 @@ class REDProblem:
             counters.vjp_evals += 1
         return self.denoiser.residual_vjp(x, v)
 
-    def operator_g(self, x, counters=None, grad_g=None, dx=None):
-        """G(x) = grad g(x) + tau * (x - D(x)).
-
-        D(x) costs one denoiser apply, unless the caller already holds it
-        and passes it as `dx`.  The fidelity gradient costs one forward and
-        one adjoint more, unless the caller passes it as `grad_g`.
-        """
+    def operator_g(self, x, counters=None):
+        """G(x) = grad g(x) + tau * (x - D(x)); costs one fidelity gradient
+        and one denoiser apply."""
         x = _vector(x, self.n, "x")
-        if grad_g is None:
-            grad_g = self.fidelity_gradient(x, counters)
-        if dx is None:
-            dx = self.denoise(x, counters)
-        return grad_g + self.tau * (x - dx)
+        return self.fidelity_gradient(x, counters) + self.tau * (x - self.denoise(x, counters))
 
-    def projection_hessian_g(self, grad_g, pdx):
-        """A^T A G(x) from P D(x) where A^T A = P is a projection; no operator call.
+    def grad_phi(self, x, counters=None):
+        """grad phi(x) = A^T A G(x) + tau * (I - J_D(x))^T G(x).
 
-        b = A^T y lies in the range of P, and so does grad g = P x - b, so
-        P G(x) = P grad g + tau * (P x - P D(x)) = (1 + tau) grad g + tau * (b - P D(x)).
+        Costs one G evaluation, one Hessian product and one residual VJP.
         """
-        return (1.0 + self.tau) * grad_g + self.tau * (self.fidelity.b - pdx)
-
-    def eval_state(self, x, counters=None, g=None, hg=None, r=None):
-        """(phi, grad phi, G, A^T A G) from at most one G evaluation.
-
-        grad phi is the fidelity Hessian applied to G plus tau times the
-        residual VJP r at x in the direction G; the Hessian product is
-        returned as well, since it also moves the fidelity gradient along a
-        step in the direction G.  G, A^T A G and r are computed unless the
-        caller passes them as `g`, `hg` and `r`.
-        """
-        if g is None:
-            g = self.operator_g(x, counters)
-        if r is None:
-            r = self.residual_vjp(x, g, counters)
-        if hg is None:
-            hg = self.fidelity_hessian_vp(g, counters)
+        g = self.operator_g(x, counters)
+        r = self.residual_vjp(x, g, counters)
         if counters is not None:
             counters.grad_phi_evals += 1
-        return 0.5 * float(g @ g), hg + self.tau * r, g, hg
+        return self.fidelity_hessian_vp(g, counters) + self.tau * r

@@ -134,22 +134,24 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     """Run the solver `name`, one of SOLVER_NAMES, from x0.
 
     The loop carries the current point x, its fidelity gradient grad g(x),
-    D(x) and G(x).  grad g is evaluated exactly only at x0.  Every later
-    point is x - s*d for a direction d whose A^T A d the loop already holds,
-    and since g is quadratic, grad g(x - s*d) = grad g(x) - s * A^T A d.  A
-    candidate thus costs one denoiser apply and no operator call.  Row 0 of
-    the trace is charged with grad g(x0) and D(x0) alone: every other
-    evaluation at a point, mred's grad phi too, is made in the iteration
-    that leaves it.
+    D(x) and G(x) = grad g(x) + tau * (x - D(x)), and forms phi =
+    0.5 * ||G||^2 and mred's grad phi = A^T A G + tau * r, with the
+    residual VJP r, from the parts it holds.  grad g is evaluated exactly
+    only at x0.  Every later point is x - s*d for a direction d whose
+    A^T A d the loop already holds, and since g is quadratic,
+    grad g(x - s*d) = grad g(x) - s * A^T A d.  A candidate thus costs one
+    denoiser apply and no operator call.  Row 0 of the trace is charged
+    with grad g(x0) and D(x0) alone: every other evaluation at a point,
+    mred's grad phi too, is made in the iteration that leaves it.
 
-    Where A^T A is a projection P, A^T A G(x) follows from P D(x) (see
-    `REDProblem.projection_hessian_g`), and the loop also carries P D(x)
-    once a product has given it.  Each product then takes a stack of two
-    vectors, the second a guess at the next product needed.  After a passed
-    trial (or at the start) the stack is [D(x), D(x - gamma*G)]: the trial
-    point's D is needed anyway, and if the trial passes, the next iteration
-    needs no product.  After a fallback, mred expects another and stacks
-    [G, r] with the residual VJP r, for A^T A grad phi = P G + tau * P r.
+    Where A^T A is a projection P, A^T A G(x) follows from P D(x), and the
+    loop also carries P D(x) once a product has given it.  Each product
+    then takes a stack of two vectors, the second a guess at the next
+    product needed.  After a passed trial (or at the start) the stack is
+    [D(x), D(x - gamma*G)]: the trial point's D is needed anyway, and if
+    the trial passes, the next iteration needs no product.  After a
+    fallback, mred expects another and stacks [G, r], for
+    A^T A grad phi = P G + tau * P r.
     """
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; valid: {SOLVER_NAMES}")
@@ -163,7 +165,7 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     pairs = p.fidelity.op.gram_is_projection
     grad_g = p.fidelity_gradient(x, counters)
     dx = p.denoise(x, counters)
-    g = p.operator_g(x, counters, grad_g, dx)
+    g = grad_g + p.tau * (x - dx)
     g_sq = g0_sq = float(g @ g)
     pdx = None
 
@@ -199,20 +201,24 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
             if np.all(np.isfinite(x_try)):
                 d_try = p.denoise(x_try, counters)
                 pdx, pd_try = p.fidelity_hessian_vp(np.stack((dx, d_try)), counters)
-        hg = None if pdx is None else p.projection_hessian_g(grad_g, pdx)
+        # b = A^T y lies in the range of P, and so does grad g = P x - b, so
+        # P G(x) = (1 + tau) grad g + tau * (b - P D(x)): no operator call.
+        hg = None if pdx is None else (1.0 + p.tau) * grad_g + p.tau * (p.fidelity.b - pdx)
         if name == "mred":
             r = p.residual_vjp(x, g, counters)
             if hg is None and pairs:
                 # A fallback tends to follow a fallback: A^T A G and
                 # P r, for A^T A grad phi, from one product.
                 hg, pr = p.fidelity_hessian_vp(np.stack((g, r)), counters)
-            phi, grad, _g, hg = p.eval_state(x, counters, g, hg, r)
-            if not (math.isfinite(phi) and np.all(np.isfinite(grad))):
-                return result("diverged")
-            gp_sq = float(grad @ grad)
-        elif hg is None:
+        if hg is None:
             # Every candidate steps along G(x): one product serves all.
             hg = p.fidelity_hessian_vp(g, counters)
+        if name == "mred":
+            counters.grad_phi_evals += 1
+            grad = hg + p.tau * r
+            if not (math.isfinite(g_sq) and np.all(np.isfinite(grad))):
+                return result("diverged")
+            gp_sq = float(grad @ grad)
         alpha = cfg.alpha0
         mode, backtracks, step, d, hd = "red_step", 0, gamma, g, hg
         while True:
@@ -221,12 +227,12 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
             if np.all(np.isfinite(x_new)):
                 grad_g_new = grad_g - step * hd
                 d_new = p.denoise(x_new, counters) if d_try is None else d_try
-                g_new = p.operator_g(x_new, counters, grad_g_new, d_new)
+                g_new = grad_g_new + p.tau * (x_new - d_new)
                 g_new_sq = float(g_new @ g_new)
             if math.isfinite(g_new_sq) and (
                 name == "red"
                 or name == "red_bls" and g_new_sq <= g_sq
-                or name == "mred" and 0.5 * g_new_sq <= phi - alpha * cfg.theta * gp_sq
+                or name == "mred" and 0.5 * g_new_sq <= 0.5 * g_sq - alpha * cfg.theta * gp_sq
             ):
                 break
             if name == "red":

@@ -1,11 +1,13 @@
-"""The README's Python examples run as written, and its config schema,
-command table and denoiser table are the parsers'."""
+"""The README's Python examples run as written, its config schema,
+command table and denoiser table are the parsers', and its `REDProblem`
+surface is the class's."""
 
 import argparse
 import json
 import re
 from pathlib import Path
 
+from redlab import REDProblem
 from redlab.cli import build_parser
 from redlab.config import from_dict, to_dict
 from redlab.presets import DENOISERS
@@ -40,6 +42,17 @@ def test_readme_command_table_lists_the_parsed_options():
         for cmd, sub in commands.items()
     }
     assert documented == parsed
+
+
+def test_readme_lists_the_redproblem_methods():
+    (listing,) = re.findall(r"`REDProblem` exposes ([^;]*);", README.read_text())
+    documented = re.findall(r"`(\w+)`", listing)
+    public = {
+        name for name, value in vars(REDProblem).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert len(documented) == len(set(documented))
+    assert set(documented) == public
 
 
 def test_readme_denoiser_table_lists_the_parsed_parameters():
