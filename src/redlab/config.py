@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .fidelity import _amplitude_ratio
 from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES, gaussian_kernel
-from .pgmio import read_kernel_file
+from .pgmio import read_kernel_file, read_pgm
 from .presets import DENOISER_NAMES, DENOISERS, build_denoiser
 from .rng import RngState
 from .solvers import SOLVER_NAMES, SolverConfig
@@ -172,6 +172,15 @@ def from_dict(raw, base_dir="."):
     if "preset" in image and min(shape) < MIN_TEST_IMAGE_EXTENT:
         m = MIN_TEST_IMAGE_EXTENT
         _fail("config.shape", f"a named test image is at least {m}x{m}")
+    if "pgm" in image:
+        # Read here, as a kernel file is below, so that an image that does
+        # not parse or fit fails at the boundary and a sweep before any run.
+        try:
+            pgm_shape = read_pgm(image["pgm"]).shape
+        except (OSError, ValueError) as exc:
+            _fail("config.image.pgm", str(exc))
+        if pgm_shape != shape:
+            _fail("config.image.pgm", f"PGM shape {pgm_shape} does not match config shape {shape}")
     _seed(top["image_seed"], "config.image_seed")
 
     op = top["operator"]

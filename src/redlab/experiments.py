@@ -50,12 +50,7 @@ class BuiltExperiment:
 def _load_true_image(cfg):
     if "preset" in cfg.image:
         return named_test_image(cfg.image["preset"], cfg.image_seed, cfg.shape).reshape(-1)
-    img = read_pgm(cfg.image["pgm"])
-    if img.shape != tuple(cfg.shape):
-        raise ValueError(
-            f"config shape {tuple(cfg.shape)} does not match PGM shape {img.shape}"
-        )
-    return img.reshape(-1)
+    return read_pgm(cfg.image["pgm"]).reshape(-1)
 
 
 def _build_operator(cfg):

@@ -10,6 +10,7 @@ import json
 from dataclasses import fields
 
 from .red import EvalCounters
+from .solvers import SOLVER_NAMES
 
 # The EvalCounters fields, cumulative, after the eight per-iterate columns.
 COUNTER_COLUMNS = tuple(f.name for f in fields(EvalCounters))
@@ -115,6 +116,9 @@ def read_aggregate_csv(path):
         }
     except (KeyError, ValueError):
         raise ValueError(f"{path}: incomplete aggregate metadata") from None
+    # run_sweep writes no other name, and a plot takes the name as written.
+    if meta["solver"] not in SOLVER_NAMES:
+        raise ValueError(f"{path}: unknown solver {meta['solver']!r}; valid: {SOLVER_NAMES}")
     if lines[1] != "k,mean_norm_resid":
         raise ValueError(f"{path}: unexpected aggregate header {lines[1]!r}")
     rows = []

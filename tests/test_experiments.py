@@ -749,8 +749,10 @@ def test_aggregate_csv_round_trip(tmp_path):
         ("# tau=0.1 solver=mred\nk,mean_norm_resid\n0,1.0\n", "incomplete aggregate metadata"),
         ("# tau=0.1 solver=mred images=6\nk,resid\n0,1.0\n", "unexpected aggregate header"),
         ("# tau=0.1 solver=mred images=6\nk,mean_norm_resid\n0,1.0,2\n", "malformed row"),
+        # Unescaped in the plot's XML, this name would make an SVG that does not parse.
+        ("# tau=0.1 solver=a&b<c images=6\nk,mean_norm_resid\n0,1.0\n", "unknown solver"),
     ],
-    ids=["metadata_token", "missing_key", "header", "three_fields"],
+    ids=["metadata_token", "missing_key", "header", "three_fields", "unknown_solver"],
 )
 def test_malformed_aggregates_are_refused(tmp_path, capsys, text, message):
     path = os.path.join(str(tmp_path), "agg.csv")
@@ -806,6 +808,33 @@ def test_build_rejects_shape_mismatched_pgm(tmp_path):
     raw["operator"] = {"kernel_size": 9, "kernel_sigma": 2.0}
     with pytest.raises(ValueError):
         build_experiment(from_dict(raw, base_dir=tmp))
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (
+            lambda path: write_pgm(path, np.full((32, 32), 0.5)),
+            r"PGM shape \(32, 32\) does not match config shape \(64, 64\)",
+        ),
+        (lambda path: Path(path).write_text("P2 not binary\n"), "not a binary PGM"),
+    ],
+    ids=["shape", "text_file"],
+)
+def test_config_refuses_a_pgm_that_does_not_parse_or_fit(tmp_path, capsys, write, message):
+    # Read by the parser, as a kernel file is, so that `run` and `grad-check`
+    # exit 1 with a config error and a sweep fails before any run.
+    tmp = str(tmp_path)
+    write(os.path.join(tmp, "img.pgm"))
+    raw = {**SMALL, "image": {"pgm": "img.pgm"}, "shape": [64, 64]}
+    with pytest.raises(ConfigError, match=r"^config\.image\.pgm: " + message):
+        from_dict(raw, base_dir=tmp)
+    path = write_config(tmp, raw)
+    out = os.path.join(tmp, "out")
+    for command in (["run", "--out", out], ["grad-check"], ["sweep", "--out", out]):
+        assert main([*command, "--config", path]) == 1
+        assert "config error: config.image.pgm: " in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_run_from_a_pgm_image(tmp_path):
