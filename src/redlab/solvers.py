@@ -215,8 +215,8 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
             hg = p.fidelity_hessian_vp(g, counters)
         if name == "mred":
             counters.grad_phi_evals += 1
-            grad = hg + p.tau * r
-            if not (math.isfinite(g_sq) and np.all(np.isfinite(grad))):
+            phi, grad = 0.5 * g_sq, hg + p.tau * r
+            if not (math.isfinite(phi) and np.all(np.isfinite(grad))):
                 return result("diverged")
             gp_sq = float(grad @ grad)
         alpha = cfg.alpha0
@@ -232,7 +232,7 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
             if math.isfinite(g_new_sq) and (
                 name == "red"
                 or name == "red_bls" and g_new_sq <= g_sq
-                or name == "mred" and 0.5 * g_new_sq <= 0.5 * g_sq - alpha * cfg.theta * gp_sq
+                or name == "mred" and 0.5 * g_new_sq <= phi - alpha * cfg.theta * gp_sq
             ):
                 break
             if name == "red":

@@ -798,18 +798,6 @@ def test_build_honors_explicit_gamma():
     assert built.solver_config.gamma == 0.125
 
 
-def test_build_rejects_shape_mismatched_pgm(tmp_path):
-    tmp = str(tmp_path)
-    img = named_test_image("ramp", 1, (32, 32))
-    write_pgm(os.path.join(tmp, "img.pgm"), img)
-    raw = copy.deepcopy(SMALL)
-    raw["image"] = {"pgm": "img.pgm"}
-    raw["shape"] = [64, 64]
-    raw["operator"] = {"kernel_size": 9, "kernel_sigma": 2.0}
-    with pytest.raises(ValueError):
-        build_experiment(from_dict(raw, base_dir=tmp))
-
-
 @pytest.mark.parametrize(
     "write, message",
     [
