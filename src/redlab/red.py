@@ -9,7 +9,7 @@ and the scalar loss driving the monotone solver is phi(x) = 0.5 * ||G(x)||^2
 with gradient  A^T A G(x) + tau * (I - J_D(x))^T G(x)  for quadratic g.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .rng import _positive, _vector
 
@@ -33,14 +33,15 @@ class EvalCounters:
     grad_phi_evals: int = 0
 
     def snapshot(self):
-        return replace(self)
+        return EvalCounters(**vars(self))
 
 
 class REDProblem:
     """Bundles fidelity, denoiser, and regularization weight tau.
 
-    Immutable and shareable; evaluation methods are pure and report their
-    costs into a caller-owned EvalCounters when one is passed.
+    Immutable and shareable.  `run_solver` evaluates the fidelity and the
+    denoiser itself and charges their costs; the two exact evaluations
+    here count nothing.
     """
 
     def __init__(self, fidelity, denoiser, tau):
@@ -57,48 +58,12 @@ class REDProblem:
     def n(self):
         return self.denoiser.n
 
-    def fidelity_gradient(self, x, counters=None):
-        """grad g(x) = A^T (A x - y); costs one forward, one adjoint."""
-        if counters is not None:
-            counters.operator_forwards += 1
-            counters.operator_adjoints += 1
-        return self.fidelity.gradient(x)
-
-    def fidelity_hessian_vp(self, v, counters=None):
-        """A^T A v, row by row for a stack where the operator takes one.
-
-        Costs one forward, one adjoint.
-        """
-        if counters is not None:
-            counters.operator_forwards += 1
-            counters.operator_adjoints += 1
-        return self.fidelity.hessian_vp(v)
-
-    def denoise(self, x, counters=None):
-        """D(x); costs one denoiser apply."""
-        if counters is not None:
-            counters.denoiser_applies += 1
-        return self.denoiser.apply(x)
-
-    def residual_vjp(self, x, v, counters=None):
-        """(I - J_D(x))^T v; costs one residual VJP."""
-        if counters is not None:
-            counters.vjp_evals += 1
-        return self.denoiser.residual_vjp(x, v)
-
-    def operator_g(self, x, counters=None):
-        """G(x) = grad g(x) + tau * (x - D(x)); costs one fidelity gradient
-        and one denoiser apply."""
+    def operator_g(self, x):
+        """G(x) = grad g(x) + tau * (x - D(x))."""
         x = _vector(x, self.n, "x")
-        return self.fidelity_gradient(x, counters) + self.tau * (x - self.denoise(x, counters))
+        return self.fidelity.gradient(x) + self.tau * (x - self.denoiser.apply(x))
 
-    def grad_phi(self, x, counters=None):
-        """grad phi(x) = A^T A G(x) + tau * (I - J_D(x))^T G(x).
-
-        Costs one G evaluation, one Hessian product and one residual VJP.
-        """
-        g = self.operator_g(x, counters)
-        r = self.residual_vjp(x, g, counters)
-        if counters is not None:
-            counters.grad_phi_evals += 1
-        return self.fidelity_hessian_vp(g, counters) + self.tau * r
+    def grad_phi(self, x):
+        """grad phi(x) = A^T A G(x) + tau * (I - J_D(x))^T G(x)."""
+        g = self.operator_g(x)
+        return self.fidelity.hessian_vp(g) + self.tau * self.denoiser.residual_vjp(x, g)

@@ -123,15 +123,54 @@ def default_gamma(L, tau):
 def _psnr_of(x, ref):
     if ref is None:
         return None
-    diff = x - ref
-    mse = float(np.mean(diff * diff))
+    d = x - ref
+    mse = float(np.add.reduce(np.square(d, out=d)) / d.size)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
 
 
+# The EvalCounters fields each request of the loop charges.  A product of
+# a stack of vectors is one pass over the operator, like a single one.
+_CHARGES = {
+    "gradient": ("operator_forwards", "operator_adjoints"),
+    "gram": ("operator_forwards", "operator_adjoints"),
+    "apply": ("denoiser_applies",),
+    "vjp": ("vjp_evals",),
+}
+
+
 def run_solver(name, p, x0, cfg, psnr_ref=None):
-    """Run the solver `name`, one of SOLVER_NAMES, from x0.
+    """Run the solver `name`, one of SOLVER_NAMES, from x0: the driver that
+    serves each request of the loop `_iterate`, ("gradient", x), ("gram", v)
+    for a vector or a stack of two, ("apply", x) or ("vjp", x, v), through
+    `p.fidelity` or `p.denoiser`, and charges EvalCounters from `_CHARGES`.
+    """
+    if name not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {name!r}; valid: {SOLVER_NAMES}")
+    x = _vector(x0, p.n, "x0").copy()
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
+    if psnr_ref is not None:
+        psnr_ref = _vector(psnr_ref, p.n, "psnr_ref")
+    counters = EvalCounters()
+    f, d = p.fidelity, p.denoiser
+    serve = {"gradient": f.gradient, "gram": f.hessian_vp, "apply": d.apply, "vjp": d.residual_vjp}
+    steps = _iterate(name, p, x, cfg, psnr_ref, counters)
+    reply = None
+    while True:
+        try:
+            kind, *args = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        for field in _CHARGES[kind]:
+            setattr(counters, field, getattr(counters, field) + 1)
+        reply = serve[kind](*args)
+
+
+def _iterate(name, p, x, cfg, psnr_ref, counters):
+    """The loop, as a generator of requests that charges grad_phi_evals
+    itself and returns the SolveResult.
 
     The loop carries the current point x, its fidelity gradient grad g(x),
     D(x) and G(x) = grad g(x) + tau * (x - D(x)), and forms phi =
@@ -153,18 +192,10 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
     fallback, mred expects another and stacks [G, r], for
     A^T A grad phi = P G + tau * P r.
     """
-    if name not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {name!r}; valid: {SOLVER_NAMES}")
-    x = _vector(x0, p.n, "x0").copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    if psnr_ref is not None:
-        psnr_ref = _vector(psnr_ref, p.n, "psnr_ref")
-    counters = EvalCounters()
     trace = []
     pairs = p.fidelity.op.gram_is_projection
-    grad_g = p.fidelity_gradient(x, counters)
-    dx = p.denoise(x, counters)
+    grad_g = yield ("gradient", x)
+    dx = yield ("apply", x)
     g = grad_g + p.tau * (x - dx)
     g_sq = g0_sq = float(g @ g)
     pdx = None
@@ -198,25 +229,25 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
             # A passed trial tends to follow a passed trial: D of the next
             # trial point joins D(x) in one product.
             x_try = x - gamma * g
-            if np.all(np.isfinite(x_try)):
-                d_try = p.denoise(x_try, counters)
-                pdx, pd_try = p.fidelity_hessian_vp(np.stack((dx, d_try)), counters)
+            if np.isfinite(x_try).all():
+                d_try = yield ("apply", x_try)
+                pdx, pd_try = yield ("gram", np.stack((dx, d_try)))
         # b = A^T y lies in the range of P, and so does grad g = P x - b, so
         # P G(x) = (1 + tau) grad g + tau * (b - P D(x)): no operator call.
         hg = None if pdx is None else (1.0 + p.tau) * grad_g + p.tau * (p.fidelity.b - pdx)
         if name == "mred":
-            r = p.residual_vjp(x, g, counters)
+            r = yield ("vjp", x, g)
             if hg is None and pairs:
                 # A fallback tends to follow a fallback: A^T A G and
                 # P r, for A^T A grad phi, from one product.
-                hg, pr = p.fidelity_hessian_vp(np.stack((g, r)), counters)
+                hg, pr = yield ("gram", np.stack((g, r)))
         if hg is None:
             # Every candidate steps along G(x): one product serves all.
-            hg = p.fidelity_hessian_vp(g, counters)
+            hg = yield ("gram", g)
         if name == "mred":
             counters.grad_phi_evals += 1
             phi, grad = 0.5 * g_sq, hg + p.tau * r
-            if not (math.isfinite(phi) and np.all(np.isfinite(grad))):
+            if not (math.isfinite(phi) and np.isfinite(grad).all()):
                 return result("diverged")
             gp_sq = float(grad @ grad)
         alpha = cfg.alpha0
@@ -224,9 +255,9 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
         while True:
             x_new = x - step * d
             g_new_sq = math.inf
-            if np.all(np.isfinite(x_new)):
+            if np.isfinite(x_new).all():
                 grad_g_new = grad_g - step * hd
-                d_new = p.denoise(x_new, counters) if d_try is None else d_try
+                d_new = (yield ("apply", x_new)) if d_try is None else d_try
                 g_new = grad_g_new + p.tau * (x_new - d_new)
                 g_new_sq = float(g_new @ g_new)
             if math.isfinite(g_new_sq) and (
@@ -252,7 +283,7 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
             if mode == "red_step":
                 # The gradient candidates share one Hessian product.
                 if pr is None:
-                    hgrad = p.fidelity_hessian_vp(grad, counters)
+                    hgrad = yield ("gram", grad)
                 else:
                     hgrad = hg + p.tau * pr
                 mode, d, hd = "gradient_step", grad, hgrad

@@ -7,6 +7,7 @@ from their polyline (they have no log position).
 """
 
 import math
+from xml.sax.saxutils import escape
 
 _WIDTH = 640
 _HEIGHT = 480
@@ -68,7 +69,7 @@ def plot_residual_curves(curves, out_path, title=""):
     if title:
         out.append(
             f'<text x="{_WIDTH / 2:.2f}" y="16" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{title}</text>'
+            f'font-family="sans-serif" font-size="13">{escape(title)}</text>'
         )
     # Axes box
     out.append(
@@ -130,7 +131,7 @@ def plot_residual_curves(curves, out_path, title=""):
         )
         out.append(
             f'<text x="{x0 + 28}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{escape(label)}</text>'
         )
     out.append("</svg>")
     with open(out_path, "w") as fh:

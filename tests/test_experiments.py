@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 
@@ -1353,6 +1354,14 @@ def test_svg_structure(tmp_path):
     assert ">1e0</text>" in text
     assert ">1e3</text>" in text
     assert "tau=0.1" in text
+
+
+def test_svg_escapes_its_text(tmp_path):
+    path = os.path.join(str(tmp_path), "e.svg")
+    plot_residual_curves([("a&b<c", [(0, 1.0), (1, 0.5)])], path, title="x<y")
+    texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert "x<y" in texts
+    assert "a&b<c" in texts
 
 
 def test_svg_deterministic(tmp_path):

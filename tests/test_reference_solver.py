@@ -9,6 +9,9 @@ termination, and the same ||G|| to within 1e-9 relative plus 1e-14 of
 carried gradient differs from a fresh one by about 1e-16 ||G(x0)||, which
 near a fixed point (phi 1e-15 of its start within 30 iterations on deblur
 at tau 1) is more than 1e-9 of ||G|| itself.
+
+The same loop served by a driver of the test's own, which takes every
+product one vector at a time as A^T (A v), must take the same steps too.
 """
 
 import math
@@ -19,6 +22,7 @@ import pytest
 from redlab import (
     DctSoftThresholdDenoiser,
     DeblurOperator,
+    EvalCounters,
     IdentityDenoiser,
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
@@ -33,6 +37,7 @@ from redlab import (
     gaussian_kernel,
     run_solver,
 )
+from redlab.solvers import _iterate
 
 from reference_solver import reference_solve
 
@@ -58,28 +63,105 @@ CASES = [
 ]
 
 
+def _runs(cases, factors, t):
+    """(where, name, problem, x0, cfg, reference rows, reference termination)
+    for every run of the grid: each case, tau, gamma factor and solver."""
+    for op_name, den_name in cases:
+        op = OPERATORS[op_name]()
+        den = DENOISERS[den_name]()
+        y = op.forward(RngState(1).uniform(256))
+        x0 = y.copy() if op_name == "deblur" else op.adjoint(y)
+        L = op.exact_spectral_norm_sq()
+        for tau in (0.1, 1.0):
+            p = REDProblem(LeastSquaresFidelity(op, y), den, tau)
+            for factor in factors:
+                cfg = SolverConfig(gamma=factor * default_gamma(L, tau), t=t)
+                for name in SOLVER_NAMES:
+                    rows, termination = reference_solve(name, op, y, den, tau, x0, cfg)
+                    where = f"{op_name}/{den_name}, {name}, tau {tau}, gamma x{factor}"
+                    yield where, name, p, x0, cfg, rows, termination
+
+
+def _difference(run, rows, termination):
+    """How `run` leaves the reference's steps first, or None if it takes
+    them all."""
+    if run.termination != termination:
+        return f"terminates {run.termination}, reference {termination}"
+    if len(run.trace) != len(rows):
+        return f"{len(run.trace)} rows, reference {len(rows)}"
+    g0_norm = math.sqrt(2.0 * rows[0][1])
+    for rec, (k, phi, mode, backtracks, step) in zip(run.trace, rows):
+        got = (rec.mode, rec.backtracks, rec.step_used)
+        if (rec.k, *got) != (k, mode, backtracks, step):
+            return f"k {k}: {got}, reference {(mode, backtracks, step)}"
+        g_norm = math.sqrt(2.0 * phi)
+        if not abs(rec.g_norm - g_norm) <= 1e-9 * g_norm + 1e-14 * g0_norm:
+            return f"k {k}: ||G|| {rec.g_norm!r}, reference {g_norm!r}"
+    return None
+
+
+def _serve_row_by_row(name, p, x0, cfg):
+    """Drive the solver loop with a driver of its own: every A^T A product,
+    each row of a stack alone, as op.adjoint(op.forward(v))."""
+    op, den = p.fidelity.op, p.denoiser
+
+    def gram(v):
+        if v.ndim == 1:
+            return op.adjoint(op.forward(v))
+        return np.stack([op.adjoint(op.forward(row)) for row in v])
+
+    serve = {
+        "gradient": p.fidelity.gradient, "gram": gram, "apply": den.apply, "vjp": den.residual_vjp
+    }
+    steps = _iterate(name, p, x0.copy(), cfg, None, EvalCounters())
+    reply = None
+    while True:
+        try:
+            kind, *args = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = serve[kind](*args)
+
+
 @pytest.mark.parametrize("op_name,den_name", CASES)
 def test_run_solver_takes_the_reference_steps(op_name, den_name):
-    op = OPERATORS[op_name]()
-    den = DENOISERS[den_name]()
-    y = op.forward(RngState(1).uniform(256))
-    x0 = y.copy() if op_name == "deblur" else op.adjoint(y)
-    L = op.exact_spectral_norm_sq()
-    for tau in (0.1, 1.0):
-        p = REDProblem(LeastSquaresFidelity(op, y), den, tau)
-        for factor in (1.0, 4.0):
-            cfg = SolverConfig(gamma=factor * default_gamma(L, tau), t=30)
-            for name in SOLVER_NAMES:
-                run = run_solver(name, p, x0, cfg)
-                rows, termination = reference_solve(name, op, y, den, tau, x0, cfg)
-                where = f"{name}, tau {tau}, gamma x{factor}"
-                assert run.termination == termination, where
-                assert len(run.trace) == len(rows), where
-                g0_norm = math.sqrt(2.0 * rows[0][1])
-                for rec, (k, phi, mode, backtracks, step) in zip(run.trace, rows):
-                    at = f"{where}, k {k}"
-                    assert (rec.k, rec.mode, rec.backtracks, rec.step_used) == (
-                        k, mode, backtracks, step
-                    ), at
-                    g_norm = math.sqrt(2.0 * phi)
-                    assert abs(rec.g_norm - g_norm) <= 1e-9 * g_norm + 1e-14 * g0_norm, at
+    for where, name, p, x0, cfg, rows, termination in _runs([(op_name, den_name)], (1.0, 4.0), 30):
+        diff = _difference(run_solver(name, p, x0, cfg), rows, termination)
+        assert diff is None, f"{where}: {diff}"
+
+
+# Runs where a row-by-row driver leaves the reference's steps in the
+# roundoff tail.  Here ||G|| is 1.2e-15 at k 28, below
+# eps * (||grad g|| + tau ||x|| + tau ||D(x)||) = 3.6e-15, and the traced
+# phi is 30% off the exact one, so the k-29 sufficient-decrease test
+# compares roundoff: products taken in another order flip it (ROADMAP
+# item 3).  Each must keep differing, so that a fix shows here.
+ROUNDOFF_TAIL = {"deblur/smoother, mred, tau 1.0, gamma x4.0"}
+
+
+@pytest.mark.parametrize("op_name,den_name", CASES)
+def test_a_row_by_row_driver_takes_the_reference_steps(op_name, den_name):
+    # A stacked product, or one the operator takes in one pass, differs in
+    # its last bits from A^T (A v) of each vector alone; the loop's
+    # decisions must not depend on which it is served.
+    for where, name, p, x0, cfg, rows, termination in _runs([(op_name, den_name)], (1.0, 4.0), 30):
+        diff = _difference(_serve_row_by_row(name, p, x0, cfg), rows, termination)
+        if where in ROUNDOFF_TAIL:
+            assert diff is not None, f"{where} now takes the reference steps"
+        else:
+            assert diff is None, f"{where}: {diff}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 16: the carried grad g drifts from a fresh one over 100 "
+    "iterations on CS at gamma x4, and five runs leave the reference's steps",
+)
+def test_run_solver_takes_the_reference_steps_on_long_cs_runs():
+    cs_cases = [case for case in CASES if case[0] == "cs"]
+    differences = []
+    for where, name, p, x0, cfg, rows, termination in _runs(cs_cases, (4.0,), 100):
+        diff = _difference(run_solver(name, p, x0, cfg), rows, termination)
+        if diff is not None:
+            differences.append(f"{where}: {diff}")
+    assert not differences, "\n".join(differences)

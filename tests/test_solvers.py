@@ -277,6 +277,8 @@ def test_mred_cost_per_iteration_on_expansive():
     assert fallbacks > 0
     assert c.operator_forwards == c.operator_adjoints == 1 + len(steps) + fallbacks
     assert c.operator_forwards <= 1 + 2 * len(steps)
+    # One residual VJP per iteration, for its grad phi.
+    assert c.vjp_evals == c.grad_phi_evals == len(steps)
 
 
 def test_mred_tiny_theta_matches_norm_backtracking():
@@ -501,7 +503,7 @@ def _gap_bound(problem, x_run, x_ref, lam_min):
     assert lam_min > 0.0
     g_run = np.linalg.norm(problem.operator_g(x_run))
     g_ref = np.linalg.norm(problem.operator_g(x_ref))
-    assert g_ref <= 1e-12 * np.linalg.norm(problem.fidelity_gradient(np.zeros(problem.n)))
+    assert g_ref <= 1e-12 * np.linalg.norm(problem.fidelity.gradient(np.zeros(problem.n)))
     return np.linalg.norm(x_run - x_ref), (g_run + g_ref) / lam_min
 
 
