@@ -10,7 +10,6 @@ sufficient-decrease gradient steps on the squared-residual loss.
 
 __version__ = "0.1.0"
 
-from .rng import RngState, gaussian_samples
 from .images import (
     TEST_IMAGE_NAMES,
     gaussian_kernel,
@@ -44,8 +43,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "RngState",
-    "gaussian_samples",
     "TEST_IMAGE_NAMES",
     "gaussian_kernel",
     "named_test_image",

@@ -16,8 +16,8 @@ from .fidelity import _amplitude_ratio
 from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES, gaussian_kernel
 from .pgmio import read_kernel_file, read_pgm
 from .presets import DENOISER_NAMES, DENOISERS, build_denoiser
-from .rng import RngState
-from .solvers import SOLVER_NAMES, SolverConfig
+from .rng import _generator
+from .solvers import SOLVER_NAMES, SolverConfig, default_gamma
 
 _PROBLEMS = ("deblur", "cs")
 
@@ -105,9 +105,9 @@ def _section(d, defaults, path):
 
 
 def _seed(v, path):
-    """Fail unless `v` seeds an RngState."""
+    """Fail unless `v` seeds a generator (see rng._generator)."""
     try:
-        RngState(v)
+        _generator(v)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -240,8 +240,16 @@ def from_dict(raw, base_dir="."):
     solver = _section(top["solver"], _SOLVER, "config.solver")
     if solver["name"] not in SOLVER_NAMES:
         _fail("config.solver.name", f"expected one of {SOLVER_NAMES}, got {solver['name']!r}")
-    # SolverConfig owns the ranges; a null gamma stands for a positive one.
-    checked = {**solver, "gamma": 1.0 if solver["gamma"] is None else solver["gamma"]}
+    # SolverConfig owns the ranges.  A null gamma stands for the default
+    # step, which must not round to 0 at L = 1, the bound of a normalized
+    # kernel and of orthonormal rows.
+    gamma = solver["gamma"]
+    if gamma is None:
+        try:
+            gamma = default_gamma(1.0, top["tau"])
+        except ValueError as exc:
+            _fail("config.tau", str(exc))
+    checked = {**solver, "gamma": gamma}
     del checked["name"]
     try:
         SolverConfig(**checked)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import CyclicConvolver, _dct_matrix, _periodic_conv, gaussian_kernel
-from .rng import RngState, _integral, _is_real, _positive, _vector, gaussian_samples
+from .rng import _generator, _integral, _is_real, _positive, _vector
 
 
 class Denoiser:
@@ -75,16 +75,16 @@ class LinearSmoothingDenoiser(Denoiser):
     def __init__(self, shape, sigma):
         sigma = _positive(sigma, "sigma")
         h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
-        radius = int(np.ceil(4.0 * sigma))
-        size = 2 * radius + 1
-        # Checked before the kernel is built, whose memory grows with sigma^2.
+        # Checked before the kernel is built, whose memory grows with sigma^2,
+        # and in floats, where int() would overflow on the largest sigma.
+        size = 2.0 * np.ceil(4.0 * sigma) + 1.0
         if size > min(h, w):
             raise ValueError(
-                f"smoothing kernel size {size} exceeds image extent {h}x{w}"
+                f"smoothing kernel size {size:.0f} exceeds image extent {h}x{w}"
             )
         self.shape = (h, w)
         self.sigma = sigma
-        self.kernel = gaussian_kernel(size, sigma)
+        self.kernel = gaussian_kernel(int(size), sigma)
         self._conv = CyclicConvolver((h, w), self.kernel)
         self.n = h * w
 
@@ -217,16 +217,16 @@ class RandomConvnetDenoiser(Denoiser):
         h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
         if min(h, w) < 3:
             raise ValueError("image extent must be at least 3 for 3x3 kernels")
-        rng = RngState(seed)
+        self.seed = _integral(seed, "seed")
+        rng = _generator(self.seed)
         self.shape = (h, w)
         self.channels = channels
         self.weight_scale = weight_scale
-        self.seed = rng.seed
         self.n = h * w
 
         def draw(count, fan_in):
             scale = weight_scale / np.sqrt(9.0 * fan_in)
-            return scale * gaussian_samples(rng, count * 9).reshape(count, 3, 3)
+            return scale * rng.standard_normal(count * 9).reshape(count, 3, 3)
 
         # Weight stacks, in then out, each (c, 3, 3).
         self._w_in = draw(channels, 1)
@@ -305,13 +305,13 @@ def estimate_lipschitz(d, probes=8, iters=300):
         raise ValueError("probes must be at least 1")
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    rng = RngState(0)
+    rng = _generator(0)
     best = 0.0
     all_converged = True
     for _ in range(probes):
         # Operating points in the unit pixel box where the denoisers run.
-        x = rng.uniform(d.n)
-        v = gaussian_samples(rng, d.n)
+        x = rng.random(d.n)
+        v = rng.standard_normal(d.n)
         v = v / np.linalg.norm(v)
         estimate = 0.0
         converged = False

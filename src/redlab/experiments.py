@@ -26,7 +26,7 @@ from .operators import DeblurOperator, _blas_threads, build_cs_operator
 from .pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
 from .presets import EXPERIMENT_PRESETS, build_denoiser
 from .red import REDProblem
-from .rng import RngState, gaussian_samples
+from .rng import _generator
 from .solvers import SolverConfig, default_gamma, run_solver
 from .traceio import read_sidecar, write_aggregate_csv, write_sidecar, write_trace_csv
 
@@ -84,15 +84,18 @@ def build_experiment(cfg):
 
 def _metrics(result):
     last = result.trace[-1]
-    psnr = last.psnr_db
-    return {
+    metrics = {
         "solver": result.solver,
         "termination": result.termination,
         "iterations": len(result.trace) - 1,
         "final_phi": last.phi,
         "final_norm_resid": last.normalized_residual,
-        # An exact reconstruction has infinite PSNR, which JSON cannot hold.
-        "final_psnr_db": None if psnr is None or math.isinf(psnr) else psnr,
+        "final_psnr_db": last.psnr_db,
+    }
+    # Strict JSON holds no inf or NaN: an exact reconstruction's PSNR, or
+    # the phi of a run whose numbers overflowed, is null.
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in metrics.items()
     }
 
 
@@ -257,11 +260,11 @@ def grad_check(cfg, h=1e-5, seed=0):
         g = p.operator_g(x)
         return 0.5 * float(g @ g)
 
-    rng = RngState(seed)
+    rng = _generator(seed)
     errs = []
     for _ in range(20):
-        x = rng.uniform(p.n)
-        v = gaussian_samples(rng, p.n)
+        x = rng.random(p.n)
+        v = rng.standard_normal(p.n)
         v = v / np.linalg.norm(v)
         d_analytic = float(p.grad_phi(x) @ v)
         d_fd = (phi(x + h * v) - phi(x - h * v)) / (2.0 * h)

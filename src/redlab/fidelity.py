@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .rng import RngState, _vector, gaussian_samples
+from .rng import _generator, _vector
 
 
 class LeastSquaresFidelity:
@@ -67,7 +67,7 @@ def add_noise_at_snr(op, x_true, snr_db, seed):
         raise ValueError("clean measurement is zero; SNR is undefined")
     if snr_db is None:
         return clean.copy(), np.zeros(op.m)
-    w = gaussian_samples(RngState(seed), op.m)
+    w = _generator(seed).standard_normal(op.m)
     w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
         raise RuntimeError("degenerate noise draw")

@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .rng import RngState, _floats, _integral, _positive, gaussian_samples
+from .rng import _floats, _generator, _integral, _positive
 
 
 def gaussian_kernel(size, sigma):
@@ -247,7 +247,7 @@ def _checkerboard(h, w, _rng):
 
 
 def _texture(h, w, rng):
-    noise = gaussian_samples(rng, h * w).reshape(h, w)
+    noise = rng.standard_normal(h * w).reshape(h, w)
     smooth = CyclicConvolver((h, w), gaussian_kernel(7, 1.2)).apply(noise)
     lo, hi = smooth.min(), smooth.max()
     if hi == lo:
@@ -258,7 +258,7 @@ def _texture(h, w, rng):
 def _blocks(h, w, rng):
     rows = 4
     cols = 4
-    levels = rng.uniform(rows * cols)
+    levels = rng.random(rows * cols)
     img = np.zeros((h, w))
     for i in range(rows):
         for j in range(cols):
@@ -296,10 +296,10 @@ def named_test_image(name, seed, shape):
     h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
     if min(h, w) < MIN_TEST_IMAGE_EXTENT:
         raise ValueError(f"test image sides must be at least {MIN_TEST_IMAGE_EXTENT}")
-    rng = RngState(seed)
+    rng = _generator(seed)
     if name == "blocks":
         # Step past the texture's draw, which comes first in the stream.
-        gaussian_samples(rng, h * w)
+        rng.standard_normal(h * w)
     img = _TEST_IMAGE_BUILDERS[name](h, w, rng)
     img.flags.writeable = False
     return img

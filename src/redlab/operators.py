@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .images import CyclicConvolver
-from .rng import RngState, _integral, _vector, gaussian_samples
+from .rng import _generator, _integral, _vector
 
 # Row-block size of the dense gram: a block this large stays in a 2 MiB L2
 # cache between its two uses, B v and then B^T (B v).  24 rows at n = 4096.
@@ -146,7 +146,7 @@ class CompressiveSensingOperator(LinearOperator):
         n = _integral(n, "n")
         if not 1 <= m < n:
             raise ValueError("need 1 <= m < n for an undersampled operator")
-        matrix = gaussian_samples(RngState(seed), m * n).reshape(m, n)
+        matrix = _generator(seed).standard_normal(m * n).reshape(m, n)
         matrix /= np.sqrt(m)
         # Cholesky QR: with L L^T = G G^T, L^-1 G has orthonormal rows.  The
         # second pass restores the orthogonality one pass loses to the

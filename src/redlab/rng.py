@@ -1,9 +1,9 @@
 """Deterministic random sampling.
 
-All randomness in the package flows through :class:`RngState`, a thin
-single-owner wrapper around numpy's seeded PCG64 generator and samplers.
-Identical seed and family give an identical sample stream within one build;
-bit compatibility across numpy versions or platforms is not promised.
+Every draw in the package comes from numpy's own `Generator`, made over
+PCG64 by `_generator`, the one place that seeds one.  An identical seed
+gives an identical sample stream within one build; bit compatibility across
+numpy versions or platforms is not promised.
 
 The package's argument checks live here too, one helper per kind of
 argument; each takes values of integer or float kind only (`_is_real`).
@@ -12,8 +12,6 @@ argument; each takes values of integer or float kind only (`_is_real`).
 import sys
 
 import numpy as np
-
-_FAMILY = "pcg64"
 
 
 def _is_real(value):
@@ -24,7 +22,7 @@ def _is_real(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _integral(value, name="count"):
+def _integral(value, name):
     """`value` as an int; a non-integral value is an error, not truncated."""
     try:
         n = int(value) if _is_real(value) else None
@@ -60,38 +58,13 @@ def _vector(x, n, name):
     return x
 
 
-class RngState:
-    """Seeded uniform sample stream.
+def _generator(seed):
+    """numpy's PCG64 `Generator` seeded by `seed`, an integer in [0, 2**64).
 
-    Drawing advances the stream, so a state instance is single-owner:
-    share seeds, not states.
+    A generator advances as it draws, so it has one owner: share seeds,
+    not generators.
     """
-
-    def __init__(self, seed):
-        seed = _integral(seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = seed
-        self.family = _FAMILY
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-
-    def uniform(self, count):
-        """Return `count` samples uniform on [0, 1)."""
-        count = _integral(count)
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return self._gen.random(count)
-
-    def __repr__(self):
-        return f"RngState(seed={self.seed}, family={self.family!r})"
-
-
-def gaussian_samples(rng, count):
-    """Draw `count` standard-normal samples from `rng`'s stream with numpy's
-    own sampler; the stream is deterministic per seed.  `count` must be an
-    integer >= 1.
-    """
-    count = _integral(count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return rng._gen.standard_normal(count)
+    seed = _integral(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return np.random.Generator(np.random.PCG64(seed))

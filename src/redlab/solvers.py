@@ -29,13 +29,13 @@ keeps falling back makes one per iteration.
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .red import EvalCounters
-from .rng import _integral, _is_real, _vector
+from .rng import _integral, _is_real, _positive, _vector
 
 SOLVER_NAMES = ("red", "red_bls", "mred")
 
@@ -54,31 +54,17 @@ class SolverConfig:
     converge_tol: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not _is_real(value):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-        for name in ("gamma", "alpha0", "epsilon", "divergence_cap", "converge_tol"):
-            # Not math.isfinite, which overflows on an int too large for a float.
-            if not abs(getattr(self, name)) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
-        if not 0 < self.beta < 1:
+        for name in ("gamma", "alpha0", "beta", "theta", "epsilon", "divergence_cap"):
+            _positive(getattr(self, name), name)
+        if not self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if not 0 < self.theta < 0.5:
+        if not self.theta < 0.5:
             raise ValueError("theta must lie in (0, 1/2)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
         self.t = _integral(self.t, "t")
         if self.t < 1:
             raise ValueError("t must be an integer >= 1")
-        if not self.divergence_cap > 0:
-            raise ValueError("divergence_cap must be positive")
-        if not self.converge_tol >= 0:
-            raise ValueError("converge_tol must be non-negative")
+        if not (_is_real(self.converge_tol) and 0 <= self.converge_tol <= sys.float_info.max):
+            raise ValueError("converge_tol must be finite and non-negative")
 
 
 @dataclass
@@ -127,6 +113,8 @@ def _psnr_of(x, ref):
     mse = float(np.add.reduce(np.square(d, out=d)) / d.size)
     if mse == 0.0:
         return math.inf
+    if mse == math.inf:
+        return -math.inf
     return 10.0 * math.log10(1.0 / mse)
 
 

@@ -17,14 +17,12 @@ from redlab import (
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
     REDProblem,
-    RngState,
     SolverConfig,
     add_noise_at_snr,
     build_cs_operator,
     default_gamma,
     estimate_lipschitz,
     gaussian_kernel,
-    gaussian_samples,
     named_test_image,
     run_solver,
 )
@@ -102,12 +100,12 @@ def test_criterion_1_adjoint_identities(capsys):
             "deblur": DeblurOperator(SHAPE64, gaussian_kernel(17, 2.0)),
             "cs": build_cs_operator(M_CS, N64, 77),
         }
-        rng = RngState(2024)
+        rng = np.random.default_rng(2024)
         worst = 0.0
         for label, op in ops.items():
             for _ in range(100):
-                v = gaussian_samples(rng, op.n)
-                u = gaussian_samples(rng, op.m)
+                v = rng.standard_normal(op.n)
+                u = rng.standard_normal(op.m)
                 lhs = float(op.forward(v) @ u)
                 rhs = float(v @ op.adjoint(u))
                 bound = 1e-10 * np.linalg.norm(v) * np.linalg.norm(u)
@@ -127,7 +125,7 @@ def test_criterion_2_gradient_matches_finite_differences(capsys):
         start = time.perf_counter()
         shape = (16, 16)
         op = DeblurOperator(shape, gaussian_kernel(5, 1.2))
-        x_true = RngState(3).uniform(256)
+        x_true = np.random.default_rng(3).random(256)
         fid = LeastSquaresFidelity(op, op.forward(x_true))
         specs = (
             {"name": "identity"},
@@ -139,10 +137,10 @@ def test_criterion_2_gradient_matches_finite_differences(capsys):
         worst = 0.0
         for spec in specs:
             p = REDProblem(fid, build_denoiser(spec, shape), tau=0.1)
-            rng = RngState(7)
+            rng = np.random.default_rng(7)
             for _ in range(20):
-                x = rng.uniform(256)
-                v = gaussian_samples(rng, 256)
+                x = rng.random(256)
+                v = rng.standard_normal(256)
                 v = v / np.linalg.norm(v)
                 d_an = float(p.grad_phi(x) @ v)
                 d_fd = (_phi(p, x + h * v) - _phi(p, x - h * v)) / (2.0 * h)
@@ -165,7 +163,7 @@ def test_criterion_3_monotone_solver_reaches_dense_solution(capsys):
         shape = (8, 8)
         n = 64
         op = DeblurOperator(shape, gaussian_kernel(3, 0.7))
-        y = RngState(11).uniform(n)
+        y = np.random.default_rng(11).random(n)
         den = LinearSmoothingDenoiser(shape, 0.5)
         a = np.empty((n, n))
         w = np.empty((n, n))

@@ -3,12 +3,14 @@ or runs.
 
 Each numeric key of each shipped preset (the parsed config's, so defaults
 and null numbers count, but not `shape`, whose huge values allocate at
-parse time) is set to each boundary value and to one value drawn from a
-seeded stream, and the config goes through `redlab run`, `redlab sweep`
-(its own tau and solver) and `redlab lipschitz` at t = 3.  A config that
-`from_dict` refuses with a ConfigError must make every command exit 1; any
-other config must run to a termination code, a sweep without a failed run,
-and a certificate.  No exception may escape `cli.main`.
+parse time) is set to each boundary value, the largest float among them,
+and to one value drawn from a seeded stream, and the config goes through
+`redlab run`, `redlab sweep` (its own tau and solver) and `redlab
+lipschitz` at t = 3.  A config that `from_dict` refuses with a ConfigError
+must make every command exit 1; any other config must run to a termination
+code, a sweep without a failed run, and a certificate, and every JSON file
+it writes must be strict JSON, without NaN or Infinity.  No exception may
+escape `cli.main`.
 
 The Lipschitz estimates run at a token effort: the estimator is not the
 boundary under test, and at full effort the convnet's would take minutes.
@@ -18,6 +20,7 @@ import functools
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -25,7 +28,7 @@ from redlab import cli, experiments
 from redlab.config import ConfigError, from_dict, to_dict
 from redlab.presets import PRESET_NAMES, experiment_preset
 
-BOUNDARY = (-1e300, -1e4, -1, 0, 1e-300, 1e300)
+BOUNDARY = (-1e300, -1e4, -1, 0, 1e-300, 1e300, sys.float_info.max)
 # Exit codes of a run that parsed: success, diverged, step floor.
 RAN = (cli.EXIT_OK, cli.EXIT_DIVERGED, cli.EXIT_STEP_FLOOR)
 
@@ -44,6 +47,13 @@ def fuzz_values(seed):
     uniform in [-300, 300]."""
     rng = random.Random(seed)
     return BOUNDARY + (rng.choice((-1, 1)) * 10.0 ** rng.uniform(-300.0, 300.0),)
+
+
+def written_json(*roots):
+    """Paths of the JSON files under `roots`."""
+    for root in roots:
+        for folder, _dirs, files in os.walk(root):
+            yield from (os.path.join(folder, f) for f in files if f.endswith(".json"))
 
 
 @pytest.mark.slow
@@ -86,9 +96,12 @@ def test_every_config_either_fails_to_parse_or_runs(tmp_path, capsys, monkeypatc
             err = capsys.readouterr().err
             if parsed:
                 assert codes[0] in RAN and codes[1:] == (0, 0), (where, codes, err)
+                for name in written_json(out, out + "s"):
+                    with open(name) as fh:
+                        json.load(fh, parse_constant=lambda c: pytest.fail(f"{where}: {name}: {c}"))
             else:
                 assert codes == (1, 1, 1), (where, codes, err)
                 assert err.count("config error: config.") == 3, (where, err)
                 assert not os.path.exists(out) and not os.path.exists(out + "s"), where
             cases += 1
-    assert cases == 7 * len(list(numeric_keys(base)))
+    assert cases == 8 * len(list(numeric_keys(base)))

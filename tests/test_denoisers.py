@@ -14,10 +14,8 @@ from redlab import (
     IdentityDenoiser,
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
-    RngState,
     ScaledDenoiser,
     estimate_lipschitz,
-    gaussian_samples,
 )
 from redlab.presets import DENOISER_NAMES, build_denoiser
 
@@ -38,7 +36,7 @@ def dense_residual_jacobian(d, x, h=1e-6):
 
 
 def probe(seed, n):
-    return RngState(seed).uniform(n)
+    return np.random.default_rng(seed).random(n)
 
 
 # ------------------------------------------------------------------ identity
@@ -47,7 +45,7 @@ def probe(seed, n):
 def test_identity_denoiser():
     d = IdentityDenoiser(10)
     x = probe(1, 10)
-    v = gaussian_samples(RngState(2), 10)
+    v = np.random.default_rng(2).standard_normal(10)
     assert np.array_equal(d.apply(x), x)
     assert np.array_equal(x - d.apply(x), np.zeros(10))
     assert np.array_equal(d.residual_vjp(x, v), np.zeros(10))
@@ -67,7 +65,7 @@ def test_smoother_preserves_constants():
 def test_smoother_vjp_is_i_minus_w():
     # (I - W)v with W v computed by an explicit independent convolution.
     d = LinearSmoothingDenoiser((16, 16), 1.0)
-    v = gaussian_samples(RngState(3), 256)
+    v = np.random.default_rng(3).standard_normal(256)
     wv = convolve2d_wrap(v.reshape(16, 16), d.kernel).reshape(-1)
     got = d.residual_vjp(probe(4, 256), v)
     assert np.max(np.abs(got - (v - wv))) < 1e-12
@@ -126,9 +124,9 @@ def test_smoothed_threshold_vjp_matches_fd():
     d = DctSoftThresholdDenoiser((8, 8), 0.2, 0.05)
     x = probe(6, 64)
     h = 1e-6
-    rng = RngState(7)
+    rng = np.random.default_rng(7)
     for _ in range(5):
-        v = gaussian_samples(rng, 64)
+        v = rng.standard_normal(64)
         v = v / np.linalg.norm(v)
         xp, xm = x + h * v, x - h * v
         fd = ((xp - d.apply(xp)) - (xm - d.apply(xm))) / (2.0 * h)
@@ -168,7 +166,7 @@ def test_scaled_smoother_lipschitz():
 
 def test_scaled_identity_at_zero():
     d = ScaledDenoiser(IdentityDenoiser(12), 1.5)
-    v = gaussian_samples(RngState(8), 12)
+    v = np.random.default_rng(8).standard_normal(12)
     assert np.max(np.abs(d.apply(np.zeros(12)))) == 0.0
     assert np.max(np.abs(d.residual_vjp(np.zeros(12), v) + 0.5 * v)) < 1e-15
     with pytest.raises(ValueError):
@@ -192,9 +190,9 @@ def test_convnet_products_match_dense_jacobian(channels):
     d = RandomConvnetDenoiser((8, 8), channels, 0.9, seed=6)
     x = probe(10, 64)
     jac = dense_residual_jacobian(d, x)
-    rng = RngState(11)
+    rng = np.random.default_rng(11)
     for _ in range(4):
-        v = gaussian_samples(rng, 64)
+        v = rng.standard_normal(64)
         vjp = d.residual_vjp(x, v)
         rel = np.linalg.norm(vjp - jac.T @ v) / np.linalg.norm(jac.T @ v)
         assert rel <= 1e-5
@@ -208,7 +206,7 @@ def test_convnet_not_symmetric():
     # transpose product is not the product.
     d = RandomConvnetDenoiser((8, 8), 2, 0.8, seed=8)
     x = probe(12, 64)
-    v = gaussian_samples(RngState(13), 64)
+    v = np.random.default_rng(13).standard_normal(64)
     jv, jtv = d.residual_jvp(x, v), d.residual_vjp(x, v)
     assert np.linalg.norm(jv - jtv) > 0.1 * np.linalg.norm(jv)
 
@@ -271,11 +269,11 @@ class PerChannelConvnet:
     starts from zero."""
 
     def __init__(self, shape, channels, weight_scale, seed):
-        rng = RngState(seed)
+        rng = np.random.default_rng(seed)
 
         def draw(count, fan_in):
             scale = weight_scale / np.sqrt(9.0 * fan_in)
-            return scale * gaussian_samples(rng, count * 9).reshape(count, 3, 3)
+            return scale * rng.standard_normal(count * 9).reshape(count, 3, 3)
 
         c = channels
         self.shape, self.c = shape, c
@@ -319,10 +317,10 @@ def test_convnet_is_bit_equal_to_per_channel_reference(channels, shape):
     # channel sum, .sum(axis=0), which must add the planes in channel order.
     d = RandomConvnetDenoiser(shape, channels, 0.9, seed=21)
     ref = PerChannelConvnet(shape, channels, 0.9, 21)
-    rng = RngState(22)
+    rng = np.random.default_rng(22)
     for _ in range(2):
-        x = rng.uniform(d.n)
-        v = gaussian_samples(rng, d.n)
+        x = rng.random(d.n)
+        v = rng.standard_normal(d.n)
         assert np.array_equal(bits(d.apply(x)), bits(ref.apply(x)))
         assert np.array_equal(bits(d.residual_vjp(x, v)), bits(ref.vjp(x, v)))
         assert np.array_equal(bits(d.residual_jvp(x, v)), bits(ref.jvp(x, v)))
@@ -334,9 +332,9 @@ def test_convnet_keeps_the_last_points_activations(monkeypatch):
     runs = []
     network = d._network
     monkeypatch.setattr(d, "_network", lambda x2: runs.append(1) or network(x2))
-    rng = RngState(30)
-    x, z, w = rng.uniform(256), rng.uniform(256), rng.uniform(256)
-    v = gaussian_samples(rng, 256)
+    rng = np.random.default_rng(30)
+    x, z, w = rng.random(256), rng.random(256), rng.random(256)
+    v = rng.standard_normal(256)
 
     def check(point, expect_runs):
         # Any call order gives the reference's bits; runs counts forward passes.
@@ -377,9 +375,9 @@ def test_convnet_shared_across_threads():
     # threads sharing a denoiser never pair one point with another's.
     d = RandomConvnetDenoiser((16, 16), 4, 0.8, seed=11)
     ref = PerChannelConvnet((16, 16), 4, 0.8, 11)
-    rng = RngState(40)
-    points = [rng.uniform(256) for _ in range(4)]
-    v = gaussian_samples(rng, 256)
+    rng = np.random.default_rng(40)
+    points = [rng.random(256) for _ in range(4)]
+    v = rng.standard_normal(256)
     want = [bits(ref.vjp(p, v)) for p in points]
     wrong = []
 
@@ -496,9 +494,9 @@ CASES = [
 @pytest.mark.parametrize("d", CASES, ids=lambda d: type(d).__name__)
 def test_vjp_linear_in_v(d):
     x = probe(19, d.n)
-    rng = RngState(20)
-    v1 = gaussian_samples(rng, d.n)
-    v2 = gaussian_samples(rng, d.n)
+    rng = np.random.default_rng(20)
+    v1 = rng.standard_normal(d.n)
+    v2 = rng.standard_normal(d.n)
     lhs = d.residual_vjp(x, 2.0 * v1 - 0.5 * v2)
     rhs = 2.0 * d.residual_vjp(x, v1) - 0.5 * d.residual_vjp(x, v2)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -509,10 +507,10 @@ def test_vjp_symmetry(d):
     # <J v, u> == <v, J^T u>: each denoiser's two products are each other's
     # transpose, whether it declares one as the other or sweeps both ways.
     x = probe(21, d.n)
-    rng = RngState(22)
+    rng = np.random.default_rng(22)
     for _ in range(5):
-        u = gaussian_samples(rng, d.n)
-        v = gaussian_samples(rng, d.n)
+        u = rng.standard_normal(d.n)
+        v = rng.standard_normal(d.n)
         lhs = float(d.residual_jvp(x, v) @ u)
         rhs = float(v @ d.residual_vjp(x, u))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))

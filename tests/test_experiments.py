@@ -25,7 +25,6 @@ from redlab import (
     LeastSquaresFidelity,
     LinearSmoothingDenoiser,
     REDProblem,
-    RngState,
     ScaledDenoiser,
     SOLVER_NAMES,
     SolverConfig,
@@ -367,10 +366,14 @@ def test_denoiser_parameters_are_checked_at_the_boundary(tmp_path, capsys, param
         ({"name": "smoother", "sigma": 0.0}, "sigma must be positive and finite"),
         ({"name": "scaled_identity", "scale": 0.0}, "scale must be positive and finite"),
         ({"name": "smoother", "sigma": 9.0}, "smoothing kernel size 73 exceeds image extent 32x32"),
+        (
+            {"name": "smoother", "sigma": sys.float_info.max},
+            "smoothing kernel size inf exceeds image extent 32x32",
+        ),
         ({"name": "dct_threshold", "smoothing_mu": 0.0}, "smoothing_mu must lie in (0, threshold)"),
         ({"name": "convnet", "seed": -1}, "seed must fit in an unsigned 64-bit integer"),
     ],
-    ids=["zero_sigma", "zero_scale", "wide_kernel", "kinked_threshold", "negative_seed"],
+    ids=["zero_sigma", "zero_scale", "wide_kernel", "largest_sigma", "kinked_threshold", "negative_seed"],
 )
 def test_denoiser_is_built_at_parse_time(tmp_path, capsys, params, message):
     # The parser builds the denoiser, so its constructor's checks are config
@@ -390,7 +393,7 @@ def test_denoiser_is_built_at_parse_time(tmp_path, capsys, params, message):
 @pytest.mark.parametrize("key", ["image_seed", "noise.seed", "operator.seed"])
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seeds_are_checked_at_parse_time(tmp_path, capsys, key, seed):
-    # Every seed must seed an RngState: an integer in [0, 2^64).
+    # Every seed must seed numpy's generator: an integer in [0, 2^64).
     raw = copy.deepcopy(CS_SMALL)
     section, _, name = key.rpartition(".")
     (raw.setdefault(section, {}) if section else raw)[name] = seed
@@ -419,8 +422,8 @@ def test_denoiser_parameters_are_normalized_by_type():
         ({"beta": 2}, "beta must lie in (0, 1)"),
         ({"t": 0}, "t must be an integer >= 1"),
         ({"theta": 0.5}, "theta must lie in (0, 1/2)"),
-        ({"alpha0": 0.0}, "alpha0 must be positive"),
-        ({"gamma": 0.0}, "gamma must be positive"),
+        ({"alpha0": 0.0}, "alpha0 must be positive and finite"),
+        pytest.param({"gamma": 0.0}, "gamma must be positive and finite", id="gamma"),
     ],
 )
 def test_solver_ranges_are_checked_at_parse_time(tmp_path, capsys, solver, fragment):
@@ -466,10 +469,19 @@ def test_cli_overrides_go_through_the_parser(tmp_path, capsys):
         ("run", "-1e-3", "config error: config.tau: must be positive"),
         ("sweep", "-1e-3,0.1", "config error: config.tau: must be positive"),
         ("run", "-x", "argument --tau: expected one argument"),
+        (
+            "run",
+            "1.7976931348623157e308",
+            "config error: config.tau: tau 1.7976931348623157e+308 is too large: "
+            "the default step 1/(L + 2 tau) rounds to 0",
+        ),
         ("sweep", ",", "config error: empty tau list"),
         ("sweep", "0.1,x", "config error: invalid tau list '0.1,x'"),
     ],
-    ids=["run_negative_exponent", "sweep_negative_exponent", "run_option", "sweep_empty", "sweep_invalid"],
+    ids=[
+        "run_negative_exponent", "sweep_negative_exponent", "run_option", "run_largest",
+        "sweep_empty", "sweep_invalid",
+    ],
 )
 def test_cli_tau_values_meet_the_checks(tmp_path, capsys, cmd, tau, message):
     # A negative tau in exponent form is a value, not an option, so it meets
@@ -1269,6 +1281,24 @@ def test_summary_json_is_strict_json_for_an_exact_reconstruction(tmp_path):
     for run in summary["runs"]:
         sidecar = read_sidecar(os.path.join(out, f"mred_tau0.1_{run['image']}", "sidecar.json"))
         assert sidecar["final_psnr_db"] is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_run_whose_numbers_overflow_diverges_and_writes_strict_json(tmp_path):
+    # Noise 1e300 times the signal: the squared error and phi overflow at
+    # x0, so the PSNR is -inf and the normalized residual inf/inf.
+    raw = {**SMALL, "noise": {"input_snr_db": -6000.0}, "solver": {"name": "mred", "t": 3}}
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    assert main(["run", "--config", write_config(tmp, raw), "--out", out]) == 2
+
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    with open(os.path.join(out, "mred_tau0.1_phantom", "sidecar.json")) as fh:
+        written = json.load(fh, parse_constant=refuse)
+    assert written["termination"] == "diverged"
+    assert [written[k] for k in ("final_phi", "final_norm_resid", "final_psnr_db")] == [None] * 3
 
 
 def test_sweep_needs_work():

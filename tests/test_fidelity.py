@@ -7,28 +7,26 @@ import pytest
 
 from redlab import (
     LeastSquaresFidelity,
-    RngState,
     add_noise_at_snr,
     build_cs_operator,
-    gaussian_samples,
 )
 
 from dense_operator import DenseOperator
 
 
 def small_instance(seed, m=6, n=9):
-    rng = RngState(seed)
-    mat = gaussian_samples(rng, m * n).reshape(m, n)
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal(m * n).reshape(m, n)
     op = DenseOperator(mat)
-    y = gaussian_samples(rng, m)
+    y = rng.standard_normal(m)
     return op, y, LeastSquaresFidelity(op, y)
 
 
 def test_gradient_identity_case():
     op = DenseOperator(np.eye(5))
-    y = gaussian_samples(RngState(5), 5)
+    y = np.random.default_rng(5).standard_normal(5)
     f = LeastSquaresFidelity(op, y)
-    x = gaussian_samples(RngState(6), 5)
+    x = np.random.default_rng(6).standard_normal(5)
     assert np.array_equal(f.gradient(x), x - y)
 
 
@@ -40,8 +38,8 @@ def test_gradient_vanishes_at_normal_equations_solution():
 
 def test_gradient_matches_finite_differences():
     op, y, f = small_instance(8, m=10, n=12)
-    rng = RngState(9)
-    x = gaussian_samples(rng, 12)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(12)
 
     def value(z):
         r = op.forward(z) - y
@@ -62,7 +60,7 @@ def test_gradient_matches_finite_differences():
 def test_hessian_is_gram_matrix():
     op, _y, f = small_instance(10, m=8, n=16)
     gram = op.matrix.T @ op.matrix
-    v = gaussian_samples(RngState(11), 16)
+    v = np.random.default_rng(11).standard_normal(16)
     assert np.max(np.abs(f.hessian_vp(v) - gram @ v)) < 1e-12
 
 
@@ -78,7 +76,7 @@ def test_hessian_cs_contraction():
     op = build_cs_operator(8, 40, seed=1)
     f = LeastSquaresFidelity(op, np.zeros(8))
     for seed in range(5):
-        v = gaussian_samples(RngState(seed), 40)
+        v = np.random.default_rng(seed).standard_normal(40)
         assert np.linalg.norm(f.hessian_vp(v)) <= np.linalg.norm(v) + 1e-12
 
 
@@ -95,7 +93,7 @@ def test_fidelity_validation():
 
 def test_noise_hits_snr_exactly():
     op, _y, _f = small_instance(12)
-    x = RngState(13).uniform(op.n)
+    x = np.random.default_rng(13).random(op.n)
     for snr in (30.0, 10.0, 0.0, -5.0):
         y, e = add_noise_at_snr(op, x, snr, 42)
         clean = op.forward(x)
@@ -109,7 +107,7 @@ def test_noise_hits_snr_exactly():
 def test_noise_infinite_snr_is_noiseless():
     # snr_db None is the config's noiseless input.
     op, _y, _f = small_instance(14)
-    x = RngState(15).uniform(op.n)
+    x = np.random.default_rng(15).random(op.n)
     y, e = add_noise_at_snr(op, x, None, 42)
     assert np.array_equal(e, np.zeros(op.m))
     assert np.array_equal(y, op.forward(x))
@@ -117,7 +115,7 @@ def test_noise_infinite_snr_is_noiseless():
 
 def test_noise_deterministic():
     op, _y, _f = small_instance(16)
-    x = RngState(17).uniform(op.n)
+    x = np.random.default_rng(17).random(op.n)
     y1, _ = add_noise_at_snr(op, x, 20.0, 5)
     y2, _ = add_noise_at_snr(op, x, 20.0, 5)
     assert np.array_equal(y1, y2)
@@ -136,7 +134,7 @@ def test_noise_rejects_an_snr_whose_scale_is_not_a_positive_float(snr):
     # 10^(snr/20) overflows above about 6165 dB (an OverflowError) and is 0
     # below about -6466 dB (a division by zero).
     op, _y, _f = small_instance(18)
-    x = RngState(19).uniform(op.n)
+    x = np.random.default_rng(19).random(op.n)
     with pytest.raises(ValueError, match="out of range"):
         add_noise_at_snr(op, x, snr, 42)
     # The edges of the range still draw finite noise.

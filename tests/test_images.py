@@ -11,10 +11,8 @@ from scipy.fft import dctn, idctn
 
 from redlab import (
     DeblurOperator,
-    RngState,
     TEST_IMAGE_NAMES,
     gaussian_kernel,
-    gaussian_samples,
     named_test_image,
 )
 from redlab import images
@@ -54,7 +52,7 @@ def conv_oracle(arr, kern):
 
 
 def rand_image(seed, h, w):
-    return gaussian_samples(RngState(seed), h * w).reshape(h, w)
+    return np.random.default_rng(seed).standard_normal(h * w).reshape(h, w)
 
 
 # ------------------------------------------------------------------- kernels
@@ -160,11 +158,11 @@ def test_conv_matches_double_loop_oracle():
     for conv in both_paths((4, 4), uni):
         assert np.allclose(conv.apply(ramp), conv_oracle(ramp, uni), atol=1e-14)
 
-    rng = RngState(11)
+    rng = np.random.default_rng(11)
     for h, w, ks in ((5, 7, 3), (8, 8, 5), (6, 9, 5)):
-        arr = gaussian_samples(rng, h * w).reshape(h, w)
-        separable = np.outer(gaussian_samples(rng, ks), gaussian_samples(rng, ks))
-        full_rank = gaussian_samples(rng, ks * ks).reshape(ks, ks)
+        arr = rng.standard_normal(h * w).reshape(h, w)
+        separable = np.outer(rng.standard_normal(ks), rng.standard_normal(ks))
+        full_rank = rng.standard_normal(ks * ks).reshape(ks, ks)
         convs = [(c, separable) for c in both_paths((h, w), separable)]
         convs.append((CyclicConvolver((h, w), full_rank), full_rank))
         for conv, kern in convs:
@@ -172,9 +170,9 @@ def test_conv_matches_double_loop_oracle():
 
 
 def test_conv_linearity():
-    rng = RngState(3)
-    x = gaussian_samples(rng, 36).reshape(6, 6)
-    z = gaussian_samples(rng, 36).reshape(6, 6)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(36).reshape(6, 6)
+    z = rng.standard_normal(36).reshape(6, 6)
     for conv in both_paths((6, 6), gaussian_kernel(3, 0.8)):
         lhs = conv.apply(2.5 * x - 1.25 * z)
         rhs = 2.5 * conv.apply(x) - 1.25 * conv.apply(z)
@@ -183,11 +181,11 @@ def test_conv_linearity():
 
 def test_conv_adjoint_is_rotated_kernel():
     # <conv_k(x), u> == <x, conv_flip(k)(u)> for random pairs.
-    rng = RngState(21)
-    k = gaussian_samples(rng, 9).reshape(3, 3)
+    rng = np.random.default_rng(21)
+    k = rng.standard_normal(9).reshape(3, 3)
     for _ in range(20):
-        x = gaussian_samples(rng, 48).reshape(6, 8)
-        u = gaussian_samples(rng, 48).reshape(6, 8)
+        x = rng.standard_normal(48).reshape(6, 8)
+        u = rng.standard_normal(48).reshape(6, 8)
         lhs = float(np.sum(conv_oracle(x, k) * u))
         rhs = float(np.sum(x * conv_oracle(u, k[::-1, ::-1])))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -196,24 +194,24 @@ def test_conv_adjoint_is_rotated_kernel():
 def test_periodic_conv_is_bit_equal_to_convolve2d():
     # Up to 3x3, direct summation adds in convolve2d's order and has its
     # bits, on square, non-square and odd shapes.
-    rng = RngState(50)
+    rng = np.random.default_rng(50)
     for k in (1, 3):
         for h, w in ((8, 8), (64, 64), (5, 7), (13, 9), (33, 35), (31, 300)):
-            arr = gaussian_samples(rng, h * w).reshape(h, w)
-            kern = gaussian_samples(rng, k * k).reshape(k, k)
+            arr = rng.standard_normal(h * w).reshape(h, w)
+            kern = rng.standard_normal(k * k).reshape(k, k)
             assert np.array_equal(_periodic_conv(arr, kern), convolve2d_wrap(arr, kern))
 
 
 def test_periodic_conv_broadcasts_stacks_against_tap_stacks():
-    rng = RngState(51)
+    rng = np.random.default_rng(51)
     h, w = 9, 12
     # (leading axes of the images, leading axes of the taps)
     cases = [((4,), (4,)), ((), (3,)), ((2, 1), (3,)), ((3,), ())]
     for k in (1, 3):
         for lead, tap_lead in cases:
-            stack = gaussian_samples(rng, 2 * 3 * 4 * h * w)[: int(np.prod(lead)) * h * w]
+            stack = rng.standard_normal(2 * 3 * 4 * h * w)[: int(np.prod(lead)) * h * w]
             stack = stack.reshape(lead + (h, w))
-            taps = gaussian_samples(rng, 3 * 4 * k * k)[: int(np.prod(tap_lead)) * k * k]
+            taps = rng.standard_normal(3 * 4 * k * k)[: int(np.prod(tap_lead)) * k * k]
             taps = taps.reshape(tap_lead + (k, k))
             got = _periodic_conv(stack, taps)
             both = np.broadcast_shapes(lead, tap_lead)
@@ -227,11 +225,11 @@ def test_periodic_conv_broadcasts_stacks_against_tap_stacks():
 def test_periodic_conv_agrees_with_convolve2d_to_roundoff_from_5x5():
     # From k = 5 on convolve2d sums in another order; each output is a sum
     # of k^2 products, so the two differ by at most k^2 eps sum|kern| max|arr|.
-    rng = RngState(52)
+    rng = np.random.default_rng(52)
     for k in (5, 7, 9, 11):
         for h, w in ((9, 9), (16, 12), (64, 64)):
-            arr = gaussian_samples(rng, h * w).reshape(h, w)
-            kern = gaussian_samples(rng, k * k).reshape(k, k)
+            arr = rng.standard_normal(h * w).reshape(h, w)
+            kern = rng.standard_normal(k * k).reshape(k, k)
             bound = k * k * np.finfo(float).eps * np.sum(np.abs(kern)) * np.max(np.abs(arr))
             got = _periodic_conv(arr, kern)
             assert np.max(np.abs(got - convolve2d_wrap(arr, kern))) <= bound
@@ -252,7 +250,7 @@ def test_conv_kernel_too_large():
 def test_cyclic_convolver_matches_direct():
     # Both paths must agree with the spatial path to roundoff, including
     # non-square shapes and kernels as wide as the image.
-    rng = RngState(40)
+    rng = np.random.default_rng(40)
     # Numerically rank 2: its second singular value, about 1e-8, is far
     # above the rank tolerance, and dropping it would move a convolution by
     # about 1e-8.
@@ -262,10 +260,10 @@ def test_cyclic_convolver_matches_direct():
     rank_two = np.outer(a, a) + 1e-9 * np.outer(b, b)
     cases = [
         # Random kernels take the FFT path.
-        (8, 8, gaussian_samples(rng, 9).reshape(3, 3), False),
-        (6, 10, gaussian_samples(rng, 25).reshape(5, 5), False),
-        (9, 9, gaussian_samples(rng, 81).reshape(9, 9), False),
-        (16, 12, gaussian_samples(rng, 49).reshape(7, 7), False),
+        (8, 8, rng.standard_normal(9).reshape(3, 3), False),
+        (6, 10, rng.standard_normal(25).reshape(5, 5), False),
+        (9, 9, rng.standard_normal(81).reshape(9, 9), False),
+        (16, 12, rng.standard_normal(49).reshape(7, 7), False),
         # Gaussian kernels take the circulant path.
         (8, 8, gaussian_kernel(3, 0.6), True),
         (6, 10, gaussian_kernel(5, 1.2), True),
@@ -273,7 +271,7 @@ def test_cyclic_convolver_matches_direct():
         (16, 12, gaussian_kernel(7, 1.5), True),
         (64, 64, gaussian_kernel(17, 2.0), True),
         # A separable kernel that is neither symmetric nor of equal factors.
-        (6, 10, np.outer(gaussian_samples(rng, 5), gaussian_samples(rng, 5)), True),
+        (6, 10, np.outer(rng.standard_normal(5), rng.standard_normal(5)), True),
         (1, 5, gaussian_kernel(1, 1.0), True),
         # Past the size limit of dense circulants, a Gaussian takes the FFT path.
         (8, 250, gaussian_kernel(5, 1.0), False),
@@ -284,7 +282,7 @@ def test_cyclic_convolver_matches_direct():
         assert (conv._circulants is not None) == separable
         scale = np.sum(np.abs(kern))
         for _ in range(3):
-            arr = gaussian_samples(rng, h * w).reshape(h, w)
+            arr = rng.standard_normal(h * w).reshape(h, w)
             direct = convolve2d_wrap(arr, kern)
             assert np.max(np.abs(conv.apply(arr) - direct)) <= 1e-12 * scale
             adj_direct = convolve2d_wrap(arr, kern[::-1, ::-1])
@@ -371,7 +369,7 @@ def test_test_images_deterministic():
 def test_named_test_image_matches_the_full_set(seed, shape):
     # The full set draws texture and then blocks from one stream; each
     # named image is its entry of that set.
-    rng = RngState(seed)
+    rng = np.random.default_rng(seed)
     for name in TEST_IMAGE_NAMES:
         full = _TEST_IMAGE_BUILDERS[name](*shape, rng)
         one = named_test_image(name, seed, shape)
@@ -419,7 +417,7 @@ def test_texture_is_bit_equal_to_smoothed_noise():
     kern = gaussian_kernel(7, 1.2)
     for shape in ((64, 64), (96, 192)):
         for seed in (0, 1234, 4242, 2**32 - 1):
-            noise = gaussian_samples(RngState(seed), shape[0] * shape[1]).reshape(shape)
+            noise = np.random.default_rng(seed).standard_normal(shape[0] * shape[1]).reshape(shape)
             conv = CyclicConvolver(shape, kern)
             assert (conv._circulants is None) == (sum(shape) > 256)
             got = named_test_image("texture", seed, shape)

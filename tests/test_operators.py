@@ -14,10 +14,8 @@ from redlab import operators
 from redlab import (
     CompressiveSensingOperator,
     DeblurOperator,
-    RngState,
     build_cs_operator,
     gaussian_kernel,
-    gaussian_samples,
 )
 
 from conv_reference import convolve2d_wrap
@@ -25,10 +23,10 @@ from dense_operator import DenseOperator
 
 
 def check_adjoint(op, pairs, seed, tol=1e-10):
-    rng = RngState(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(pairs):
-        v = gaussian_samples(rng, op.n)
-        u = gaussian_samples(rng, op.m)
+        v = rng.standard_normal(op.n)
+        u = rng.standard_normal(op.m)
         lhs = float(op.forward(v) @ u)
         rhs = float(v @ op.adjoint(u))
         assert abs(lhs - rhs) <= tol * np.linalg.norm(v) * np.linalg.norm(u)
@@ -49,7 +47,7 @@ def test_deblur_matches_convolution():
     # same inputs (spec ties them together).
     k = gaussian_kernel(5, 1.2)
     op = DeblurOperator((8, 9), k)
-    x = gaussian_samples(RngState(2), 72)
+    x = np.random.default_rng(2).standard_normal(72)
     via_op = op.forward(x)
     via_conv = convolve2d_wrap(x.reshape(8, 9), k).reshape(-1)
     assert np.max(np.abs(via_op - via_conv)) < 1e-12
@@ -68,8 +66,8 @@ def test_deblur_matches_convolution():
     ],
 )
 def test_matrix_gram_matches_adjoint_of_forward(m, n):
-    rng = RngState(n)
-    vs = [gaussian_samples(rng, n) for _ in range(3)]
+    rng = np.random.default_rng(n)
+    vs = [rng.standard_normal(n) for _ in range(3)]
     op = CompressiveSensingOperator(m, n, seed=m)
     mat = op.matrix
     assert sum(b.shape[0] for b in op._row_blocks) == m
@@ -97,9 +95,9 @@ def test_matrix_gram_of_a_vector_is_its_one_row_stack(threads):
     # numpy reads OPENBLAS_NUM_THREADS when it loads, so ask a new process.
     code = (
         "import numpy as np; "
-        "from redlab import CompressiveSensingOperator, RngState, gaussian_samples; "
+        "from redlab import CompressiveSensingOperator; "
         "op = CompressiveSensingOperator(50, 4096, 3); "
-        "v = gaussian_samples(RngState(4), 4096); "
+        "v = np.random.default_rng(4).standard_normal(4096); "
         "ref = op.adjoint(op.forward(v)); "
         "print(np.array_equal(op.gram(v), op.gram(v[None])[0]), "
         "np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref)))"
@@ -140,9 +138,9 @@ def test_blas_thread_probe_looks_up_its_library_once(monkeypatch):
 @pytest.mark.parametrize("shape, ksize", [((8, 9), 5), ((64, 64), 17)])
 def test_deblur_gram_matches_adjoint_of_forward(shape, ksize):
     op = DeblurOperator(shape, gaussian_kernel(ksize, 2.0))
-    rng = RngState(ksize)
+    rng = np.random.default_rng(ksize)
     for _ in range(3):
-        v = gaussian_samples(rng, op.n)
+        v = rng.standard_normal(op.n)
         ref = op.adjoint(op.forward(v))
         assert np.max(np.abs(op.gram(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -173,7 +171,7 @@ def test_cs_operator_orthonormalizes_its_input():
     # of the same seeded Gaussian, scaled to variance 1/m, from one row to
     # one short of square, where the draw is worst conditioned.
     for m, n, seed in ((30, 200, 9), (1, 200, 9), (199, 200, 9)):
-        raw = gaussian_samples(RngState(seed), m * n).reshape(m, n) / np.sqrt(m)
+        raw = np.random.default_rng(seed).standard_normal(m * n).reshape(m, n) / np.sqrt(m)
         q, r = np.linalg.qr(raw.T, mode="reduced")
         signs = np.sign(np.diag(r))
         signs[signs == 0.0] = 1.0
@@ -198,10 +196,10 @@ def test_cs_operator_leaves_its_input_unchanged():
     # or writeability, and no result aliases them or the matrix.
     op = CompressiveSensingOperator(40, 300, seed=4)
     a = op.matrix
-    rng = RngState(5)
-    x = gaussian_samples(rng, 300)
-    u = gaussian_samples(rng, 40)
-    stack = gaussian_samples(rng, 3 * 300).reshape(3, 300)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(300)
+    u = rng.standard_normal(40)
+    stack = rng.standard_normal(3 * 300).reshape(3, 300)
     frozen = stack.copy()
     frozen.flags.writeable = False
     for v, apply, want in (
@@ -356,8 +354,8 @@ def test_spectral_deblur_exact_equals_power_iteration():
 def test_spectral_rayleigh_monotone():
     # The Rayleigh quotient of power iteration never decreases; replay the
     # iteration by hand and watch the sequence.
-    op = DenseOperator(gaussian_samples(RngState(13), 15 * 20).reshape(15, 20))
-    v = gaussian_samples(RngState(0), op.n)
+    op = DenseOperator(np.random.default_rng(13).standard_normal(15 * 20).reshape(15, 20))
+    v = np.random.default_rng(0).standard_normal(op.n)
     v = v / np.linalg.norm(v)
     prev = -np.inf
     for _ in range(60):

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from redlab import RngState, gaussian_kernel
+from redlab import gaussian_kernel
 from redlab.pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
 
 
 def test_round_trip_16bit(tmp_path):
-    rng = RngState(8)
-    img = rng.uniform(30).reshape(6, 5)
+    rng = np.random.default_rng(8)
+    img = rng.random(30).reshape(6, 5)
     path = tmp_path / "a.pgm"
     write_pgm(path, img)
     back = read_pgm(path)
@@ -20,7 +20,7 @@ def test_round_trip_16bit(tmp_path):
 
 def test_round_trip_8bit(tmp_path):
     # The package writes 16-bit files only; 8-bit ones come from elsewhere.
-    img = RngState(9).uniform(16).reshape(4, 4)
+    img = np.random.default_rng(9).random(16).reshape(4, 4)
     path = tmp_path / "b.pgm"
     levels = np.floor(img * 255 + 0.5).astype(np.uint8)
     path.write_bytes(b"P5\n4 4\n255\n" + levels.tobytes())

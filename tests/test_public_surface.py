@@ -5,6 +5,7 @@ public entry points reject sizes, parameters and vectors they cannot honour."""
 import ast
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ from redlab import (
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
     REDProblem,
-    RngState,
     ScaledDenoiser,
     SolverConfig,
+    add_noise_at_snr,
     estimate_lipschitz,
     gaussian_kernel,
     named_test_image,
@@ -82,6 +83,28 @@ def test_no_public_name_is_used_only_by_tests():
     used = set().union(*(_uses(p) for p in users))
     unused = sorted(q for q, name in defined.items() if name not in used and q not in EXEMPT)
     assert unused == []
+
+
+def _dotted_names(path):
+    """Dotted names a module spells in code: attribute chains and imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            yield ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_rng_names_numpys_random_module():
+    # One source of randomness: every draw comes from a generator that
+    # rng._generator seeds by the package's seed rule.
+    naming = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(re.match(r"(np|numpy)\.random\b", name) for name in _dotted_names(path))
+    )
+    assert naming == ["rng.py"]
 
 
 @pytest.mark.parametrize(
@@ -185,7 +208,10 @@ COMPLEX = np.ones(64) + 0j
         lambda: IdentityDenoiser(True),
         lambda: gaussian_kernel(True, 1.0),
         lambda: gaussian_kernel(3, 1.0 + 0j),
-        lambda: RngState(True),
+        lambda: named_test_image("texture", True, (32, 32)),
+        lambda: CompressiveSensingOperator(4, 16, True),
+        lambda: add_noise_at_snr(_deblur_problem().fidelity.op, np.ones(64), 30.0, True),
+        lambda: RandomConvnetDenoiser((8, 8), 2, 1.0, True),
         lambda: SolverConfig(gamma=True),
         lambda: SolverConfig(gamma="0.5"),
         lambda: ScaledDenoiser(IdentityDenoiser(4), "2"),
@@ -196,7 +222,8 @@ COMPLEX = np.ones(64) + 0j
         "forward_complex", "adjoint_complex", "gram_complex", "gram_stack_complex",
         "apply_complex", "apply_strings", "measurement_complex", "operator_g_complex",
         "x0_complex", "psnr_ref_scalar", "kernel_complex", "pgm_complex", "dimension_bool",
-        "kernel_size_bool", "sigma_complex", "seed_bool", "gamma_bool", "gamma_string",
+        "kernel_size_bool", "sigma_complex", "seed_bool", "cs_seed_bool", "noise_seed_bool",
+        "convnet_seed_bool", "gamma_bool", "gamma_string",
         "scale_string", "smoothing_mu_string", "tau_bool",
     ],
 )

@@ -15,11 +15,9 @@ from redlab import (
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
     REDProblem,
-    RngState,
     ScaledDenoiser,
     build_cs_operator,
     gaussian_kernel,
-    gaussian_samples,
 )
 
 from dense_operator import DenseOperator
@@ -48,8 +46,8 @@ def grad_phi(p, x):
 def smoother_instance(seed=0, h=8, w=8, sigma=0.5, tau=0.1):
     """Deblur fidelity + linear smoother, small enough for dense assembly."""
     op = DeblurOperator((h, w), gaussian_kernel(3, 0.7))
-    rng = RngState(seed)
-    y = gaussian_samples(rng, h * w)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(h * w)
     den = LinearSmoothingDenoiser((h, w), sigma)
     p = REDProblem(LeastSquaresFidelity(op, y), den, tau)
     a = dense_matrix(op.forward, h * w)
@@ -63,21 +61,21 @@ def smoother_instance(seed=0, h=8, w=8, sigma=0.5, tau=0.1):
 
 
 def test_g_equals_fidelity_gradient_with_identity_denoiser():
-    op = DenseOperator(gaussian_samples(RngState(1), 20).reshape(4, 5))
-    y = gaussian_samples(RngState(2), 4)
+    op = DenseOperator(np.random.default_rng(1).standard_normal(20).reshape(4, 5))
+    y = np.random.default_rng(2).standard_normal(4)
     f = LeastSquaresFidelity(op, y)
     p = REDProblem(f, IdentityDenoiser(5), tau=0.7)
-    x = gaussian_samples(RngState(3), 5)
+    x = np.random.default_rng(3).standard_normal(5)
     assert np.array_equal(p.operator_g(x), f.gradient(x))
 
 
 def test_g_tau_perturbation_bound():
     # |G - grad g| <= tau * ||x - D(x)|| for any tau.
     op = DeblurOperator((8, 8), gaussian_kernel(3, 0.7))
-    y = gaussian_samples(RngState(4), 64)
+    y = np.random.default_rng(4).standard_normal(64)
     f = LeastSquaresFidelity(op, y)
     den = LinearSmoothingDenoiser((8, 8), 0.5)
-    x = RngState(5).uniform(64)
+    x = np.random.default_rng(5).random(64)
     resid = np.linalg.norm(x - den.apply(x))
     for tau in (1e-6, 1e-3, 0.5):
         p = REDProblem(f, den, tau)
@@ -87,7 +85,7 @@ def test_g_tau_perturbation_bound():
 
 def test_g_matches_dense_assembly():
     p, m, b, _y = smoother_instance(seed=6)
-    x = gaussian_samples(RngState(7), 64)
+    x = np.random.default_rng(7).standard_normal(64)
     assert np.max(np.abs(p.operator_g(x) - (m @ x - b))) < 1e-12
 
 
@@ -126,7 +124,7 @@ def test_phi_known_norm():
 
 def test_phi_summation_order():
     p, _m, _b, _y = smoother_instance(seed=9)
-    x = gaussian_samples(RngState(10), 64)
+    x = np.random.default_rng(10).standard_normal(64)
     g = p.operator_g(x)
     fsum = 0.5 * math.fsum(float(t) * float(t) for t in g)
     assert abs(phi(p, x) - fsum) < 1e-12
@@ -134,7 +132,7 @@ def test_phi_summation_order():
 
 def test_phi_deterministic():
     p, _m, _b, _y = smoother_instance(seed=11)
-    x = gaussian_samples(RngState(12), 64)
+    x = np.random.default_rng(12).standard_normal(64)
     assert phi(p, x) == phi(p, x)
 
 
@@ -151,7 +149,7 @@ def test_grad_phi_matches_quadratic_oracle():
     # phi is exactly quadratic for linear denoisers: grad = M^T (M x - b).
     for tau in (1.0, 0.1, 0.01):
         p, m, b, _y = smoother_instance(seed=14, tau=tau)
-        x = gaussian_samples(RngState(15), 64)
+        x = np.random.default_rng(15).standard_normal(64)
         want = m.T @ (m @ x - b)
         got = grad_phi(p, x)
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
@@ -171,13 +169,13 @@ def test_grad_phi_matches_full_finite_differences(name):
     shape = (16, 16)
     n = 256
     op = DeblurOperator(shape, gaussian_kernel(5, 1.2))
-    x_true = RngState(16).uniform(n)
+    x_true = np.random.default_rng(16).random(n)
     f = LeastSquaresFidelity(op, op.forward(x_true))
     p = REDProblem(f, SMOOTH_DENOISER_BUILDERS[name](shape), tau=0.1)
     h = 1e-5
-    rng = RngState(17)
+    rng = np.random.default_rng(17)
     for _ in range(2):
-        x = rng.uniform(n)
+        x = rng.random(n)
         grad = grad_phi(p, x)
         fd = np.empty(n)
         e = np.zeros(n)
@@ -193,7 +191,7 @@ def test_grad_phi_identity_everything():
     # A = I, y = 0, identity denoiser: G(x) = x and grad phi = x.
     f = LeastSquaresFidelity(DenseOperator(np.eye(8)), np.zeros(8))
     p = REDProblem(f, IdentityDenoiser(8), tau=0.3)
-    x = gaussian_samples(RngState(18), 8)
+    x = np.random.default_rng(18).standard_normal(8)
     assert np.array_equal(grad_phi(p, x), x)
 
 
@@ -202,7 +200,7 @@ def test_grad_phi_zero_denoiser_scaling():
     # G = (1+tau)x and grad phi = (1+tau)^2 x.
     f = LeastSquaresFidelity(DenseOperator(np.eye(16)), np.zeros(16))
     p = REDProblem(f, DctSoftThresholdDenoiser((4, 4), 10.0, 0.5), tau=0.5)
-    x = RngState(19).uniform(16)
+    x = np.random.default_rng(19).random(16)
     want = (1.5**2) * x
     assert np.max(np.abs(grad_phi(p, x) - want)) < 1e-12
 
@@ -240,8 +238,8 @@ def test_projection_hessian_g_identity():
     shape = (16, 16)
     op = build_cs_operator(40, 256, seed=3)
     den = LinearSmoothingDenoiser(shape, 1.0)
-    p = REDProblem(LeastSquaresFidelity(op, gaussian_samples(RngState(30), 40)), den, tau=0.5)
-    x = RngState(31).uniform(256)
+    p = REDProblem(LeastSquaresFidelity(op, np.random.default_rng(30).standard_normal(40)), den, tau=0.5)
+    x = np.random.default_rng(31).random(256)
     grad_g = p.fidelity.gradient(x)
     dx = p.denoiser.apply(x)
     hg = (1.0 + p.tau) * grad_g + p.tau * (p.fidelity.b - p.fidelity.hessian_vp(dx))
@@ -257,10 +255,10 @@ def test_descent_direction(name):
     # phi decreases along -grad within 60 halvings from t = 1.
     shape = (16, 16)
     op = DeblurOperator(shape, gaussian_kernel(5, 1.2))
-    x_true = RngState(28).uniform(256)
+    x_true = np.random.default_rng(28).random(256)
     f = LeastSquaresFidelity(op, op.forward(x_true))
     p = REDProblem(f, SMOOTH_DENOISER_BUILDERS[name](shape), tau=0.1)
-    x = RngState(29).uniform(256)
+    x = np.random.default_rng(29).random(256)
     phi0 = phi(p, x)
     grad = grad_phi(p, x)
     assert np.linalg.norm(grad) > 0.0

@@ -28,7 +28,6 @@ from redlab import (
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
     REDProblem,
-    RngState,
     ScaledDenoiser,
     SOLVER_NAMES,
     SolverConfig,
@@ -69,7 +68,7 @@ def _runs(cases, factors, t):
     for op_name, den_name in cases:
         op = OPERATORS[op_name]()
         den = DENOISERS[den_name]()
-        y = op.forward(RngState(1).uniform(256))
+        y = op.forward(np.random.default_rng(1).random(256))
         x0 = y.copy() if op_name == "deblur" else op.adjoint(y)
         L = op.exact_spectral_norm_sq()
         for tau in (0.1, 1.0):

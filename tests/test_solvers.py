@@ -17,14 +17,12 @@ from redlab import (
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
     REDProblem,
-    RngState,
     ScaledDenoiser,
     SolverConfig,
     default_gamma,
     gaussian_kernel,
     SOLVER_NAMES,
     build_cs_operator,
-    gaussian_samples,
     run_solver,
 )
 from redlab.config import from_dict
@@ -39,7 +37,7 @@ N = 256
 
 def deblur_problem(denoiser, tau, seed=0, kernel_sigma=1.2, kernel_size=5):
     op = DeblurOperator(SHAPE, gaussian_kernel(kernel_size, kernel_sigma))
-    x_true = RngState(seed).uniform(N)
+    x_true = np.random.default_rng(seed).random(N)
     y = op.forward(x_true)
     return REDProblem(LeastSquaresFidelity(op, y), denoiser, tau), y, x_true
 
@@ -418,7 +416,8 @@ def test_a_failed_trial_leaves_no_product_behind(solver, denoiser, tau, gamma_fa
     # A stack that took D and P D of a trial point ahead serves no other
     # candidate and no later iteration once that trial fails.
     op = build_cs_operator(40, N, seed=5)
-    y = op.forward(RngState(30).uniform(N)) + 0.01 * gaussian_samples(RngState(5), 40)
+    noise = np.random.default_rng(5).standard_normal(40)
+    y = op.forward(np.random.default_rng(30).random(N)) + 0.01 * noise
     p = REDProblem(LeastSquaresFidelity(op, y), denoiser, tau)
     cfg = SolverConfig(gamma=gamma_factor * default_gamma(1.0, tau), t=100)
     new = run_solver(solver, p, op.adjoint(y), cfg)
@@ -563,7 +562,7 @@ def test_cs_nonexpansive_reaches_the_conjugate_gradient_fixed_point():
     )
     x_cg, info = cg(m, op.adjoint(p.fidelity.y), rtol=1e-14, atol=0.0)
     assert info == 0
-    v0 = RngState(0).uniform(p.n)
+    v0 = np.random.default_rng(0).random(p.n)
     lam_min = float(eigsh(m, k=1, which="SA", v0=v0, return_eigenvectors=False)[0])
     gap, bound = _gap_bound(p, result.x_star, x_cg, lam_min)
     assert gap <= bound
