@@ -12,8 +12,9 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .fidelity import _amplitude_ratio
-from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES, gaussian_kernel
+from .fidelity import _amplitude_ratio, add_noise_at_snr
+from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES, gaussian_kernel, named_test_image
+from .operators import DeblurOperator
 from .pgmio import read_kernel_file, read_pgm
 from .presets import DENOISER_NAMES, DENOISERS, build_denoiser
 from .rng import _generator
@@ -112,13 +113,6 @@ def _seed(v, path):
         _fail(path, str(exc))
 
 
-def _fits(size, shape, path):
-    """Fail unless a size x size kernel fits the image."""
-    if size > min(shape):
-        h, w = shape
-        _fail(path, f"must not exceed the image extent {h}x{w}")
-
-
 def _file(v, base_dir, path):
     """Absolute path of an existing file, so the config round-trips from any
     directory."""
@@ -135,7 +129,7 @@ class ExperimentConfig:
     """Fully resolved experiment description with all defaults applied."""
 
     problem: str
-    image: dict
+    image: object  # a preset name, or {"pgm": absolute path}
     shape: tuple
     image_seed: int
     operator: dict
@@ -156,7 +150,6 @@ def from_dict(raw, base_dir="."):
     if isinstance(image, str):
         if image not in TEST_IMAGE_NAMES:
             _fail("config.image", f"unknown image preset {image!r}; valid: {TEST_IMAGE_NAMES}")
-        image = {"preset": image}
     elif isinstance(image, dict) and list(image) == ["pgm"]:
         image = {"pgm": _file(image["pgm"], base_dir, "config.image.pgm")}
     else:
@@ -169,19 +162,30 @@ def from_dict(raw, base_dir="."):
     if min(shape) < 1:
         _fail("config.shape", "dimensions must be positive")
     # Here, not only when the image is drawn, so that a sweep fails before any run.
-    if "preset" in image and min(shape) < MIN_TEST_IMAGE_EXTENT:
+    if isinstance(image, str) and min(shape) < MIN_TEST_IMAGE_EXTENT:
         m = MIN_TEST_IMAGE_EXTENT
         _fail("config.shape", f"a named test image is at least {m}x{m}")
-    if "pgm" in image:
+    pgm = None
+    if isinstance(image, dict):
         # Read here, as a kernel file is below, so that an image that does
         # not parse or fit fails at the boundary and a sweep before any run.
         try:
-            pgm_shape = read_pgm(image["pgm"]).shape
+            pgm = read_pgm(image["pgm"])
         except (OSError, ValueError) as exc:
             _fail("config.image.pgm", str(exc))
-        if pgm_shape != shape:
-            _fail("config.image.pgm", f"PGM shape {pgm_shape} does not match config shape {shape}")
+        if pgm.shape != shape:
+            _fail("config.image.pgm", f"PGM shape {pgm.shape} does not match config shape {shape}")
+        if not pgm.any():  # zero under every operator: the noise has no SNR
+            _fail("config.image.pgm", "an all-zero image has a zero clean measurement")
     _seed(top["image_seed"], "config.image_seed")
+
+    noise = _section(top["noise"], _NOISE[problem], "config.noise")
+    if noise["input_snr_db"] is not None:
+        try:
+            _amplitude_ratio(noise["input_snr_db"])
+        except ValueError as exc:
+            _fail("config.noise.input_snr_db", str(exc))
+    _seed(noise["seed"], "config.noise.seed")
 
     op = top["operator"]
     if problem == "cs":
@@ -196,31 +200,28 @@ def from_dict(raw, base_dir="."):
             _fail("config.operator", "kernel_path excludes every other key")
         path = "config.operator.kernel_path"
         operator = {"kernel_path": _file(op["kernel_path"], base_dir, path)}
-        # Read here, as the denoiser is built below, so that a kernel the
-        # operator refuses fails at the boundary and a sweep before any run.
+        # Built and measured here, as the denoiser is built below, so that a
+        # kernel the operator refuses, or one whose clean measurement is zero
+        # or overflows (as no Gaussian's is), fails at the boundary and a
+        # sweep before any run.
+        x = pgm if pgm is not None else named_test_image(image, top["image_seed"], shape)
         try:
-            kernel = read_kernel_file(operator["kernel_path"])
+            blur = DeblurOperator(shape, read_kernel_file(operator["kernel_path"]))
+            add_noise_at_snr(blur, x.reshape(-1), noise["input_snr_db"], noise["seed"])
         except (OSError, ValueError) as exc:
             _fail(path, str(exc))
-        _fits(kernel.shape[0], shape, path)
     else:
         operator = _section(op, _OPERATOR["deblur"], "config.operator")
         if operator["kernel_size"] < 1 or operator["kernel_size"] % 2 == 0:
             _fail("config.operator.kernel_size", "must be odd and positive")
         # Checked here, before the kernel is built: its size grows with k^2.
-        _fits(operator["kernel_size"], shape, "config.operator.kernel_size")
+        if operator["kernel_size"] > min(shape):
+            h, w = shape
+            _fail("config.operator.kernel_size", f"must not exceed the image extent {h}x{w}")
         try:
             gaussian_kernel(operator["kernel_size"], operator["kernel_sigma"])
         except ValueError as exc:
             _fail("config.operator.kernel_sigma", str(exc))
-
-    noise = _section(top["noise"], _NOISE[problem], "config.noise")
-    if noise["input_snr_db"] is not None:
-        try:
-            _amplitude_ratio(noise["input_snr_db"])
-        except ValueError as exc:
-            _fail("config.noise.input_snr_db", str(exc))
-    _seed(noise["seed"], "config.noise.seed")
 
     den = top["denoiser"]
     name = den.get("name") if isinstance(den, dict) else None
@@ -272,7 +273,6 @@ def from_dict(raw, base_dir="."):
 def to_dict(cfg):
     """Plain-JSON form of a config; from_dict of the result compares equal."""
     d = asdict(cfg)
-    d["image"] = cfg.image.get("preset", d["image"])
     d["shape"] = list(cfg.shape)
     return d
 

@@ -10,7 +10,7 @@ directory, and no artifact records it, so a run writes the same bytes
 under any root.
 """
 
-import json
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -47,12 +47,6 @@ class BuiltExperiment:
     L: float
 
 
-def _load_true_image(cfg):
-    if "preset" in cfg.image:
-        return named_test_image(cfg.image["preset"], cfg.image_seed, cfg.shape).reshape(-1)
-    return read_pgm(cfg.image["pgm"]).reshape(-1)
-
-
 def _build_operator(cfg):
     if cfg.problem == "deblur":
         if "kernel_path" in cfg.operator:
@@ -68,7 +62,10 @@ def _build_operator(cfg):
 
 def build_experiment(cfg):
     """Construct operator, measurements, denoiser, problem, and solver setup."""
-    x_true = _load_true_image(cfg)
+    if isinstance(cfg.image, str):
+        x_true = named_test_image(cfg.image, cfg.image_seed, cfg.shape).reshape(-1)
+    else:
+        x_true = read_pgm(cfg.image["pgm"]).reshape(-1)
     op = _build_operator(cfg)
     y, _e = add_noise_at_snr(op, x_true, cfg.noise["input_snr_db"], cfg.noise["seed"])
     denoiser = build_denoiser(cfg.denoiser, cfg.shape)
@@ -166,7 +163,7 @@ def _tau_token(tau):
 def run_dir(cfg, root):
     """The run directory of `cfg` under `root`: <solver>_tau<tau>_<image>,
     where a PGM image is named `pgm`."""
-    image = cfg.image.get("preset", "pgm")
+    image = cfg.image if isinstance(cfg.image, str) else "pgm"
     return os.path.join(root, f"{cfg.solver['name']}_tau{_tau_token(cfg.tau)}_{image}")
 
 
@@ -202,31 +199,28 @@ def run_sweep(cfg, taus, solvers, out_root, parallel=False):
     if not taus or not solvers:
         raise ValueError("sweep needs at least one tau and one solver")
     raw = to_dict(cfg)
-    grid, jobs = [], {}
-    for tau in taus:
-        for solver in solvers:
-            for image in TEST_IMAGE_NAMES:
-                child = from_dict(
-                    {**raw, "image": image, "tau": tau, "solver": {**raw["solver"], "name": solver}}
-                )
-                out_dir = run_dir(child, out_root)
-                if out_dir in jobs:
-                    raise ConfigError(f"two grid points share the run directory {out_dir}")
-                check_run_dir(child, out_dir)
-                jobs[out_dir] = child
-                grid.append((tau, solver, image))
+    jobs = {}  # run directory -> (grid point, config)
+    for tau, solver, image in itertools.product(taus, solvers, TEST_IMAGE_NAMES):
+        child = from_dict(
+            {**raw, "image": image, "tau": tau, "solver": {**raw["solver"], "name": solver}}
+        )
+        out_dir = run_dir(child, out_root)
+        if out_dir in jobs:
+            raise ConfigError(f"two grid points share the run directory {out_dir}")
+        check_run_dir(child, out_dir)
+        jobs[out_dir] = (tau, solver, image), child
     os.makedirs(out_root, exist_ok=True)
     if parallel:
         # Imported here, so that a serial sweep never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor() as pool:
-            futures = [pool.submit(_sweep_child, c, d) for d, c in jobs.items()]
+            futures = [pool.submit(_sweep_child, c, d) for d, (_k, c) in jobs.items()]
             outcomes = [f.exception() or f.result() for f in futures]
     else:
-        outcomes = [_sweep_child(c, d) for d, c in jobs.items()]
+        outcomes = [_sweep_child(c, d) for d, (_k, c) in jobs.items()]
     runs, failures, curves = [], [], {}
-    for key, outcome in zip(grid, outcomes):
+    for (key, _cfg), outcome in zip(jobs.values(), outcomes):
         if isinstance(outcome, BaseException):
             failures.append({"run": key, "type": type(outcome).__name__, "error": str(outcome)})
             continue
@@ -287,8 +281,6 @@ def make_data(out_dir, seed=1234):
     written.append(kpath)
     for preset_name in sorted(EXPERIMENT_PRESETS):
         path = os.path.join(out_dir, f"{preset_name}.json")
-        with open(path, "w") as fh:
-            json.dump(EXPERIMENT_PRESETS[preset_name], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_sidecar(path, EXPERIMENT_PRESETS[preset_name])
         written.append(path)
     return written

@@ -62,9 +62,10 @@ def add_noise_at_snr(op, x_true, snr_db, seed):
     rounding; snr_db None means a noiseless measurement, e = 0.
     """
     clean = op.forward(x_true)
-    clean_norm = float(np.linalg.norm(clean))
-    if clean_norm == 0.0:
-        raise ValueError("clean measurement is zero; SNR is undefined")
+    with np.errstate(over="ignore"):
+        clean_norm = float(np.linalg.norm(clean))
+    if not 0.0 < clean_norm < math.inf:
+        raise ValueError(f"clean measurement norm is {clean_norm!r}; SNR is undefined")
     if snr_db is None:
         return clean.copy(), np.zeros(op.m)
     w = _generator(seed).standard_normal(op.m)

@@ -31,17 +31,14 @@ def _blas_threads():
     The library is looked up once per process and asked every time, so a
     thread count changed at run time still reaches the CS operator cache key.
     """
-    return _blas_thread_getter()()
+    get = _openblas_function("num_threads", ctypes.c_int)
+    return None if get is None else get()
 
 
 @functools.cache
-def _blas_thread_getter():
-    return _openblas_function("num_threads", ctypes.c_int) or (lambda: None)
-
-
 def _openblas_function(what, restype):
     """`openblas_get_<what>` of the OpenBLAS bundled with numpy, returning
-    `restype`, or None where not found; each call searches anew."""
+    `restype`, or None where not found; looked up once per argument pair."""
     libs = os.path.dirname(os.path.dirname(np.__file__))
     for path in glob.glob(os.path.join(libs, "numpy.libs", "*openblas*")):
         try:

@@ -125,22 +125,20 @@ EXPERIMENT_PRESETS = {
 
 PRESET_NAMES = tuple(sorted(EXPERIMENT_PRESETS))
 
-# Denoiser specs used by the monotonicity suite: one nonexpansive and one
-# certified expansive per operator.
-SUITE_DENOISERS = {
-    "deblur": {
-        "nonexpansive": {"name": "smoother", "sigma": 1.5},
-        "expansive": {"name": "scaled_identity", "scale": 1.6},
-    },
-    "cs": {
-        "nonexpansive": {"name": "smoother", "sigma": 1.5},
-        "expansive": {"name": "scaled_smoother", "sigma": 1.5, "scale": 1.6},
-    },
-}
-
 
 def experiment_preset(name):
     """Deep copy of a shipped experiment config dict."""
     if name not in EXPERIMENT_PRESETS:
         raise ValueError(f"unknown preset {name!r}; valid: {PRESET_NAMES}")
     return copy.deepcopy(EXPERIMENT_PRESETS[name])
+
+
+# Denoiser specs used by the monotonicity suite: one nonexpansive and one
+# certified expansive per operator, those of the presets.
+SUITE_DENOISERS = {
+    problem: {
+        kind: experiment_preset(f"{problem}_{kind}")["denoiser"]
+        for kind in ("nonexpansive", "expansive")
+    }
+    for problem in ("deblur", "cs")
+}

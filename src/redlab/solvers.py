@@ -2,9 +2,9 @@
 
 Each of at most t outer iterations tests the fixed-step trial x - gamma*G(x)
 and further candidates against the solver's bound, then records the first
-that passes.  A run stops early on divergence (normalized residual above a
-cap), on an optional residual tolerance, or when a line search shrinks its
-step below the floor epsilon.
+that passes.  A run stops early on divergence (a start whose G overflows,
+or a normalized residual above a cap), on an optional residual tolerance,
+or when a line search shrinks its step below the floor epsilon.
 
 - red: any finite candidate passes; a non-finite one is divergence.
 - red_bls: ||G|| must not grow; a rejection shrinks gamma for good, so
@@ -118,13 +118,13 @@ def _psnr_of(x, ref):
     return 10.0 * math.log10(1.0 / mse)
 
 
-# The EvalCounters fields each request of the loop charges.  A product of
-# a stack of vectors is one pass over the operator, like a single one.
+# The EvalCounters fields each request of the loop charges; mred asks one
+# VJP per grad phi.  A product of a stack is one pass, like one vector's.
 _CHARGES = {
     "gradient": ("operator_forwards", "operator_adjoints"),
     "gram": ("operator_forwards", "operator_adjoints"),
     "apply": ("denoiser_applies",),
-    "vjp": ("vjp_evals",),
+    "vjp": ("vjp_evals", "grad_phi_evals"),
 }
 
 
@@ -157,8 +157,8 @@ def run_solver(name, p, x0, cfg, psnr_ref=None):
 
 
 def _iterate(name, p, x, cfg, psnr_ref, counters):
-    """The loop, as a generator of requests that charges grad_phi_evals
-    itself and returns the SolveResult.
+    """The loop, as a generator of requests that returns the SolveResult;
+    it reads `counters` for the trace and never writes them.
 
     The loop carries the current point x, its fidelity gradient grad g(x),
     D(x) and G(x) = grad g(x) + tau * (x - D(x)), and forms phi =
@@ -209,6 +209,8 @@ def _iterate(name, p, x, cfg, psnr_ref, counters):
         return SolveResult(x, trace, termination, name, cfg, counters)
 
     record(0, "init", 0, 0.0)
+    if not math.isfinite(g0_sq):
+        return result("diverged")
     mode, gamma = "red_step", cfg.gamma
     for k in range(1, cfg.t + 1):
         # D and P D of the trial point, and P r, where a stack gave them.
@@ -233,9 +235,8 @@ def _iterate(name, p, x, cfg, psnr_ref, counters):
             # Every candidate steps along G(x): one product serves all.
             hg = yield ("gram", g)
         if name == "mred":
-            counters.grad_phi_evals += 1
             phi, grad = 0.5 * g_sq, hg + p.tau * r
-            if not (math.isfinite(phi) and np.isfinite(grad).all()):
+            if not np.isfinite(grad).all():
                 return result("diverged")
             gp_sq = float(grad @ grad)
         alpha = cfg.alpha0

@@ -105,7 +105,7 @@ def write_config(tmp_path, raw, name="cfg.json"):
 
 def test_config_defaults():
     cfg = from_dict({"problem": "deblur", "denoiser": {"name": "smoother"}})
-    assert cfg.image == {"preset": "phantom"}
+    assert cfg.image == "phantom"
     assert cfg.shape == (64, 64)
     assert cfg.image_seed == 1234
     assert cfg.operator == {"kernel_size": 17, "kernel_sigma": 2.0}
@@ -261,20 +261,28 @@ def test_config_rejects_a_kernel_wider_than_the_image(shape, size):
         ({"kernel_path": "k4.txt"}, {}, "operator.kernel_path"),
         ({"kernel_path": "k33.txt"}, {}, "operator.kernel_path"),
         ({"kernel_path": "knan.txt"}, {}, "operator.kernel_path"),
+        ({"kernel_path": "k0.txt"}, {}, "operator.kernel_path"),
+        ({"kernel_path": "k1e154.txt"}, {}, "operator.kernel_path"),
+        ({"kernel_path": "k1e300.txt"}, {}, "operator.kernel_path"),
+        ({"kernel_path": "k-1e300.txt"}, {}, "operator.kernel_path"),
         ({}, {"input_snr_db": 1e300}, "noise.input_snr_db"),
         ({}, {"input_snr_db": -1e4}, "noise.input_snr_db"),
         ({}, {"input_snr_db": -1e300}, "noise.input_snr_db"),
     ],
     ids=[
         "tiny_sigma", "huge_sigma", "negative_sigma", "even_file", "wide_file",
-        "nan_file", "huge_snr", "very_negative_snr", "huge_negative_snr",
+        "nan_file", "zero_file", "overflowing_norm_file", "huge_file", "huge_negative_file",
+        "huge_snr", "very_negative_snr", "huge_negative_snr",
     ],
 )
 def test_kernel_and_noise_scale_are_checked_at_parse_time(tmp_path, capsys, operator, noise, key):
-    # The parser builds the deblur kernel and the noise scale, so each of
-    # these is a config error naming its key, and neither `run` nor `sweep`
-    # writes anything.
+    # The parser builds the deblur kernel and the noise scale, and measures
+    # the image through a kernel file, whose clean measurement may be zero
+    # or overflow; so each of these is a config error naming its key, and
+    # neither `run` nor `sweep` writes anything.
     tmp = str(tmp_path)
+    for weight in ("0", "1e154", "1e300", "-1e300"):
+        Path(tmp, f"k{weight}.txt").write_text(f"1\n{weight}\n")
     write_kernel_file(os.path.join(tmp, "k4.txt"), np.full((4, 4), 1.0 / 16))
     write_kernel_file(os.path.join(tmp, "k33.txt"), np.full((33, 33), 1.0 / 33**2))
     with open(os.path.join(tmp, "knan.txt"), "w") as fh:
@@ -812,22 +820,27 @@ def test_build_honors_explicit_gamma():
 
 
 @pytest.mark.parametrize(
-    "write, message",
+    "write, message, base",
     [
         (
             lambda path: write_pgm(path, np.full((32, 32), 0.5)),
             r"PGM shape \(32, 32\) does not match config shape \(64, 64\)",
+            SMALL,
         ),
-        (lambda path: Path(path).write_text("P2 not binary\n"), "not a binary PGM"),
+        (lambda path: Path(path).write_text("P2 not binary\n"), "not a binary PGM", SMALL),
+        (lambda path: write_pgm(path, np.zeros((64, 64))), "an all-zero image", SMALL),
+        (lambda path: write_pgm(path, np.zeros((64, 64))), "an all-zero image", CS_SMALL),
     ],
-    ids=["shape", "text_file"],
+    ids=["shape", "text_file", "black_deblur", "black_cs"],
 )
-def test_config_refuses_a_pgm_that_does_not_parse_or_fit(tmp_path, capsys, write, message):
+def test_config_refuses_a_pgm_that_does_not_parse_or_fit(tmp_path, capsys, write, message, base):
     # Read by the parser, as a kernel file is, so that `run` and `grad-check`
-    # exit 1 with a config error and a sweep fails before any run.
+    # exit 1 with a config error and a sweep fails before any run.  A black
+    # image has a zero clean measurement under either operator, which the
+    # build's noise refuses.
     tmp = str(tmp_path)
     write(os.path.join(tmp, "img.pgm"))
-    raw = {**SMALL, "image": {"pgm": "img.pgm"}, "shape": [64, 64]}
+    raw = {**base, "image": {"pgm": "img.pgm"}, "shape": [64, 64]}
     with pytest.raises(ConfigError, match=r"^config\.image\.pgm: " + message):
         from_dict(raw, base_dir=tmp)
     path = write_config(tmp, raw)
@@ -914,7 +927,7 @@ def test_sidecar_records_the_blas_thread_count(tmp_path, monkeypatch):
     threads = operators._blas_threads()
     assert threads is None or isinstance(threads, int)
     assert read_sidecar(os.path.join(out, "sidecar.json"))["blas_threads"] == threads
-    monkeypatch.setattr(operators, "_blas_thread_getter", lambda: lambda: None)
+    monkeypatch.setattr(operators, "_openblas_function", lambda what, restype: None)
     out = os.path.join(str(tmp_path), "none")
     run_experiment(from_dict(copy.deepcopy(SMALL)), out)
     assert read_sidecar(os.path.join(out, "sidecar.json"))["blas_threads"] is None
@@ -1095,7 +1108,7 @@ def test_sweep_matches_individual_runs(tmp_path):
     )
     curves = []
     for name in names:
-        child = replace(cfg, image={"preset": name}, tau=0.1,
+        child = replace(cfg, image=name, tau=0.1,
                         solver={**cfg.solver, "name": "mred"})
         ref_dir = os.path.join(str(tmp_path), f"ref_{name}")
         run_experiment(child, ref_dir)
@@ -1254,7 +1267,7 @@ def test_sweep_refuses_to_replace_another_configs_runs(tmp_path, capsys):
 def test_sweep_checks_every_run_dir_before_its_first_run(tmp_path):
     # Another config's run sits where the sweep's last run would go.
     out = os.path.join(str(tmp_path), "sweep")
-    other = dataclasses.replace(from_dict(copy.deepcopy(CS_SMALL)), image={"preset": "blocks"})
+    other = dataclasses.replace(from_dict(copy.deepcopy(CS_SMALL)), image="blocks")
     run_experiment(other, run_dir(other, out))
     with pytest.raises(ConfigError):
         run_sweep(from_dict(copy.deepcopy(SMALL)), [0.1], ["mred"], out)
@@ -1286,19 +1299,31 @@ def test_summary_json_is_strict_json_for_an_exact_reconstruction(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_run_whose_numbers_overflow_diverges_and_writes_strict_json(tmp_path):
     # Noise 1e300 times the signal: the squared error and phi overflow at
-    # x0, so the PSNR is -inf and the normalized residual inf/inf.
-    raw = {**SMALL, "noise": {"input_snr_db": -6000.0}, "solver": {"name": "mred", "t": 3}}
+    # x0, so the PSNR is -inf and the normalized residual inf/inf.  Every
+    # solver stops there, after G(x0) alone, with the same row 0.
     tmp = str(tmp_path)
     out = os.path.join(tmp, "out")
-    assert main(["run", "--config", write_config(tmp, raw), "--out", out]) == 2
 
     def refuse(literal):
         raise ValueError(f"{literal} is not JSON")
 
-    with open(os.path.join(out, "mred_tau0.1_phantom", "sidecar.json")) as fh:
-        written = json.load(fh, parse_constant=refuse)
-    assert written["termination"] == "diverged"
-    assert [written[k] for k in ("final_phi", "final_norm_resid", "final_psnr_db")] == [None] * 3
+    rows = []
+    for solver in SOLVER_NAMES:
+        raw = {**SMALL, "noise": {"input_snr_db": -6000.0}, "solver": {"name": solver, "t": 3}}
+        assert main(["run", "--config", write_config(tmp, raw), "--out", out]) == 2, solver
+        with open(os.path.join(out, f"{solver}_tau0.1_phantom", "sidecar.json")) as fh:
+            written = json.load(fh, parse_constant=refuse)
+        assert written["termination"] == "diverged"
+        assert [written[k] for k in ("final_phi", "final_norm_resid", "final_psnr_db")] == [None] * 3
+        assert written["counters"] == {
+            "denoiser_applies": 1,
+            "vjp_evals": 0,
+            "operator_forwards": 1,
+            "operator_adjoints": 1,
+            "grad_phi_evals": 0,
+        }, solver
+        rows.append(Path(out, f"{solver}_tau0.1_phantom", "trace.csv").read_text())
+    assert len(rows[0].splitlines()) == 2 and rows.count(rows[0]) == 3
 
 
 def test_sweep_needs_work():

@@ -111,7 +111,7 @@ def test_matrix_gram_of_a_vector_is_its_one_row_stack(threads):
 
 
 def test_blas_thread_probe_looks_up_its_library_once(monkeypatch):
-    operators._blas_thread_getter.cache_clear()
+    operators._openblas_function.cache_clear()
     patterns = []
     real_glob = glob.glob
     monkeypatch.setattr(glob, "glob", lambda p: patterns.append(p) or real_glob(p))
@@ -121,7 +121,7 @@ def test_blas_thread_probe_looks_up_its_library_once(monkeypatch):
     if first is None or first < 2:
         return
     # The count itself is read anew on every call.
-    getter = operators._blas_thread_getter()
+    getter = operators._openblas_function("num_threads", ctypes.c_int)
     lib = ctypes.CDLL(real_glob(patterns[0])[0])
     setter = getattr(lib, getter.__name__.replace("_get_", "_set_"))
     setter.argtypes = [ctypes.c_int]

@@ -10,8 +10,8 @@ carried gradient differs from a fresh one by about 1e-16 ||G(x0)||, which
 near a fixed point (phi 1e-15 of its start within 30 iterations on deblur
 at tau 1) is more than 1e-9 of ||G|| itself.
 
-The same loop served by a driver of the test's own, which takes every
-product one vector at a time as A^T (A v), must take the same steps too.
+`run_solver` on an operator of the test's own, which takes every product
+one vector at a time as A^T (A v), must take the same steps too.
 """
 
 import math
@@ -22,9 +22,9 @@ import pytest
 from redlab import (
     DctSoftThresholdDenoiser,
     DeblurOperator,
-    EvalCounters,
     IdentityDenoiser,
     LeastSquaresFidelity,
+    LinearOperator,
     LinearSmoothingDenoiser,
     RandomConvnetDenoiser,
     REDProblem,
@@ -36,8 +36,6 @@ from redlab import (
     gaussian_kernel,
     run_solver,
 )
-from redlab.solvers import _iterate
-
 from reference_solver import reference_solve
 
 SHAPE = (16, 16)
@@ -99,27 +97,34 @@ def _difference(run, rows, termination):
     return None
 
 
+class RowByRow(LinearOperator):
+    """`op`, with every A^T A product, each row of a stack alone, taken as
+    op.adjoint(op.forward(v))."""
+
+    def __init__(self, op):
+        self.op, self.n, self.m = op, op.n, op.m
+        self.gram_is_projection = op.gram_is_projection
+
+    def forward(self, x):
+        return self.op.forward(x)
+
+    def adjoint(self, u):
+        return self.op.adjoint(u)
+
+    def gram(self, v):
+        if np.ndim(v) == 1:
+            return self.adjoint(self.forward(v))
+        return np.stack([self.adjoint(self.forward(row)) for row in v])
+
+    def exact_spectral_norm_sq(self):
+        return self.op.exact_spectral_norm_sq()
+
+
 def _serve_row_by_row(name, p, x0, cfg):
-    """Drive the solver loop with a driver of its own: every A^T A product,
-    each row of a stack alone, as op.adjoint(op.forward(v))."""
-    op, den = p.fidelity.op, p.denoiser
-
-    def gram(v):
-        if v.ndim == 1:
-            return op.adjoint(op.forward(v))
-        return np.stack([op.adjoint(op.forward(row)) for row in v])
-
-    serve = {
-        "gradient": p.fidelity.gradient, "gram": gram, "apply": den.apply, "vjp": den.residual_vjp
-    }
-    steps = _iterate(name, p, x0.copy(), cfg, None, EvalCounters())
-    reply = None
-    while True:
-        try:
-            kind, *args = steps.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        reply = serve[kind](*args)
+    """`run_solver` on `p` with its operator taken row by row."""
+    f = p.fidelity
+    row_by_row = REDProblem(LeastSquaresFidelity(RowByRow(f.op), f.y), p.denoiser, p.tau)
+    return run_solver(name, row_by_row, x0, cfg)
 
 
 @pytest.mark.parametrize("op_name,den_name", CASES)
@@ -129,7 +134,7 @@ def test_run_solver_takes_the_reference_steps(op_name, den_name):
         assert diff is None, f"{where}: {diff}"
 
 
-# Runs where a row-by-row driver leaves the reference's steps in the
+# Runs where a row-by-row operator leaves the reference's steps in the
 # roundoff tail.  Here ||G|| is 1.2e-15 at k 28, below
 # eps * (||grad g|| + tau ||x|| + tau ||D(x)||) = 3.6e-15, and the traced
 # phi is 30% off the exact one, so the k-29 sufficient-decrease test
