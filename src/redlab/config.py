@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .fidelity import _amplitude_ratio, add_noise_at_snr
+from .fidelity import _noise_bound, add_noise_at_snr
 from .images import MIN_TEST_IMAGE_EXTENT, TEST_IMAGE_NAMES, gaussian_kernel, named_test_image
 from .operators import DeblurOperator
 from .pgmio import read_kernel_file, read_pgm
@@ -105,12 +105,12 @@ def _section(d, defaults, path):
     return out
 
 
-def _seed(v, path):
-    """Fail unless `v` seeds a generator (see rng._generator)."""
+def _checked(key, make, *args):
+    """`make(*args)`, with its OSError or ValueError a ConfigError at `key`."""
     try:
-        _generator(v)
-    except ValueError as exc:
-        _fail(path, str(exc))
+        return make(*args)
+    except (OSError, ValueError) as exc:
+        _fail(key, str(exc))
 
 
 def _file(v, base_dir, path):
@@ -122,6 +122,35 @@ def _file(v, base_dir, path):
     if not os.path.isfile(v):
         _fail(path, f"file not found: {v}")
     return v
+
+
+# One maker per part of a config: from_dict checks the part by making it, and
+# build_experiment makes it to run.
+def _clean_image(image, seed, shape):
+    """The flat clean image: a named test image, or a non-zero PGM of `shape`."""
+    if isinstance(image, str):
+        return named_test_image(image, seed, shape).reshape(-1)
+    x = read_pgm(image["pgm"])
+    if x.shape != shape:
+        raise ValueError(f"PGM shape {x.shape} does not match config shape {shape}")
+    if not x.any():  # zero under every operator: the noise has no SNR
+        raise ValueError("an all-zero image has a zero clean measurement")
+    return x.reshape(-1)
+
+
+def _kernel(operator):
+    """A deblur operator section's kernel: its kernel file, or a Gaussian."""
+    if "kernel_path" in operator:
+        return read_kernel_file(operator["kernel_path"])
+    return gaussian_kernel(operator["kernel_size"], operator["kernel_sigma"])
+
+
+def _solver_config(solver, tau, L):
+    """A solver section's SolverConfig; a null gamma is default_gamma(L, tau)."""
+    settings = {k: v for k, v in solver.items() if k != "name"}
+    if settings["gamma"] is None:
+        settings["gamma"] = default_gamma(L, tau)
+    return SolverConfig(**settings)
 
 
 @dataclass
@@ -169,23 +198,13 @@ def from_dict(raw, base_dir="."):
     if isinstance(image, dict):
         # Read here, as a kernel file is below, so that an image that does
         # not parse or fit fails at the boundary and a sweep before any run.
-        try:
-            pgm = read_pgm(image["pgm"])
-        except (OSError, ValueError) as exc:
-            _fail("config.image.pgm", str(exc))
-        if pgm.shape != shape:
-            _fail("config.image.pgm", f"PGM shape {pgm.shape} does not match config shape {shape}")
-        if not pgm.any():  # zero under every operator: the noise has no SNR
-            _fail("config.image.pgm", "an all-zero image has a zero clean measurement")
-    _seed(top["image_seed"], "config.image_seed")
+        pgm = _checked("config.image.pgm", _clean_image, image, top["image_seed"], shape)
+    _checked("config.image_seed", _generator, top["image_seed"])
 
     noise = _section(top["noise"], _NOISE[problem], "config.noise")
     if noise["input_snr_db"] is not None:
-        try:
-            _amplitude_ratio(noise["input_snr_db"])
-        except ValueError as exc:
-            _fail("config.noise.input_snr_db", str(exc))
-    _seed(noise["seed"], "config.noise.seed")
+        _checked("config.noise.input_snr_db", _noise_bound, shape, noise["input_snr_db"])
+    _checked("config.noise.seed", _generator, noise["seed"])
 
     op = top["operator"]
     if problem == "cs":
@@ -194,7 +213,7 @@ def from_dict(raw, base_dir="."):
         ratio, n = operator["ratio"], shape[0] * shape[1]
         if not (0.0 < ratio < 1.0 and 1 <= round(ratio * n) < n):
             _fail("config.operator.ratio", f"must lie in (0, 1) and give 1 <= m < n = {n}")
-        _seed(operator["seed"], "config.operator.seed")
+        _checked("config.operator.seed", _generator, operator["seed"])
     elif isinstance(op, dict) and "kernel_path" in op:
         if len(op) > 1:
             _fail("config.operator", "kernel_path excludes every other key")
@@ -204,12 +223,9 @@ def from_dict(raw, base_dir="."):
         # kernel the operator refuses, or one whose clean measurement is zero
         # or overflows (as no Gaussian's is), fails at the boundary and a
         # sweep before any run.
-        x = pgm if pgm is not None else named_test_image(image, top["image_seed"], shape)
-        try:
-            blur = DeblurOperator(shape, read_kernel_file(operator["kernel_path"]))
-            add_noise_at_snr(blur, x.reshape(-1), noise["input_snr_db"], noise["seed"])
-        except (OSError, ValueError) as exc:
-            _fail(path, str(exc))
+        x = pgm if pgm is not None else _clean_image(image, top["image_seed"], shape)
+        blur = _checked(path, DeblurOperator, shape, _checked(path, _kernel, operator))
+        _checked(path, add_noise_at_snr, blur, x, noise["input_snr_db"], noise["seed"])
     else:
         operator = _section(op, _OPERATOR["deblur"], "config.operator")
         if operator["kernel_size"] < 1 or operator["kernel_size"] % 2 == 0:
@@ -218,10 +234,7 @@ def from_dict(raw, base_dir="."):
         if operator["kernel_size"] > min(shape):
             h, w = shape
             _fail("config.operator.kernel_size", f"must not exceed the image extent {h}x{w}")
-        try:
-            gaussian_kernel(operator["kernel_size"], operator["kernel_sigma"])
-        except ValueError as exc:
-            _fail("config.operator.kernel_sigma", str(exc))
+        _checked("config.operator.kernel_sigma", _kernel, operator)
 
     den = top["denoiser"]
     name = den.get("name") if isinstance(den, dict) else None
@@ -230,10 +243,7 @@ def from_dict(raw, base_dir="."):
     denoiser = _section(den, {"name": name, **DENOISERS[name][0]}, "config.denoiser")
     # Built here, as SolverConfig is below, so that its constructor's checks
     # fail at the boundary and a sweep fails before any run.
-    try:
-        build_denoiser(denoiser, shape)
-    except ValueError as exc:
-        _fail("config.denoiser", str(exc))
+    _checked("config.denoiser", build_denoiser, denoiser, shape)
 
     if top["tau"] <= 0:
         _fail("config.tau", "must be positive")
@@ -243,19 +253,10 @@ def from_dict(raw, base_dir="."):
         _fail("config.solver.name", f"expected one of {SOLVER_NAMES}, got {solver['name']!r}")
     # SolverConfig owns the ranges.  A null gamma stands for the default
     # step, which must not round to 0 at L = 1, the bound of a normalized
-    # kernel and of orthonormal rows.
-    gamma = solver["gamma"]
-    if gamma is None:
-        try:
-            gamma = default_gamma(1.0, top["tau"])
-        except ValueError as exc:
-            _fail("config.tau", str(exc))
-    checked = {**solver, "gamma": gamma}
-    del checked["name"]
-    try:
-        SolverConfig(**checked)
-    except ValueError as exc:
-        _fail("config.solver", str(exc))
+    # kernel and of orthonormal rows: a tau that makes it so is at fault.
+    if solver["gamma"] is None:
+        _checked("config.tau", default_gamma, 1.0, top["tau"])
+    _checked("config.solver", _solver_config, solver, top["tau"], 1.0)
 
     return ExperimentConfig(
         problem=problem,

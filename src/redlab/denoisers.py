@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .images import CyclicConvolver, _dct_matrix, _periodic_conv, gaussian_kernel
-from .rng import _generator, _integral, _is_real, _positive, _vector
+from .rng import _generator, _integral, _is_real, _positive, _shape, _vector
 
 
 class Denoiser:
@@ -74,7 +74,7 @@ class LinearSmoothingDenoiser(Denoiser):
 
     def __init__(self, shape, sigma):
         sigma = _positive(sigma, "sigma")
-        h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
+        h, w = _shape(shape)
         # Checked before the kernel is built, whose memory grows with sigma^2,
         # and in floats, where int() would overflow on the largest sigma.
         size = 2.0 * np.ceil(4.0 * sigma) + 1.0
@@ -140,7 +140,7 @@ class DctSoftThresholdDenoiser(Denoiser):
         threshold = _positive(threshold, "threshold")
         if not (_is_real(smoothing_mu) and 0 < smoothing_mu < threshold):
             raise ValueError("smoothing_mu must lie in (0, threshold)")
-        h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
+        h, w = _shape(shape)
         self.shape = (h, w)
         self.threshold = threshold
         self.smoothing_mu = float(smoothing_mu)
@@ -214,7 +214,7 @@ class RandomConvnetDenoiser(Denoiser):
         if channels < 1:
             raise ValueError("channels must be positive")
         weight_scale = _positive(weight_scale, "weight_scale")
-        h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
+        h, w = _shape(shape)
         if min(h, w) < 3:
             raise ValueError("image extent must be at least 3 for 3x3 kernels")
         self.seed = _integral(seed, "seed")

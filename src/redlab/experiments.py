@@ -19,15 +19,16 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, from_dict, to_dict
+from .config import _clean_image, _kernel, _solver_config
 from .denoisers import LipschitzEstimate, estimate_lipschitz
 from .fidelity import LeastSquaresFidelity, add_noise_at_snr
 from .images import TEST_IMAGE_NAMES, gaussian_kernel, named_test_image
 from .operators import DeblurOperator, _blas_threads, build_cs_operator
-from .pgmio import read_kernel_file, read_pgm, write_kernel_file, write_pgm
+from .pgmio import write_kernel_file, write_pgm
 from .presets import EXPERIMENT_PRESETS, build_denoiser
 from .red import REDProblem
 from .rng import _generator
-from .solvers import SolverConfig, default_gamma, run_solver
+from .solvers import SolverConfig, run_solver
 from .traceio import read_sidecar, write_aggregate_csv, write_sidecar, write_trace_csv
 
 # Reduced effort for the per-run sidecar certification of denoisers without
@@ -49,34 +50,22 @@ class BuiltExperiment:
 
 def _build_operator(cfg):
     if cfg.problem == "deblur":
-        if "kernel_path" in cfg.operator:
-            kernel = read_kernel_file(cfg.operator["kernel_path"])
-        else:
-            kernel = gaussian_kernel(
-                cfg.operator["kernel_size"], cfg.operator["kernel_sigma"]
-            )
-        return DeblurOperator(cfg.shape, kernel)
+        return DeblurOperator(cfg.shape, _kernel(cfg.operator))
     n = cfg.shape[0] * cfg.shape[1]
     return build_cs_operator(round(cfg.operator["ratio"] * n), n, cfg.operator["seed"])
 
 
 def build_experiment(cfg):
     """Construct operator, measurements, denoiser, problem, and solver setup."""
-    if isinstance(cfg.image, str):
-        x_true = named_test_image(cfg.image, cfg.image_seed, cfg.shape).reshape(-1)
-    else:
-        x_true = read_pgm(cfg.image["pgm"]).reshape(-1)
+    x_true = _clean_image(cfg.image, cfg.image_seed, cfg.shape)
     op = _build_operator(cfg)
     y, _e = add_noise_at_snr(op, x_true, cfg.noise["input_snr_db"], cfg.noise["seed"])
     denoiser = build_denoiser(cfg.denoiser, cfg.shape)
     problem = REDProblem(LeastSquaresFidelity(op, y), denoiser, cfg.tau)
     L = op.exact_spectral_norm_sq()
-    solver = {k: v for k, v in cfg.solver.items() if k != "name"}
-    if solver["gamma"] is None:
-        solver["gamma"] = default_gamma(L, cfg.tau)
     # A CS run starts from the back-projection A^T y, which the fidelity keeps.
     x0 = y.copy() if cfg.problem == "deblur" else problem.fidelity.b.copy()
-    return BuiltExperiment(cfg, x_true, x0, problem, SolverConfig(**solver), L)
+    return BuiltExperiment(cfg, x_true, x0, problem, _solver_config(cfg.solver, cfg.tau, L), L)
 
 
 def _metrics(result):

@@ -54,12 +54,27 @@ def _amplitude_ratio(snr_db):
     return ratio
 
 
+def _noise_bound(shape, snr_db):
+    """The largest noise norm at snr_db of an image of `shape` with pixels
+    in [0, 1], measured through an operator of norm at most 1 (a normalized
+    blur, orthonormal rows): sqrt(h w) / 10^(snr_db / 20), which must be
+    finite."""
+    bound = math.sqrt(shape[0] * shape[1]) / _amplitude_ratio(snr_db)
+    if bound == math.inf:
+        raise ValueError(
+            f"input SNR {snr_db!r} dB is out of range: the noise norm, up to "
+            f"sqrt({shape[0]}*{shape[1]}) / 10^(snr/20), overflows"
+        )
+    return bound
+
+
 def add_noise_at_snr(op, x_true, snr_db, seed):
     """Measure x_true through op and add AWGN at exactly the requested SNR.
 
     Returns (y, e) with y = A x_true + e.  The noise is drawn from `seed`
     and rescaled so that 20*log10(||A x_true|| / ||e||) equals snr_db to
-    rounding; snr_db None means a noiseless measurement, e = 0.
+    rounding; snr_db None means a noiseless measurement, e = 0.  Noise
+    that overflows is refused.
     """
     clean = op.forward(x_true)
     with np.errstate(over="ignore"):
@@ -73,5 +88,9 @@ def add_noise_at_snr(op, x_true, snr_db, seed):
     if w_norm == 0.0:
         raise RuntimeError("degenerate noise draw")
     sigma = clean_norm / (w_norm * _amplitude_ratio(snr_db))
-    e = sigma * w
-    return clean + e, e
+    with np.errstate(over="ignore"):
+        e = sigma * w
+        y = clean + e
+    if not np.isfinite(y).all():
+        raise ValueError(f"input SNR {snr_db!r} dB is out of range: the noise overflows")
+    return y, e

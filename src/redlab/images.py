@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .rng import _floats, _generator, _integral, _positive
+from .rng import _floats, _generator, _integral, _positive, _shape
 
 
 def gaussian_kernel(size, sigma):
@@ -139,7 +139,7 @@ class CyclicConvolver:
     """
 
     def __init__(self, shape, kernel):
-        h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
+        h, w = _shape(shape)
         kernel = _floats(kernel, "kernel").copy()
         if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
             raise ValueError(f"kernel must be square of odd size, got shape {kernel.shape}")
@@ -293,7 +293,7 @@ def named_test_image(name, seed, shape):
     """
     if name not in TEST_IMAGE_NAMES:
         raise ValueError(f"unknown test image {name!r}; valid: {TEST_IMAGE_NAMES}")
-    h, w = _integral(shape[0], "height"), _integral(shape[1], "width")
+    h, w = _shape(shape)
     if min(h, w) < MIN_TEST_IMAGE_EXTENT:
         raise ValueError(f"test image sides must be at least {MIN_TEST_IMAGE_EXTENT}")
     rng = _generator(seed)

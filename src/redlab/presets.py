@@ -18,10 +18,12 @@ from .denoisers import (
     RandomConvnetDenoiser,
     ScaledDenoiser,
 )
+from .rng import _shape
 
 
 def _pixels(shape):
-    return int(shape[0]) * int(shape[1])
+    h, w = _shape(shape)
+    return h * w
 
 
 # Each denoiser by name: its parameters with their defaults, and its

@@ -33,6 +33,18 @@ def _integral(value, name):
     return n
 
 
+def _shape(shape):
+    """`shape` as (height, width): exactly two positive integers."""
+    try:
+        h, w = shape
+    except (TypeError, ValueError):
+        raise ValueError(f"shape must be (height, width), got {shape!r}") from None
+    h, w = _integral(h, "height"), _integral(w, "width")
+    if min(h, w) < 1:
+        raise ValueError(f"shape must be positive, got {shape!r}")
+    return h, w
+
+
 def _positive(value, name):
     """`value` as a positive finite float; an int too large for a float is
     not finite."""

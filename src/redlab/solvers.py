@@ -86,7 +86,6 @@ class SolveResult:
     trace: list
     termination: str
     solver: str
-    config: SolverConfig
     counters: EvalCounters
 
     @property
@@ -206,7 +205,7 @@ def _iterate(name, p, x, cfg, psnr_ref, counters):
         )
 
     def result(termination):
-        return SolveResult(x, trace, termination, name, cfg, counters)
+        return SolveResult(x, trace, termination, name, counters)
 
     record(0, "init", 0, 0.0)
     if not math.isfinite(g0_sq):

@@ -11,7 +11,9 @@ deblur preset with a 1x1 kernel file of each boundary weight.  A config that `fr
 must make every command exit 1; any other config must run to a termination
 code, a sweep without a failed run, and a certificate, and every JSON file
 it writes must be strict JSON, without NaN or Infinity.  No exception may
-escape `cli.main`.
+escape `cli.main`.  Those tests are `slow`; a parse-only pass over the same
+numeric-key configs is not, and checks that each refusal names the key that
+was set, or a section that holds it.
 
 The Lipschitz estimates run at a token effort: the estimator is not the
 boundary under test, and at full effort the convnet's would take minutes.
@@ -31,7 +33,8 @@ from redlab.config import ConfigError, from_dict, to_dict
 from redlab.pgmio import write_pgm
 from redlab.presets import PRESET_NAMES, experiment_preset
 
-BOUNDARY = (-1e300, -1e4, -1, 0, 1e-300, 1e300, sys.float_info.max)
+# -6400 dB is an SNR whose noise overflows, though 10^(snr/20) is positive.
+BOUNDARY = (-1e300, -1e4, -6400.0, -1, 0, 1e-300, 1e300, sys.float_info.max)
 # Exit codes of a run that parsed: success, diverged, step floor.
 RAN = (cli.EXIT_OK, cli.EXIT_DIVERGED, cli.EXIT_STEP_FLOOR)
 
@@ -73,6 +76,20 @@ def base_config(preset):
     return base
 
 
+def fuzzed_configs(preset):
+    """(key path, description, raw config) for each numeric key of a preset
+    set to each of its fuzz values."""
+    base = base_config(preset)
+    for index, path in enumerate(numeric_keys(base)):
+        for value in fuzz_values(PRESET_NAMES.index(preset) * 1000 + index):
+            raw = json.loads(json.dumps(base))
+            section = raw
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+            yield path, f"{preset}: config.{'.'.join(path)} = {value!r}", raw
+
+
 def check_parse_or_run(raw, tmp, case, capsys, where):
     """Run `raw`, written to a config file in `tmp`, through the three
     commands, check that it either fails to parse or runs, and return
@@ -111,19 +128,28 @@ def check_parse_or_run(raw, tmp, case, capsys, where):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_every_config_either_fails_to_parse_or_runs(tmp_path, capsys, token_effort, preset):
-    base = base_config(preset)
     cases = 0
-    for index, path in enumerate(numeric_keys(base)):
-        for value in fuzz_values(PRESET_NAMES.index(preset) * 1000 + index):
-            raw = json.loads(json.dumps(base))
-            section = raw
-            for key in path[:-1]:
-                section = section[key]
-            section[path[-1]] = value
-            where = f"{preset}: config.{'.'.join(path)} = {value!r}"
-            check_parse_or_run(raw, str(tmp_path), cases, capsys, where)
-            cases += 1
-    assert cases == 8 * len(list(numeric_keys(base)))
+    for _path, where, raw in fuzzed_configs(preset):
+        check_parse_or_run(raw, str(tmp_path), cases, capsys, where)
+        cases += 1
+    assert cases == len(fuzz_values(0)) * len(list(numeric_keys(base_config(preset))))
+
+
+# Parsing builds the denoiser, whose weights may overflow on values such as 1e300.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_refusal_names_the_fuzzed_key():
+    # The fast subset's share of the fuzz: parsing only.  A refusal names
+    # the key that was set, or a section that holds it.
+    refusals = 0
+    for preset in PRESET_NAMES:
+        for path, where, raw in fuzzed_configs(preset):
+            try:
+                from_dict(raw)
+            except ConfigError as exc:
+                keys = {".".join(("config",) + path[:i]) for i in range(1, len(path) + 1)}
+                assert str(exc).split(": ", 1)[0] in keys, (where, str(exc))
+                refusals += 1
+    assert refusals
 
 
 @pytest.mark.slow
@@ -147,4 +173,4 @@ def test_every_file_either_fails_to_parse_or_runs(tmp_path, capsys, token_effort
             parsed.append(weight)
     # Zero, 1e-300 (whose squares underflow) and the huge weights give a
     # zero or an overflowing norm.
-    assert parsed == [-1e4, -1]
+    assert parsed == [-1e4, -6400.0, -1]

@@ -268,11 +268,12 @@ def test_config_rejects_a_kernel_wider_than_the_image(shape, size):
         ({}, {"input_snr_db": 1e300}, "noise.input_snr_db"),
         ({}, {"input_snr_db": -1e4}, "noise.input_snr_db"),
         ({}, {"input_snr_db": -1e300}, "noise.input_snr_db"),
+        ({"kernel_path": "k1e150.txt"}, {"input_snr_db": -6000.0}, "operator.kernel_path"),
     ],
     ids=[
         "tiny_sigma", "huge_sigma", "negative_sigma", "even_file", "wide_file",
         "nan_file", "zero_file", "overflowing_norm_file", "huge_file", "huge_negative_file",
-        "huge_snr", "very_negative_snr", "huge_negative_snr",
+        "huge_snr", "very_negative_snr", "huge_negative_snr", "overflowing_noise_file",
     ],
 )
 def test_kernel_and_noise_scale_are_checked_at_parse_time(tmp_path, capsys, operator, noise, key):
@@ -281,7 +282,7 @@ def test_kernel_and_noise_scale_are_checked_at_parse_time(tmp_path, capsys, oper
     # or overflow; so each of these is a config error naming its key, and
     # neither `run` nor `sweep` writes anything.
     tmp = str(tmp_path)
-    for weight in ("0", "1e154", "1e300", "-1e300"):
+    for weight in ("0", "1e150", "1e154", "1e300", "-1e300"):
         Path(tmp, f"k{weight}.txt").write_text(f"1\n{weight}\n")
     write_kernel_file(os.path.join(tmp, "k4.txt"), np.full((4, 4), 1.0 / 16))
     write_kernel_file(os.path.join(tmp, "k33.txt"), np.full((33, 33), 1.0 / 33**2))
@@ -297,6 +298,22 @@ def test_kernel_and_noise_scale_are_checked_at_parse_time(tmp_path, capsys, oper
         assert main([command, "--config", write_config(tmp, raw), "--out", out]) == 1
         assert f"config error: config.{key}: " in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("preset", ["deblur_nonexpansive", "cs_nonexpansive"])
+def test_an_snr_whose_noise_overflows_fails_at_parse(preset):
+    # ||e|| = ||A x|| / 10^(snr/20) <= sqrt(64*64) / 10^(snr/20), as pixels
+    # lie in [0, 1] and ||A|| <= 1; that bound overflows below about
+    # -6129 dB, though 10^(snr/20) stays positive down to about -6466 dB.
+    # On the presets the noise itself overflows below about -6162 dB.
+    raw = experiment_preset(preset)
+    for snr in (-6171.0, -6200.0, -6400.0, -6460.0, -6470.0):
+        raw["noise"]["input_snr_db"] = snr
+        with pytest.raises(ConfigError, match=r"^config\.noise\.input_snr_db: .* overflows$"):
+            from_dict(raw)
+    # Noise 1e300 times the signal is finite.
+    raw["noise"]["input_snr_db"] = -6000.0
+    assert np.isfinite(build_experiment(from_dict(raw)).problem.fidelity.y).all()
 
 
 def test_config_null_snr_means_noiseless():

@@ -129,6 +129,13 @@ def test_noise_rejects_zero_measurement():
         add_noise_at_snr(op, np.zeros(3), 30.0, 0)
 
 
+def test_noise_that_overflows_is_refused():
+    # ||e|| = ||A x|| / 10^(snr/20) = 1.7e150 * 1e160 is past the largest float.
+    op = DenseOperator(1e150 * np.eye(3))
+    with pytest.raises(ValueError, match="noise overflows"):
+        add_noise_at_snr(op, np.ones(3), -3200.0, 0)
+
+
 @pytest.mark.parametrize("snr", [1e300, -1e4, -1e300])
 def test_noise_rejects_an_snr_whose_scale_is_not_a_positive_float(snr):
     # 10^(snr/20) overflows above about 6165 dB (an OverflowError) and is 0

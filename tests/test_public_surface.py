@@ -29,6 +29,7 @@ from redlab import (
     run_solver,
 )
 from redlab.pgmio import write_pgm
+from redlab.presets import build_denoiser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "redlab"
@@ -120,12 +121,35 @@ def test_only_rng_names_numpys_random_module():
         lambda: estimate_lipschitz(IdentityDenoiser(16), probes=2.5),
         lambda: estimate_lipschitz(IdentityDenoiser(16), iters=2.5),
         lambda: SolverConfig(gamma=1, t=10.5),
+        lambda: build_denoiser({"name": "identity"}, (40.5, 40)),
     ],
 )
 def test_non_integral_sizes_are_rejected(build):
     # A size is never truncated to an integer.
     with pytest.raises(ValueError, match="must be an integer"):
         build()
+
+
+@pytest.mark.parametrize(
+    "shape", [(40,), 40, (40, 40, 3), (0, 40)], ids=["one_side", "int", "three_sides", "zero"]
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s: DeblurOperator(s, gaussian_kernel(3, 1.0)),
+        lambda s: LinearSmoothingDenoiser(s, 1.0),
+        lambda s: DctSoftThresholdDenoiser(s, 0.1, 0.02),
+        lambda s: RandomConvnetDenoiser(s, 4, 1.0, 0),
+        lambda s: named_test_image("phantom", 0, s),
+        lambda s: build_denoiser({"name": "identity"}, s),
+    ],
+    ids=["deblur", "smoother", "dct", "convnet", "test_image", "identity_spec"],
+)
+def test_a_shape_is_two_positive_integers(build, shape):
+    # One rule for every (height, width): neither indexed past its end, nor
+    # cut to its first two sides, nor divided by.
+    with pytest.raises(ValueError, match="^shape must be"):
+        build(shape)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
