@@ -88,17 +88,14 @@ class LinearSmoothingDenoiser(Denoiser):
         self._conv = CyclicConvolver((h, w), self.kernel)
         self.n = h * w
 
-    def _smooth_vals(self, x):
-        return self._conv.apply(x.reshape(self.shape)).reshape(-1)
-
     def apply(self, x):
-        return self._smooth_vals(self._check(x))
+        return self._conv.run(self._check(x), self._conv.forward)
 
     def residual_vjp(self, x, v):
         self._check(x)
         v = self._check(v)
         # Constant symmetric Jacobian W, so the product is v - W v at any x.
-        return v - self._smooth_vals(v)
+        return v - self._conv.run(v, self._conv.forward)
 
     # The Jacobian is symmetric, so the two products coincide.
     residual_jvp = residual_vjp

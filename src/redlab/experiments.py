@@ -100,10 +100,21 @@ def lipschitz_report(denoiser, **effort):
 
 def check_run_dir(cfg, out_dir):
     """Refuse, with a ConfigError, a run directory that holds a run of a
-    config other than `cfg`: several configs map to one run directory, and
-    a run never replaces another config's."""
+    config other than `cfg`, or a sidecar.json that is not a JSON object:
+    several configs map to one run directory, and a run never replaces
+    another config's, nor a file it cannot tell from one."""
     sidecar = os.path.join(out_dir, "sidecar.json")
-    if os.path.isfile(sidecar) and read_sidecar(sidecar).get("config") != to_dict(cfg):
+    if not os.path.isfile(sidecar):
+        return
+    try:
+        held = read_sidecar(sidecar)
+    except ValueError:
+        held = None
+    if not isinstance(held, dict):
+        raise ConfigError(
+            f"{sidecar} is not a JSON object; remove it or choose another output directory"
+        )
+    if held.get("config") != to_dict(cfg):
         raise ConfigError(
             f"{out_dir} holds a run of another config; choose another output directory"
         )

@@ -128,14 +128,16 @@ class CyclicConvolver:
 
     A kernel of numerical rank 1, such as every Gaussian blur, is an outer
     product a b^T of two 1-D kernels, so convolving X with it is C_a X C_b^T
-    with the h x h and w x w circulant matrices of a and b: two small GEMMs
-    per apply.  Any other kernel, and an image too large for dense
-    circulants, goes through the cached DFT khat of the kernel embedded on
-    the image grid: two real FFTs per apply.  On either path the adjoint is
-    convolution with the 180-degree rotated kernel, and the gram
-    apply_adjoint(apply(.)) is one pass: (C_a^T C_a) X (C_b^T C_b), or one
-    round trip through the real gain |khat|^2.  Matches direct summation
-    (_periodic_conv) to roundoff.
+    with the h x h and w x w circulant matrices of a and b: two small GEMMs.
+    Any other kernel, and an image too large for dense circulants, goes
+    through the DFT khat of the kernel embedded on the image grid: two real
+    FFTs.  The path is chosen here, once, and each of the three maps is kept
+    as data for it: `forward`, the convolution; `adjoint`, convolution with
+    the 180-degree rotated kernel; and `gram`, adjoint after forward in one
+    pass.  On the GEMM path a map is a (left, right) pair of circulants,
+    (C_a, C_b^T), (C_a^T, C_b) and (C_a^T C_a, C_b^T C_b); on the FFT path a
+    spectral multiplier, khat, its conjugate and |khat|^2.  `run` applies
+    any of them.  Matches direct summation (_periodic_conv) to roundoff.
     """
 
     def __init__(self, shape, kernel):
@@ -155,13 +157,13 @@ class CyclicConvolver:
         factors = None
         if h + w <= _MAX_CIRCULANT_EXTENT_SUM:
             factors = _rank_one_factors(kernel)
-        if factors is None:
-            self._circulants = None
-            self._khat = np.fft.rfft2(self._embedded())
-            self._khat_conj = np.conj(self._khat)
-            self._gain_sq = np.abs(self._khat) ** 2
+        self._gemm = factors is not None
+        if self._gemm:
+            c_h, c_w = _circulant(factors[0], h), _circulant(factors[1], w)
+            self.forward, self.adjoint = (c_h, c_w.T), (c_h.T, c_w)
         else:
-            self._circulants = (_circulant(factors[0], h), _circulant(factors[1], w))
+            khat = np.fft.rfft2(self._embedded())
+            self.forward, self.adjoint, self.gram = khat, np.conj(khat), np.abs(khat) ** 2
 
     def _embedded(self):
         """The centered kernel wrapped onto the image grid."""
@@ -173,29 +175,22 @@ class CyclicConvolver:
         return embed
 
     @functools.cached_property
-    def _gram_circulants(self):
-        # Built on first use: a denoiser never asks for its gram.
-        c_h, c_w = self._circulants
-        return c_h.T @ c_h, c_w.T @ c_w
+    def gram(self):
+        # The GEMM path's pair, built on first use: a denoiser never asks for
+        # it.  The FFT path sets its multiplier in __init__.
+        left, right = self.adjoint
+        return left @ left.T, right.T @ right
 
-    def apply(self, arr):
-        if self._circulants is None:
-            return np.fft.irfft2(np.fft.rfft2(arr) * self._khat, s=self.shape)
-        c_h, c_w = self._circulants
-        return c_h @ arr @ c_w.T
-
-    def apply_adjoint(self, arr):
-        if self._circulants is None:
-            return np.fft.irfft2(np.fft.rfft2(arr) * self._khat_conj, s=self.shape)
-        c_h, c_w = self._circulants
-        return c_h.T @ arr @ c_w
-
-    def apply_gram(self, arr):
-        """apply_adjoint(apply(arr)) in one pass."""
-        if self._circulants is None:
-            return np.fft.irfft2(np.fft.rfft2(arr) * self._gain_sq, s=self.shape)
-        g_h, g_w = self._gram_circulants
-        return g_h @ arr @ g_w
+    def run(self, vec, linear_map):
+        """`linear_map` (forward, adjoint or gram) applied to the flat image
+        `vec`, as a flat vector."""
+        arr = vec.reshape(self.shape)
+        if self._gemm:
+            left, right = linear_map
+            out = left @ arr @ right
+        else:
+            out = np.fft.irfft2(np.fft.rfft2(arr) * linear_map, s=self.shape)
+        return out.reshape(-1)
 
     def max_gain_sq(self):
         """Largest |khat|^2, the squared spectral norm of the convolution.
@@ -247,8 +242,8 @@ def _checkerboard(h, w, _rng):
 
 
 def _texture(h, w, rng):
-    noise = rng.standard_normal(h * w).reshape(h, w)
-    smooth = CyclicConvolver((h, w), gaussian_kernel(7, 1.2)).apply(noise)
+    conv = CyclicConvolver((h, w), gaussian_kernel(7, 1.2))
+    smooth = conv.run(rng.standard_normal(h * w), conv.forward).reshape(h, w)
     lo, hi = smooth.min(), smooth.max()
     if hi == lo:
         return np.full((h, w), 0.5)

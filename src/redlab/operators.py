@@ -103,16 +103,13 @@ class DeblurOperator(LinearOperator):
         self.n = self.m = self.shape[0] * self.shape[1]
 
     def forward(self, x):
-        x = self._check_domain(x)
-        return self._conv.apply(x.reshape(self.shape)).reshape(-1)
+        return self._conv.run(self._check_domain(x), self._conv.forward)
 
     def adjoint(self, u):
-        u = self._check_range(u)
-        return self._conv.apply_adjoint(u.reshape(self.shape)).reshape(-1)
+        return self._conv.run(self._check_range(u), self._conv.adjoint)
 
     def gram(self, v):
-        v = self._check_domain(v)
-        return self._conv.apply_gram(v.reshape(self.shape)).reshape(-1)
+        return self._conv.run(self._check_domain(v), self._conv.gram)
 
     def exact_spectral_norm_sq(self):
         # A^T A is circulant; its eigenvalues are |khat|^2 over the DFT grid.

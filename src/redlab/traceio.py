@@ -7,6 +7,7 @@ experiment (resolved config, seeds, spectral constants, library version).
 """
 
 import json
+import os
 from dataclasses import fields
 
 from .red import EvalCounters
@@ -74,9 +75,19 @@ def read_trace_csv(path):
 
 
 def write_sidecar(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """`payload` as JSON with sorted keys.  It is written to a file beside
+    `path` and moved over it, so a write that fails part-way (a NaN, a full
+    disk, an interrupt) leaves the previous file whole and no other behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_sidecar(path):

@@ -2,7 +2,8 @@
 small iteration cap: each workload's pass runs through the public entry
 points with the benchmark's always-on run hooks installed, every run
 directory it writes passes the benchmark's own output check, and the hooks
-see each run once, with the counters its sidecar records.
+see each run once, with the counters its sidecar records.  The traced
+mode's layer spans find every method they wrap, and leave none wrapped.
 """
 
 import os
@@ -16,7 +17,13 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from tracing import COUNTER_FIELDS, Tracer  # noqa: E402
 from workloads import WORKLOAD_NAMES, build_workload  # noqa: E402
 
+from redlab.operators import DeblurOperator  # noqa: E402
 from redlab.traceio import read_sidecar  # noqa: E402
+
+# The attributes the traced mode wraps: 3 run hooks and 36 layer spans.  A
+# span whose class is gone raises in install_layers; one whose method is
+# gone is skipped there, and shows here as a smaller count.
+TRACED_PATCHES = 39
 
 
 def _run_dirs(root):
@@ -47,3 +54,19 @@ def test_a_workload_pass_runs_clean_under_the_run_hooks(tmp_path, name):
         assert list(record.counters) == list(COUNTER_FIELDS)
         assert record.counters == sidecar["counters"], run_dir
         assert record.iters == sidecar["iterations"], run_dir
+
+
+def test_the_traced_mode_wraps_the_layers_and_restores_them():
+    original = vars(DeblurOperator)["gram"]
+    tracer = Tracer()
+    tracer.install_run_hooks()
+    try:
+        tracer.install_layers()
+        patched = list(tracer._undo)
+        assert vars(DeblurOperator)["gram"] is not original
+    finally:
+        tracer.uninstall()
+    assert len(patched) == TRACED_PATCHES
+    assert vars(DeblurOperator)["gram"] is original
+    for owner, attr, before in patched:
+        assert vars(owner)[attr] is before, (owner, attr)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -59,6 +60,7 @@ from redlab.traceio import (
     read_sidecar,
     read_trace_csv,
     write_aggregate_csv,
+    write_sidecar,
     write_trace_csv,
 )
 
@@ -1289,6 +1291,52 @@ def test_sweep_checks_every_run_dir_before_its_first_run(tmp_path):
     with pytest.raises(ConfigError):
         run_sweep(from_dict(copy.deepcopy(SMALL)), [0.1], ["mred"], out)
     assert os.listdir(out) == ["mred_tau0.1_blocks"]
+
+
+# A sidecar.json that does not parse, and one that parses to a list.
+UNREADABLE_SIDECARS = ("", "[]")
+
+
+@pytest.mark.parametrize("text", UNREADABLE_SIDECARS)
+def test_cli_run_refuses_an_unreadable_sidecar_by_name(tmp_path, capsys, text):
+    # The directory may hold another config's run, so it is refused before
+    # anything is built, and the file is named and left as it was.
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "r")
+    sidecar = os.path.join(run_dir(from_dict(copy.deepcopy(SMALL)), out), "sidecar.json")
+    os.makedirs(os.path.dirname(sidecar))
+    Path(sidecar).write_text(text)
+    assert main(["run", "--config", write_config(tmp, SMALL), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {sidecar} is not a JSON object; "
+        "remove it or choose another output directory\n"
+    )
+    assert _tree_bytes(out) == {os.path.relpath(sidecar, out): text.encode()}
+
+
+@pytest.mark.parametrize("text", UNREADABLE_SIDECARS)
+def test_sweep_refuses_an_unreadable_sidecar_before_its_first_run(tmp_path, text):
+    out = os.path.join(str(tmp_path), "sweep")
+    cfg = from_dict(copy.deepcopy(SMALL))
+    sidecar = os.path.join(run_dir(dataclasses.replace(cfg, image="blocks"), out), "sidecar.json")
+    os.makedirs(os.path.dirname(sidecar))
+    Path(sidecar).write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(sidecar)} is not a JSON object"):
+        run_sweep(cfg, [0.1], ["mred"], out)
+    assert _tree_bytes(out) == {os.path.relpath(sidecar, out): text.encode()}
+
+
+def test_a_failed_sidecar_write_leaves_the_previous_file(tmp_path):
+    # A NaN is refused part-way through the dump; the file it would have
+    # replaced keeps its bytes, and no temporary file is left beside it.
+    path = os.path.join(str(tmp_path), "sidecar.json")
+    write_sidecar(path, {"a": [0, 1], "b": "x"})
+    before = Path(path).read_bytes()
+    assert before == b'{\n  "a": [\n    0,\n    1\n  ],\n  "b": "x"\n}\n'
+    with pytest.raises(ValueError):
+        write_sidecar(path, {"a": list(range(200)), "z": math.nan})
+    assert Path(path).read_bytes() == before
+    assert os.listdir(str(tmp_path)) == ["sidecar.json"]
 
 
 def test_summary_json_is_strict_json_for_an_exact_reconstruction(tmp_path):

@@ -51,6 +51,12 @@ def conv_oracle(arr, kern):
     return out
 
 
+def run2d(conv, arr, which="forward"):
+    """The convolver's map `which` (forward, adjoint or gram) applied to the
+    (h, w) image `arr`."""
+    return conv.run(arr.reshape(-1), getattr(conv, which)).reshape(arr.shape)
+
+
 def rand_image(seed, h, w):
     return np.random.default_rng(seed).standard_normal(h * w).reshape(h, w)
 
@@ -127,13 +133,13 @@ def both_paths(shape, kern):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(images, "_MAX_CIRCULANT_EXTENT_SUM", 0)
         fft = CyclicConvolver(shape, kern)
-    assert circulant._circulants is not None and fft._circulants is None
+    assert circulant._gemm and not fft._gemm
     return circulant, fft
 
 
 def test_conv_constant_image_preserved():
     for conv in both_paths((8, 8), gaussian_kernel(5, 1.0)):
-        assert np.allclose(conv.apply(np.full((8, 8), 0.37)), 0.37, atol=1e-14)
+        assert np.allclose(run2d(conv, np.full((8, 8), 0.37)), 0.37, atol=1e-14)
 
 
 def test_conv_impulse_response():
@@ -146,7 +152,7 @@ def test_conv_impulse_response():
     convs = [(c, separable) for c in both_paths((7, 7), separable)]
     convs.append((CyclicConvolver((7, 7), rank_two), rank_two))
     for conv, k in convs:
-        out = conv.apply(arr)
+        out = run2d(conv, arr)
         assert np.allclose(out[2:5, 2:5], k, atol=1e-15)
 
 
@@ -156,7 +162,7 @@ def test_conv_matches_double_loop_oracle():
     ramp = np.arange(16.0).reshape(4, 4) / 15.0
     uni = np.full((3, 3), 1.0 / 9.0)
     for conv in both_paths((4, 4), uni):
-        assert np.allclose(conv.apply(ramp), conv_oracle(ramp, uni), atol=1e-14)
+        assert np.allclose(run2d(conv, ramp), conv_oracle(ramp, uni), atol=1e-14)
 
     rng = np.random.default_rng(11)
     for h, w, ks in ((5, 7, 3), (8, 8, 5), (6, 9, 5)):
@@ -166,7 +172,7 @@ def test_conv_matches_double_loop_oracle():
         convs = [(c, separable) for c in both_paths((h, w), separable)]
         convs.append((CyclicConvolver((h, w), full_rank), full_rank))
         for conv, kern in convs:
-            assert np.allclose(conv.apply(arr), conv_oracle(arr, kern), atol=1e-12)
+            assert np.allclose(run2d(conv, arr), conv_oracle(arr, kern), atol=1e-12)
 
 
 def test_conv_linearity():
@@ -174,8 +180,8 @@ def test_conv_linearity():
     x = rng.standard_normal(36).reshape(6, 6)
     z = rng.standard_normal(36).reshape(6, 6)
     for conv in both_paths((6, 6), gaussian_kernel(3, 0.8)):
-        lhs = conv.apply(2.5 * x - 1.25 * z)
-        rhs = 2.5 * conv.apply(x) - 1.25 * conv.apply(z)
+        lhs = run2d(conv, 2.5 * x - 1.25 * z)
+        rhs = 2.5 * run2d(conv, x) - 1.25 * run2d(conv, z)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -279,16 +285,18 @@ def test_cyclic_convolver_matches_direct():
     ]
     for h, w, kern, separable in cases:
         conv = CyclicConvolver((h, w), kern)
-        assert (conv._circulants is not None) == separable
+        assert conv._gemm == separable
         scale = np.sum(np.abs(kern))
-        for _ in range(3):
-            arr = rng.standard_normal(h * w).reshape(h, w)
-            direct = convolve2d_wrap(arr, kern)
-            assert np.max(np.abs(conv.apply(arr) - direct)) <= 1e-12 * scale
-            adj_direct = convolve2d_wrap(arr, kern[::-1, ::-1])
-            assert np.max(np.abs(conv.apply_adjoint(arr) - adj_direct)) <= 1e-12 * scale
-            gram = conv.apply_adjoint(conv.apply(arr))
-            assert np.max(np.abs(conv.apply_gram(arr) - gram)) <= 1e-12 * scale**2
+        # A separable kernel is checked on the FFT path too.
+        for conv in both_paths((h, w), kern) if separable else (conv,):
+            for _ in range(3):
+                arr = rng.standard_normal(h * w).reshape(h, w)
+                direct = convolve2d_wrap(arr, kern)
+                assert np.max(np.abs(run2d(conv, arr) - direct)) <= 1e-12 * scale
+                adj_direct = convolve2d_wrap(arr, kern[::-1, ::-1])
+                assert np.max(np.abs(run2d(conv, arr, "adjoint") - adj_direct)) <= 1e-12 * scale
+                gram = run2d(conv, run2d(conv, arr), "adjoint")
+                assert np.max(np.abs(run2d(conv, arr, "gram") - gram)) <= 1e-12 * scale**2
 
 
 # ----------------------------------------------------------------------- DCT
@@ -419,9 +427,9 @@ def test_texture_is_bit_equal_to_smoothed_noise():
         for seed in (0, 1234, 4242, 2**32 - 1):
             noise = np.random.default_rng(seed).standard_normal(shape[0] * shape[1]).reshape(shape)
             conv = CyclicConvolver(shape, kern)
-            assert (conv._circulants is None) == (sum(shape) > 256)
+            assert conv._gemm == (sum(shape) <= 256)
             got = named_test_image("texture", seed, shape)
-            smooth = conv.apply(noise)
+            smooth = run2d(conv, noise)
             lo, hi = smooth.min(), smooth.max()
             assert np.array_equal(got, (smooth - lo) / (hi - lo))
             smooth = convolve2d_wrap(noise, kern)
